@@ -23,6 +23,7 @@ from .adversary import (
     AuditReport,
     KSchedule,
     MsbFlipProbe,
+    PrefixInvariantCheck,
     Violation,
     ViolationReport,
     adversary_input,
@@ -35,6 +36,7 @@ from .fuzzing import (
     InvariantFuzzReport,
     fuzz_divergence,
     fuzz_invariant,
+    random_program,
     random_program_text,
 )
 from .programs import (
@@ -95,6 +97,7 @@ __all__ = [
     "Machine",
     "MsbFlipProbe",
     "ParseError",
+    "PrefixInvariantCheck",
     "Program",
     "StepCounters",
     "TraceSnapshot",
@@ -120,6 +123,7 @@ __all__ = [
     "msb_prefix",
     "parse_program",
     "popcount_naive",
+    "random_program",
     "random_program_text",
     "twobit_program",
     "wegner_program",

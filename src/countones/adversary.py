@@ -7,7 +7,9 @@ empirically checkable:
   (MSB first).  On such inputs, *every* program of this machine keeps every
   register in a tight straitjacket:
 
-* the **prefix invariant** (:func:`check_prefix_invariant`): after ``i``
+* the **prefix invariant** (:class:`PrefixInvariantCheck`, run online as a
+  :meth:`Machine.run` observer, or over a recorded trace by
+  :func:`check_prefix_invariant`): after ``i``
   inc/dec steps, the top ``k_i`` bits of every register are all-zeros,
   all-ones, or the input's own top ``k_i`` bits, where ``k_0 = n`` and
   ``k_i = 2*(m - i) + 1``.  Each inc/dec can chew at most two bits off the
@@ -16,7 +18,7 @@ empirically checkable:
 * the **MSB flip probe** (:func:`msb_flip_probe`): on inputs with ``e = d``,
   flipping the most significant bit cannot change the branch decisions of
   any program until at least ``min(nu, n - nu)`` inc/dec steps have run, so
-  two traced runs must agree on their executed path up to that point.
+  the two runs must agree on their executed path up to that point.
 
 * the **lower-bound audit** (:func:`lower_bound_audit`): exhaustively checks
   a counting program for correctness and for ``incdec_steps >=
@@ -39,7 +41,6 @@ from .vm import (
     Machine,
     Program,
     TraceSnapshot,
-    diff_traces,
 )
 from .words import MAX_WIDTH, Word, popcount_naive
 
@@ -49,6 +50,7 @@ __all__ = [
     "KSchedule",
     "Violation",
     "ViolationReport",
+    "PrefixInvariantCheck",
     "check_prefix_invariant",
     "MsbFlipProbe",
     "msb_flip_probe",
@@ -129,43 +131,45 @@ def _prefix_bits(value: int, k: int) -> str:
     return format(value, f"0{k}b")
 
 
-def check_prefix_invariant(
-    trace: list[TraceSnapshot], params: AdversaryParams
-) -> ViolationReport:
-    """Check every snapshot of a traced run against the prefix invariant.
+class PrefixInvariantCheck:
+    """The prefix invariant, checked online as a :meth:`Machine.run` observer.
 
-    ``trace`` must come from an execution on ``adversary_input(params)``.
-    At each snapshot with inc/dec index ``i`` for which ``k_i`` is defined,
-    every register's top ``k_i`` bits must be one of all-zeros, all-ones, or
-    the input's own prefix.  Prefixes are compared as integers
-    (``value >> (n - k)``), which additionally flags any register whose
-    value escaped the word width.  Snapshots past ``i = m`` are vacuous and
-    skipped.
+    Pass :meth:`observe` as the observer of a run on ``adversary_input(params)``.
+    At each state with inc/dec index ``i <= m``, every register's top ``k_i``
+    bits must be one of all-zeros, all-ones, or the input's own prefix.
+    Prefixes are compared as integers (``value >> (n - k)``), which
+    additionally flags any register whose value escaped the word width.  The
+    first state past ``i = m`` detaches the check: the inc/dec index only
+    grows, so the rest of the run is vacuous.  :meth:`report` summarizes the
+    states seen so far; a violation's ``snapshot_index`` counts the initial
+    state as 0.
     """
-    x = adversary_input(params).value
-    n, m = params.n, params.m
-    allowed_by_i: list[tuple[int, int, int, int]] = []
-    for i in range(m + 1):
-        k = n if i == 0 else 2 * (m - i) + 1
-        shift = n - k
-        allowed_by_i.append((shift, 0, (1 << k) - 1, x >> shift))
 
-    violations: list[Violation] = []
-    checked = 0
-    for snap_idx, snap in enumerate(trace):
-        i = snap.incdec_index
-        if i > m:
-            break  # inc/dec index only grows; the rest is vacuous
-        shift, zeros, ones, xpref = allowed_by_i[i]
-        checked += 1
-        for name, value in snap.registers.items():
+    def __init__(self, params: AdversaryParams) -> None:
+        x = adversary_input(params).value
+        schedule = KSchedule(params.n, params.m)
+        self.params = params
+        self.checked = 0
+        self.violations: list[Violation] = []
+        # per index i <= m: (shift, all-zeros, all-ones, input prefix)
+        self._allowed: list[tuple[int, int, int, int]] = []
+        for i in range(params.m + 1):
+            k = schedule.k_value(i)
+            shift = params.n - k
+            self._allowed.append((shift, 0, (1 << k) - 1, x >> shift))
+
+    def observe(self, incdec_index: int, pc: int | None, registers: dict[str, int]) -> bool:
+        if incdec_index > self.params.m:
+            return False
+        shift, zeros, ones, xpref = self._allowed[incdec_index]
+        for name, value in registers.items():
             prefix = value >> shift
             if prefix != zeros and prefix != ones and prefix != xpref:
-                k = n - shift
-                violations.append(
+                k = self.params.n - shift
+                self.violations.append(
                     Violation(
-                        snap_idx,
-                        i,
+                        self.checked,
+                        incdec_index,
                         name,
                         _prefix_bits(prefix, k),
                         (
@@ -175,12 +179,36 @@ def check_prefix_invariant(
                         ),
                     )
                 )
-    return ViolationReport(params, checked, tuple(violations))
+        self.checked += 1
+        return True
+
+    def report(self) -> ViolationReport:
+        return ViolationReport(self.params, self.checked, tuple(self.violations))
+
+
+def check_prefix_invariant(
+    trace: list[TraceSnapshot], params: AdversaryParams
+) -> ViolationReport:
+    """Check a recorded trace against the prefix invariant.
+
+    ``trace`` must come from an execution on ``adversary_input(params)``.
+    Feeds the snapshots through :class:`PrefixInvariantCheck` up to the first
+    one past ``i = m``; the later ones are vacuous and skipped.
+    """
+    check = PrefixInvariantCheck(params)
+    for snap in trace:
+        if not check.observe(snap.incdec_index, snap.pc, snap.registers):
+            break
+    return check.report()
 
 
 @dataclass(frozen=True)
 class MsbFlipProbe:
-    """Outcome of running a program on an adversary word and its MSB flip."""
+    """Outcome of running a program on an adversary word and its MSB flip.
+
+    ``result_x`` and ``result_flipped`` are complete untraced results
+    (``trace`` is ``None``).
+    """
 
     params: AdversaryParams
     x: Word
@@ -201,7 +229,7 @@ def msb_flip_probe(
     params: AdversaryParams,
     budget: int = DEFAULT_BUDGET,
 ) -> MsbFlipProbe:
-    """Trace a program on ``x`` and on ``x`` with its MSB flipped.
+    """Run a program on ``x`` and on ``x`` with its MSB flipped.
 
     Requires ``e == d`` (the families ``1(01)^m 1^...`` and ``0(01)^m
     0^...``): those are the inputs for which the flip argument is sound, and
@@ -211,7 +239,10 @@ def msb_flip_probe(
     branch -- so such parameters are rejected.
 
     Returns the first control-flow divergence (if any) and whether it
-    respects ``incdec_index >= min(nu, n - nu)``.
+    respects ``incdec_index >= min(nu, n - nu)``.  It is the one
+    :func:`diff_traces` would find on traced runs, but only the run on ``x``
+    records its path, and the run on the flipped word stops comparing at the
+    first difference or where that path ends.
     """
     if params.e != params.d:
         raise ValueError(
@@ -224,15 +255,33 @@ def msb_flip_probe(
         raise ValueError("inputs with nu = n/2 are outside the bound's domain")
     program = g.program if isinstance(g, GeneratedProgram) else g
     flipped = Word(params.n, x.value ^ (1 << (params.n - 1)))
-    result_x = Machine().run(program, x, budget=budget, trace=True)
-    result_flipped = Machine().run(program, flipped, budget=budget, trace=True)
+    # (pc, incdec_index) of every state of the run on x, the initial one first
+    path: list[tuple[int | None, int]] = []
+    result_x = Machine().run(
+        program, x, budget=budget, observer=lambda i, pc, regs: path.append((pc, i))
+    )
+
+    divergence: Divergence | None = None
+    step = 0
+
+    def compare(i: int, pc: int | None, regs: dict[str, int]) -> bool:
+        nonlocal divergence, step
+        if step == len(path):
+            return False  # one path is a prefix of the other: no branch differed
+        if pc != path[step][0]:
+            divergence = Divergence(step - 1, path[step - 1][1])
+            return False
+        step += 1
+        return True
+
+    result_flipped = Machine().run(program, flipped, budget=budget, observer=compare)
     return MsbFlipProbe(
         params=params,
         x=x,
         x_flipped=flipped,
         nu=nu,
         bound=min(nu, params.n - nu),
-        divergence=diff_traces(result_x, result_flipped),
+        divergence=divergence,
         result_x=result_x,
         result_flipped=result_flipped,
     )

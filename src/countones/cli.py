@@ -213,6 +213,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
+    if args.width_max < 2:
+        return _usage_error("fuzz needs --width-max >= 2: the flip probes need two-bit words")
     invariant = fuzz_invariant(
         args.seed,
         args.count,
@@ -262,7 +264,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if args.algo == "constant":
         if args.target is None:
             raise SystemExit(_usage_error("--algo constant requires --target"))
-        width = args.width if args.width is not None else max(1, args.target.bit_length() + 1)
+        if args.target < 0:
+            raise SystemExit(_usage_error("--target must be >= 0"))
+        width = args.width if args.width is not None else min(
+            MAX_WIDTH, max(1, args.target.bit_length() + 1))
+        if args.target >= 1 << width:
+            raise SystemExit(_usage_error(f"--target {args.target} does not fit in {width} bits"))
         gen = constant_program(args.target, width)
     else:
         if args.target is not None:

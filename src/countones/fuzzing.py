@@ -2,13 +2,15 @@
 
 The invariant and the divergence bound quantify over *all* programs of the
 machine, so beyond the shipped generators we sample the program space:
-syntactically valid random programs (up to 8 registers), run on randomly
-drawn adversary inputs with full tracing.  Expected violation count is
-exactly zero -- any hit means an interpreter bug, which is precisely what
-the deliberately broken machines in the test suite demonstrate.
+valid random programs (up to 8 registers), built directly as
+:class:`Program` values and run on randomly drawn adversary inputs, with
+the checks attached to the interpreter as observers.  Expected violation
+count is exactly zero -- any hit means an interpreter bug, which is
+precisely what the deliberately broken machines in the test suite
+demonstrate.
 
 Everything is reproducible from the seed.  Non-terminating programs are cut
-by the per-run budget; their snapshots up to the cut are still checked.
+by the per-run budget; their states up to the cut are still checked.
 """
 
 from __future__ import annotations
@@ -19,15 +21,16 @@ from dataclasses import dataclass
 from .adversary import (
     AdversaryParams,
     MsbFlipProbe,
+    PrefixInvariantCheck,
     Violation,
     adversary_input,
-    check_prefix_invariant,
     msb_flip_probe,
 )
-from .vm import HaltReason, Machine, parse_program
+from .vm import _SIGNATURES, HaltReason, Instruction, Machine, Program
 
 __all__ = [
     "FUZZ_BUDGET",
+    "random_program",
     "random_program_text",
     "random_adversary_params",
     "InvariantFuzzReport",
@@ -59,35 +62,34 @@ _OP_DECK = (
     + ("OUT",) * 6
 )
 
-_ARITY = {
-    "ZERO": (1, False), "MOV": (2, False), "INC": (1, False), "DEC": (1, False),
-    "AND": (2, False), "OR": (2, False), "BZ": (1, True), "BNZ": (1, True),
-    "BEQ": (2, True), "BLT": (2, True), "JMP": (0, True), "OUT": (1, False),
-}
+
+def random_program(rng: random.Random, max_len: int = 24) -> Program:
+    """A random valid program: every jump target is an instruction index."""
+    length = rng.randint(2, max_len)
+    regs = _REG_POOL[: rng.randint(2, len(_REG_POOL))]
+    instructions = []
+    register_names: dict[str, None] = {"x": None}
+    for _ in range(length):
+        op = rng.choice(_OP_DECK)
+        n_regs, takes_label = _SIGNATURES[op]
+        operands = [rng.choice(regs) for _ in range(n_regs)]
+        target = rng.randrange(length) if takes_label else None
+        register_names.update(dict.fromkeys(operands))
+        instructions.append(Instruction(op, *operands, target=target))
+    return Program(tuple(instructions), tuple(register_names))
 
 
 def random_program_text(rng: random.Random, max_len: int = 24) -> str:
-    """A syntactically valid random program (labels resolve, grammar holds)."""
-    length = rng.randint(2, max_len)
-    regs = list(_REG_POOL[: rng.randint(2, len(_REG_POOL))])
-    rows: list[tuple[str, list[str], int | None]] = []
-    targets: set[int] = set()
-    for _ in range(length):
-        op = rng.choice(_OP_DECK)
-        n_regs, takes_label = _ARITY[op]
-        operands = [rng.choice(regs) for _ in range(n_regs)]
-        target = rng.randrange(length) if takes_label else None
-        if target is not None:
-            targets.add(target)
-        rows.append((op, operands, target))
-
-    labels = {idx: f"L{idx}" for idx in targets}
+    """Source text of :func:`random_program` on the same draws; jump targets
+    are labelled ``L<index>``, and ``parse_program`` gives the program back."""
+    instructions = random_program(rng, max_len).instructions
+    targets = {ins.target for ins in instructions if ins.target is not None}
     lines = []
-    for idx, (op, operands, target) in enumerate(rows):
-        parts = [op, *operands]
-        if target is not None:
-            parts.append(labels[target])
-        prefix = f"{labels[idx]}: " if idx in labels else ""
+    for idx, ins in enumerate(instructions):
+        parts = [ins.op, *(reg for reg in (ins.a, ins.b) if reg is not None)]
+        if ins.target is not None:
+            parts.append(f"L{ins.target}")
+        prefix = f"L{idx}: " if idx in targets else ""
         lines.append(prefix + " ".join(parts))
     return "\n".join(lines)
 
@@ -127,8 +129,8 @@ def fuzz_invariant(
     budget: int = FUZZ_BUDGET,
     machine: Machine | None = None,
 ) -> InvariantFuzzReport:
-    """Run ``program_count`` random (program, adversary input) pairs, traced,
-    and check the prefix invariant at every snapshot.
+    """Run ``program_count`` random (program, adversary input) pairs and
+    check the prefix invariant online at every state with ``i <= m``.
 
     ``machine`` may be a deliberately broken interpreter; with the stock
     machine the expected violation count is zero.
@@ -139,12 +141,15 @@ def fuzz_invariant(
     violation_count = 0
     violating: list[tuple[int, AdversaryParams, tuple[Violation, ...]]] = []
     for run_idx in range(program_count):
-        program = parse_program(random_program_text(rng, max_len))
+        program = random_program(rng, max_len)
         params = random_adversary_params(rng, width_range)
-        result = machine.run(program, adversary_input(params), budget=budget, trace=True)
+        check = PrefixInvariantCheck(params)
+        result = machine.run(
+            program, adversary_input(params), budget=budget, observer=check.observe
+        )
         if result.halt_reason is HaltReason.BUDGET_EXHAUSTED:
             exhausted += 1
-        report = check_prefix_invariant(result.trace, params)
+        report = check.report()
         if not report.ok:
             violation_count += len(report.violations)
             violating.append((run_idx, params, report.violations))
@@ -183,7 +188,7 @@ def fuzz_divergence(
     violation_count = 0
     violating: list[tuple[int, MsbFlipProbe]] = []
     for run_idx in range(program_count):
-        program = parse_program(random_program_text(rng, max_len))
+        program = random_program(rng, max_len)
         params = random_adversary_params(rng, width_range, equal_ends=True)
         probe = msb_flip_probe(program, params, budget=budget)
         if probe.divergence is not None:

@@ -32,12 +32,24 @@ to ``incdec_steps``, the measure the lower-bound audits care about.
 The interpreter is a pure function of (program, input, budget): no shared
 mutable state, so any number of executions may run concurrently.  Trace
 memory belongs to the caller of each execution.
+
+Observers.  :meth:`Machine.run` takes one optional ``observer`` callback,
+called as ``observer(incdec_index, pc, registers)`` on the initial state
+(``pc`` is ``None``, ``incdec_index`` 0) and again after every executed
+instruction, with ``pc`` the index of that instruction.  The observer stays
+attached until it returns ``False`` (any other value, ``None`` included,
+keeps it attached); once detached it is never called again, and the run
+goes on to its normal halt with the same counters as an unobserved run.
+``registers`` is the interpreter's live register dict: read it during the
+call, copy what must outlive it, and never mutate it.  ``trace=True`` is the
+recording observer that copies each state into a :class:`TraceSnapshot`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .words import Word
 
@@ -51,6 +63,7 @@ __all__ = [
     "StepCounters",
     "TraceSnapshot",
     "ExecResult",
+    "Observer",
     "Machine",
     "execute",
     "Divergence",
@@ -187,6 +200,10 @@ class TraceSnapshot:
     registers: dict[str, int]
 
 
+# observer(incdec_index, pc, registers); returning False detaches it.
+Observer = Callable[[int, int | None, dict[str, int]], bool | None]
+
+
 @dataclass(frozen=True)
 class ExecResult:
     output: Word | None
@@ -219,9 +236,21 @@ class Machine:
         x: Word,
         budget: int = DEFAULT_BUDGET,
         trace: bool = False,
+        observer: Observer | None = None,
     ) -> ExecResult:
+        """Run ``program`` on ``x`` until OUT, the end of the program or ``budget`` steps.
+
+        ``observer`` is called with ``(incdec_index, pc, registers)`` on the
+        initial state and after each executed instruction, until it returns
+        ``False``; the run itself is unaffected either way.  ``registers`` is
+        the live register dict: do not keep or mutate it.  ``trace=True``
+        records every state as a :class:`TraceSnapshot` in ``result.trace``;
+        it cannot be combined with an ``observer``.
+        """
         if budget < 1:
             raise ValueError(f"budget must be >= 1, got {budget}")
+        if trace and observer is not None:
+            raise ValueError("trace=True records through its own observer; pass one or the other")
         width = x.width
         mask = (1 << width) - 1
         regs: dict[str, int] = {name: 0 for name in program.register_names}
@@ -236,7 +265,14 @@ class Machine:
         halt: HaltReason | None = None
         snaps: list[TraceSnapshot] | None = None
         if trace:
-            snaps = [TraceSnapshot(0, None, dict(regs))]
+            snaps = []
+
+            def record(incdec_index: int, at: int | None, registers: dict[str, int]) -> None:
+                snaps.append(TraceSnapshot(incdec_index, at, dict(registers)))
+
+            observer = record
+        if observer is not None and observer(0, None, regs) is False:
+            observer = None
 
         while True:
             if pc >= size:
@@ -281,8 +317,8 @@ class Machine:
                 case "OUT":
                     output = Word(width, regs[ins.a])
                     halt = HaltReason.OUT
-            if snaps is not None:
-                snaps.append(TraceSnapshot(incdec, pc, dict(regs)))
+            if observer is not None and observer(incdec, pc, regs) is False:
+                observer = None
             if halt is not None:
                 break
             pc = next_pc

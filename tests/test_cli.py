@@ -32,6 +32,20 @@ def test_gen_constant_requires_target(capsys):
     assert res.output.value == 6
 
 
+@pytest.mark.parametrize("argv", [
+    ["--target", "-1"],
+    ["--target", "300", "--width", "4"],
+    ["--target", str(1 << 64)],
+])
+def test_gen_constant_target_out_of_range(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(["gen", "--algo", "constant", *argv])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_gen_twobit_width_guard(capsys):
     with pytest.raises(SystemExit):
         main(["gen", "--algo", "twobit", "--width", "4"])
@@ -86,9 +100,15 @@ def test_fuzz_deterministic_bytes(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-def test_fuzz_usage_errors():
+def test_fuzz_usage_errors(capsys):
     assert main(["fuzz", "--count", "0"]) == 2
     assert main(["fuzz", "--width-min", "9", "--width-max", "4"]) == 2
+    capsys.readouterr()
+    # the flip probes need two-bit words
+    assert main(["fuzz", "--width-min", "1", "--width-max", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 # ------------------------------------------------------------------ table

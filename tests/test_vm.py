@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
 from countones import (
     HaltReason,
+    Machine,
     ParseError,
     Word,
     diff_traces,
@@ -157,6 +160,45 @@ def test_trace_contract():
     for snap in trace:
         for value in snap.registers.values():
             assert 0 <= value < (1 << 4)
+
+
+def test_observer_sees_every_traced_state():
+    program = parse_program(WEGNER_TEXT)
+    seen = []
+    res = execute(program, Word(6, 0b110101), trace=True)
+    observed = Machine().run(
+        program, Word(6, 0b110101), observer=lambda i, pc, regs: seen.append((i, pc, dict(regs)))
+    )
+    assert observed.trace is None
+    assert observed == replace(res, trace=None)
+    assert seen == [(s.incdec_index, s.pc, s.registers) for s in res.trace]
+
+
+@pytest.mark.parametrize("detach_at", [0, 1, 5, 31])
+def test_observer_detaches_and_the_run_goes_on(detach_at):
+    program = parse_program(WEGNER_TEXT)
+    calls = []
+
+    def observer(i, pc, regs):
+        calls.append(pc)
+        return len(calls) <= detach_at
+
+    res = Machine().run(program, Word(6, 0b111011), observer=observer)
+    assert len(calls) == detach_at + 1
+    assert res == execute(program, Word(6, 0b111011))
+
+
+def test_observer_cut_by_the_budget():
+    program = parse_program("loop: INC a\nJMP loop")
+    seen = []
+    res = Machine().run(program, Word(4, 0), budget=5, observer=lambda i, pc, regs: seen.append(i))
+    assert res.halt_reason is HaltReason.BUDGET_EXHAUSTED
+    assert seen == [0, 1, 1, 2, 2, 3]
+
+
+def test_observer_and_trace_are_exclusive():
+    with pytest.raises(ValueError):
+        Machine().run(parse_program("OUT x"), Word(4, 1), trace=True, observer=lambda *a: None)
 
 
 def test_diff_traces_identical_runs():
