@@ -5,7 +5,9 @@ Exit codes: 0 success, 1 assertion/check failure, 2 usage error.
 CSV schemas (stable, part of the public contract):
 
 * ``sweep``:  ``input_bits,nu,output,incdec_steps,total_steps`` -- one row
-  per input, inputs rendered MSB-first.
+  per input, inputs rendered MSB-first.  A run that does not halt with OUT
+  within the budget has ``output`` -1; ``sweep`` then still writes every
+  row, reports their count on stderr and exits 1.
 * ``verify --out``: ``check,program,width,status,detail``.
 * ``fuzz --out``: ``kind,run,width,e,m,d,detail`` -- one row per violation
   (header only when the campaign is clean).
@@ -206,6 +208,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                  "|" + "|".join("---" for _ in header) + "|"]
         lines += ["| " + " | ".join(str(c) for c in row) + " |" for row in rows]
     _emit(lines, args.out)
+    stuck = sum(row[2] == -1 for row in rows)
+    if stuck:
+        print(f"{stuck} of {len(rows)} runs did not halt within the budget (output=-1)",
+              file=sys.stderr)
+        return 1
     return 0
 
 
@@ -401,10 +408,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    for attr in ("count", "budget", "max_len", "seed"):
+    # a random program has at least two instructions
+    for attr, least in (("count", 1), ("budget", 1), ("max_len", 2)):
         value = getattr(args, attr, None)
-        if value is not None and attr in ("count", "budget", "max_len") and value < 1:
-            return _usage_error(f"--{attr.replace('_', '-')} must be >= 1")
+        if value is not None and value < least:
+            return _usage_error(f"--{attr.replace('_', '-')} must be >= {least}")
     if getattr(args, "width_min", None) is not None:
         if not 1 <= args.width_min <= args.width_max <= MAX_WIDTH:
             return _usage_error("need 1 <= width-min <= width-max <= 64")

@@ -43,18 +43,35 @@ goes on to its normal halt with the same counters as an unobserved run.
 ``registers`` is the interpreter's live register dict: read it during the
 call, copy what must outlive it, and never mutate it.  ``trace=True`` is the
 recording observer that copies each state into a :class:`TraceSnapshot`.
+
+Compiled runs.  A run with no observer, no trace and a machine whose class
+keeps the stock ``_inc``/``_dec``/``_mov`` executes compiled code; every
+other run, and every hook override, uses the reference loop, which stays the
+oracle.  On a program's first such run it is split into straight-line
+segments of at most :data:`SEG` instructions, one Python function each,
+cached on the :class:`Program` (nothing is compiled at parse time).  A
+segment starts at 0, at every jump target and after every JMP/OUT; inside it
+the registers live in a list, a taken conditional branch is a side exit, and
+the step counts of every exit are compile-time constants.  Before a segment
+runs, the end of the program is tested first and then ``total + len(segment)
+> budget``; a segment that might cross the budget is not entered, and the
+reference loop resumes at that ``pc`` with the same registers and counters.
+The budget cut-off, the halt reason and both counters are therefore exactly
+those of the reference loop.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 from .words import Word
 
 __all__ = [
     "DEFAULT_BUDGET",
+    "SEG",
     "ParseError",
     "Instruction",
     "Program",
@@ -71,6 +88,11 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 1_000_000
+
+# Most instructions in one compiled segment.  One ``compile()`` of a long
+# program costs transient memory in proportion to its size, so segments stay
+# small even where the code is straight-line.
+SEG = 64
 
 # opcode -> (number of register operands, takes a label)
 _SIGNATURES = {
@@ -114,6 +136,16 @@ class Program:
 
     def __len__(self) -> int:
         return len(self.instructions)
+
+    @cached_property
+    def _segments(self) -> list[tuple[Callable, int] | None] | None:
+        """Per pc, the compiled segment starting there and its length; see the module docstring.
+
+        ``None`` when the program is not one that :func:`parse_program` could
+        produce (unknown opcode, missing label, unlisted register, ``x`` not
+        first): such programs stay on the reference loop.
+        """
+        return _compile_segments(self)
 
 
 def _ident(token: str, lineno: int, what: str) -> str:
@@ -174,6 +206,70 @@ def parse_program(text: str) -> Program:
     return Program(tuple(instructions), tuple(registers))
 
 
+# Python source of each opcode in a compiled segment: ``r`` is the register
+# list, ``m`` the width mask, ``{exit}`` a constant ``(next_pc, steps, incdec)``.
+_SOURCE = {
+    "ZERO": "r[{a}] = 0",
+    "MOV": "r[{a}] = r[{b}]",
+    "INC": "r[{a}] = (r[{a}] + 1) & m",
+    "DEC": "r[{a}] = (r[{a}] - 1) & m",
+    "AND": "r[{a}] &= r[{b}]",
+    "OR": "r[{a}] |= r[{b}]",
+    "BZ": "if not r[{a}]: return {exit}",
+    "BNZ": "if r[{a}]: return {exit}",
+    "BEQ": "if r[{a}] == r[{b}]: return {exit}",
+    "BLT": "if r[{a}] < r[{b}]: return {exit}",
+    "JMP": "return {exit}",
+    "OUT": "return {exit}",
+}
+
+
+def _compile_segments(program: Program) -> list[tuple[Callable, int] | None] | None:
+    instructions = program.instructions
+    size = len(instructions)
+    if program.register_names[:1] != ("x",):
+        return None
+    index = {name: i for i, name in enumerate(program.register_names)}
+    leaders = {0}
+    for pc, ins in enumerate(instructions):
+        if ins.op not in _SIGNATURES:
+            return None
+        n_regs, takes_label = _SIGNATURES[ins.op]
+        if not all(reg in index for reg in (ins.a, ins.b)[:n_regs]):
+            return None
+        if takes_label:
+            if not isinstance(ins.target, int) or ins.target < 0:
+                return None
+            leaders.add(ins.target)
+        if ins.op in ("JMP", "OUT"):
+            leaders.add(pc + 1)
+
+    segments: list[tuple[Callable, int] | None] = [None] * size
+    start = 0
+    while start < size:
+        lines = ["def segment(r, m):"]
+        pc = start
+        steps = incdec = 0
+        while True:
+            ins = instructions[pc]
+            pc += 1
+            steps += 1
+            incdec += ins.op in ("INC", "DEC")
+            a = index.get(ins.a)
+            side_exit = (~a if ins.op == "OUT" else ins.target, steps, incdec)
+            lines.append("    " + _SOURCE[ins.op].format(a=a, b=index.get(ins.b), exit=side_exit))
+            if ins.op in ("JMP", "OUT"):
+                break
+            if pc == size or pc in leaders or steps == SEG:
+                lines.append(f"    return {(pc, steps, incdec)}")
+                break
+        namespace: dict = {}
+        exec(compile("\n".join(lines), f"<segment {start}..{pc - 1}>", "exec"), namespace)
+        segments[start] = (namespace["segment"], steps)
+        start = pc
+    return segments
+
+
 class HaltReason(enum.Enum):
     OUT = "out"
     BUDGET_EXHAUSTED = "budget-exhausted"
@@ -219,6 +315,11 @@ class Machine:
     build deliberately broken variants (the test suite uses a non-wrapping
     INC and a complementing MOV to prove the invariant checker actually
     bites).  The stock machine wraps at the word boundary.
+
+    Untraced, unobserved runs of a machine that overrides none of these hooks
+    execute compiled segments (see the module docstring); every other run
+    takes the reference loop, so an override always applies.  Both paths
+    give identical :class:`ExecResult` values, budget cut-off included.
     """
 
     def _inc(self, value: int, mask: int) -> int:
@@ -245,24 +346,26 @@ class Machine:
         ``False``; the run itself is unaffected either way.  ``registers`` is
         the live register dict: do not keep or mutate it.  ``trace=True``
         records every state as a :class:`TraceSnapshot` in ``result.trace``;
-        it cannot be combined with an ``observer``.
+        it cannot be combined with an ``observer``.  A run with neither, on
+        a machine without hook overrides, executes compiled code.
         """
         if budget < 1:
             raise ValueError(f"budget must be >= 1, got {budget}")
         if trace and observer is not None:
             raise ValueError("trace=True records through its own observer; pass one or the other")
-        width = x.width
-        mask = (1 << width) - 1
+        cls = type(self)
+        if (
+            observer is None
+            and not trace
+            and cls._inc is Machine._inc
+            and cls._dec is Machine._dec
+            and cls._mov is Machine._mov
+            and program._segments is not None
+        ):
+            return self._run_compiled(program, x, budget)
+
         regs: dict[str, int] = {name: 0 for name in program.register_names}
         regs["x"] = x.value
-
-        instructions = program.instructions
-        size = len(instructions)
-        pc = 0
-        total = 0
-        incdec = 0
-        output: Word | None = None
-        halt: HaltReason | None = None
         snaps: list[TraceSnapshot] | None = None
         if trace:
             snaps = []
@@ -273,6 +376,48 @@ class Machine:
             observer = record
         if observer is not None and observer(0, None, regs) is False:
             observer = None
+        return self._interpret(program, x.width, regs, budget, 0, 0, 0, observer, snaps)
+
+    def _run_compiled(self, program: Program, x: Word, budget: int) -> ExecResult:
+        """Run segment by segment; hand a segment that might cross ``budget`` to the reference loop."""
+        segments = program._segments
+        size = len(segments)
+        width = x.width
+        mask = (1 << width) - 1
+        r = [0] * len(program.register_names)
+        r[0] = x.value
+        pc = total = incdec = 0
+        while True:
+            if pc >= size:
+                return ExecResult(None, StepCounters(total, incdec), HaltReason.FELL_OFF_END)
+            segment, length = segments[pc]
+            if total + length > budget:
+                regs = dict(zip(program.register_names, r))
+                return self._interpret(program, width, regs, budget, pc, total, incdec, None, None)
+            pc, steps, k = segment(r, mask)
+            total += steps
+            incdec += k
+            if pc < 0:
+                return ExecResult(Word(width, r[~pc]), StepCounters(total, incdec), HaltReason.OUT)
+
+    def _interpret(
+        self,
+        program: Program,
+        width: int,
+        regs: dict[str, int],
+        budget: int,
+        pc: int,
+        total: int,
+        incdec: int,
+        observer: Observer | None,
+        snaps: list[TraceSnapshot] | None,
+    ) -> ExecResult:
+        """The reference loop, from ``pc`` with the given registers and counters."""
+        mask = (1 << width) - 1
+        instructions = program.instructions
+        size = len(instructions)
+        output: Word | None = None
+        halt: HaltReason | None = None
 
         while True:
             if pc >= size:

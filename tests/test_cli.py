@@ -64,6 +64,19 @@ def test_sweep_rows_and_values(capsys):
     assert lines[1].startswith("0000,0,0,0,")
 
 
+def test_sweep_reports_runs_that_do_not_halt(capsys):
+    # wegner takes 6*nu + 2 steps: only the zero word halts within 5
+    code = main(["sweep", "--width", "4", "--algo", "wegner", "--budget", "5"])
+    captured = capsys.readouterr()
+    assert code == 1
+    lines = captured.out.splitlines()
+    assert lines[0] == "input_bits,nu,output,incdec_steps,total_steps"
+    assert lines[1] == "0000,0,0,0,2"
+    assert "1011,3,-1,2,5" in lines
+    assert len(lines) == 17 and sum(",-1," in line for line in lines) == 15
+    assert captured.err == "15 of 16 runs did not halt within the budget (output=-1)\n"
+
+
 def test_sweep_markdown(capsys):
     code, out = run_cli(capsys, "sweep", "--width", "2", "--algo", "dense",
                         "--format", "markdown")
@@ -104,11 +117,12 @@ def test_fuzz_usage_errors(capsys):
     assert main(["fuzz", "--count", "0"]) == 2
     assert main(["fuzz", "--width-min", "9", "--width-max", "4"]) == 2
     capsys.readouterr()
-    # the flip probes need two-bit words
-    assert main(["fuzz", "--width-min", "1", "--width-max", "1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    # the flip probes need two-bit words; a random program needs two instructions
+    for argv in (["--width-min", "1", "--width-max", "1"], ["--max-len", "1"]):
+        assert main(["fuzz", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 # ------------------------------------------------------------------ table

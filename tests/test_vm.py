@@ -1,6 +1,9 @@
+import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from countones import (
     HaltReason,
@@ -12,6 +15,8 @@ from countones import (
     parse_program,
     wegner_program,
 )
+from countones.fuzzing import random_program
+from countones.vm import SEG, Instruction, Program
 
 WEGNER_TEXT = """\
 loop: BZ x done
@@ -233,3 +238,127 @@ def test_diff_traces_requires_traces():
     b = execute(program, Word(4, 2))
     with pytest.raises(ValueError):
         diff_traces(a, b)
+
+
+# ------------------------------------------- compiled runs vs the reference
+
+
+def reference_run(program, x, budget):
+    # an observer that detaches at once keeps the run on the reference loop
+    return Machine().run(program, x, budget=budget, observer=lambda *a: False)
+
+
+def test_compiled_matches_reference_on_random_programs():
+    rng = random.Random(2024)
+    halts = set()
+    for _ in range(1000):
+        program = random_program(rng, max_len=rng.choice((4, 24, 160)))
+        for _ in range(4):
+            width = rng.randint(1, 64)
+            x = Word(width, rng.randrange(1 << width))
+            budget = rng.randint(1, 400)
+            got = execute(program, x, budget=budget)
+            assert got == reference_run(program, x, budget), (program, x, budget)
+            halts.add(got.halt_reason)
+        assert vars(program)["_segments"] is not None  # the compiled path ran
+    assert halts == set(HaltReason)
+
+
+def test_compiled_matches_reference_on_shipped_programs(generators):
+    for width in (2, 3, 5, 8):
+        for gen in generators(width):
+            for value in range(1 << width):
+                x = Word(width, value)
+                assert execute(gen.program, x) == reference_run(gen.program, x, 1_000_000)
+    rng = random.Random(7)
+    for gen in generators(64):
+        for _ in range(20):
+            x = Word(64, rng.randrange(1 << 64))
+            assert execute(gen.program, x) == reference_run(gen.program, x, 1_000_000)
+
+
+def test_compiled_budget_cut_at_segment_boundaries(generators):
+    # For every segment a run enters after t steps, cut it one step short,
+    # exactly at its end and one step past it.
+    rng = random.Random(11)
+    cases = 0
+    for width in (8, 64):
+        for gen in generators(width):
+            program = gen.program
+            execute(program, Word(width, 0))  # compile
+            segments = program._segments
+            for _ in range(3):
+                x = Word(width, rng.randrange(1 << width))
+                trace = execute(program, x, trace=True).trace
+                for t, snap in enumerate(trace[1:]):
+                    if segments[snap.pc] is None:
+                        continue  # not where a segment starts
+                    length = segments[snap.pc][1]
+                    for budget in (t + length - 1, t + length, t + length + 1):
+                        if budget >= 1:
+                            cases += 1
+                            assert execute(program, x, budget=budget) == reference_run(
+                                program, x, budget), (gen.name, width, x, budget)
+    assert cases > 100
+
+
+def test_segments_are_capped_and_compiled_lazily():
+    program = parse_program("\n".join(["INC a"] * (2 * SEG + 5) + ["OUT a"]))
+    assert "_segments" not in vars(program)
+    Machine().run(program, Word(8, 0), observer=lambda *a: None)
+    assert "_segments" not in vars(program)
+    res = execute(program, Word(8, 0))
+    assert res.output == Word(8, 2 * SEG + 5)
+    lengths = [seg[1] for seg in program._segments if seg is not None]
+    assert lengths == [SEG, SEG, 6]
+    for budget in (SEG - 1, SEG, SEG + 1, 2 * SEG, 2 * SEG + 6):
+        assert execute(program, Word(8, 0), budget=budget) == reference_run(
+            program, Word(8, 0), budget)
+    # the end of the program takes precedence over a budget spent on the last step
+    fell = execute(parse_program("ZERO c"), Word(4, 0), budget=1)
+    assert fell.halt_reason is HaltReason.FELL_OFF_END
+
+
+@pytest.mark.parametrize("program", [
+    Program((Instruction("OUT", "x"),), ("a", "x")),  # x not listed first
+    Program((Instruction("NOP"), Instruction("OUT", "x")), ("x",)),  # unknown opcode
+    Program((Instruction("INC", "y"), Instruction("OUT", "y")), ("x",)),  # unlisted register
+])
+def test_hand_built_programs_behave_as_on_the_reference_loop(program):
+    outcomes = []
+    for run in (execute, reference_run):
+        try:
+            outcomes.append(run(program, Word(4, 5), 10))
+        except KeyError as exc:
+            outcomes.append(repr(exc))
+    assert outcomes[0] == outcomes[1]
+    assert program._segments is None
+
+
+def test_hook_overrides_keep_the_reference_semantics_untraced(
+    complement_mov_machine, non_wrapping_machine
+):
+    res = complement_mov_machine.run(parse_program("MOV a x\nOUT a"), Word(4, 0b0011))
+    assert res.output == Word(4, 0b1100)
+    # a non-wrapping INC leaves 16 in a 4-bit register, which is not zero
+    wraps = parse_program("INC x\nBZ x zero\nOUT y\nzero: INC y\nOUT y")
+    assert execute(wraps, Word(4, 0b1111)).output == Word(4, 1)
+    assert non_wrapping_machine.run(wraps, Word(4, 0b1111)).output == Word(4, 0)
+
+
+_TOKENS = st.sampled_from(
+    ["INC", "DEC", "MOV", "AND", "OR", "ZERO", "BZ", "BNZ", "BEQ", "BLT", "JMP", "OUT",
+     "x", "a", "b", "l", "l:", "x:", ":", ";", "0", "1", "\n", "\n", " ", "\t", "é", "_"]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), st.lists(_TOKENS, max_size=40).map(" ".join),
+                 st.lists(_TOKENS, max_size=40).map("".join)))
+def test_any_text_parses_or_raises_parse_error(text):
+    try:
+        program = parse_program(text)
+    except ParseError:
+        return
+    x = Word(4, 0b0110)
+    assert execute(program, x, budget=50) == reference_run(program, x, 50)
