@@ -10,8 +10,8 @@ comparisons, and zero as the only constant.  The package provides
 * generators emitting the counting algorithms as machine programs with
   exact inc/dec step laws, plus classic host-level reference popcounts
   (:mod:`.programs`),
-* adversary inputs, the prefix invariant, MSB-flip probes and exhaustive
-  lower-bound audits (:mod:`.adversary`),
+* adversary inputs, the prefix invariant, MSB-flip probes, the shared
+  measurement loop and exhaustive lower-bound audits (:mod:`.adversary`),
 * random-program fuzzing of the invariant and the divergence bound
   (:mod:`.fuzzing`),
 * a command-line front end (:mod:`.cli`), installed as ``countones``.
@@ -22,6 +22,7 @@ from .adversary import (
     AuditFailure,
     AuditReport,
     KSchedule,
+    LowerBoundCheck,
     MsbFlipProbe,
     PrefixInvariantCheck,
     Violation,
@@ -29,6 +30,7 @@ from .adversary import (
     adversary_input,
     check_prefix_invariant,
     lower_bound_audit,
+    measure,
     msb_flip_probe,
 )
 from .fuzzing import (
@@ -48,6 +50,7 @@ from .programs import (
     constant_program,
     dense_program,
     hakmem_popcount,
+    shipped_programs,
     twobit_program,
     wegner_program,
 )
@@ -93,6 +96,7 @@ __all__ = [
     "Instruction",
     "InvariantFuzzReport",
     "KSchedule",
+    "LowerBoundCheck",
     "MAX_WIDTH",
     "Machine",
     "MsbFlipProbe",
@@ -119,12 +123,14 @@ __all__ = [
     "fuzz_invariant",
     "hakmem_popcount",
     "lower_bound_audit",
+    "measure",
     "msb_flip_probe",
     "msb_prefix",
     "parse_program",
     "popcount_naive",
     "random_program",
     "random_program_text",
+    "shipped_programs",
     "twobit_program",
     "wegner_program",
     "wrap_dec",

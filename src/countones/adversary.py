@@ -22,7 +22,14 @@ empirically checkable:
 
 * the **lower-bound audit** (:func:`lower_bound_audit`): exhaustively checks
   a counting program for correctness and for ``incdec_steps >=
-  min(nu, n - nu)`` on every input with ``nu != n/2``.
+  min(nu, n - nu)`` on every input with ``nu != n/2``.  It is a fold of
+  :func:`measure` rows into a :class:`LowerBoundCheck`.
+
+* **measurement** (:func:`measure`): the one loop that runs a program over a
+  set of inputs, yielding ``(value, nu, output, incdec, total, halt)`` per
+  input with ``nu`` from the naive oracle.  ``countones verify``, ``sweep``
+  and ``table`` read their rows from it, and ``verify`` feeds each row to
+  all of its checks at once, so every (program, input) pair runs once.
 
 Audits and fuzzing are embarrassingly parallel across (program, input)
 pairs; every execution is independent.
@@ -31,6 +38,7 @@ pairs; every execution is independent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 from .programs import GeneratedProgram
 from .vm import (
@@ -54,8 +62,11 @@ __all__ = [
     "check_prefix_invariant",
     "MsbFlipProbe",
     "msb_flip_probe",
+    "Row",
+    "measure",
     "AuditFailure",
     "AuditReport",
+    "LowerBoundCheck",
     "lower_bound_audit",
 ]
 
@@ -287,6 +298,41 @@ def msb_flip_probe(
     )
 
 
+# One measured input: (value, nu, output, incdec_steps, total_steps, halt).
+# ``output`` is ``None`` unless the run halted with OUT.
+Row = tuple[int, int, int | None, int, int, HaltReason]
+
+
+def measure(
+    program: Program,
+    width: int,
+    values: Iterable[int],
+    machine: Machine | None = None,
+    budget: int = DEFAULT_BUDGET,
+) -> Iterator[Row]:
+    """Run ``program`` once on each ``width``-bit input in ``values``, lazily.
+
+    Yields one :data:`Row` per input, in order: the input value, its naive
+    bit count ``nu``, the output (``None`` if the run did not halt with
+    OUT), both step counters and the halt reason.  Rows are produced as they
+    are consumed, so a caller that folds them keeps no per-input state.
+    """
+    run = (machine or Machine()).run
+    for value in values:
+        word = Word(width, value)
+        res = run(program, word, budget)
+        out = res.output
+        counters = res.counters
+        yield (
+            word.value,
+            popcount_naive(word),
+            None if out is None else out.value,
+            counters.incdec_steps,
+            counters.total_steps,
+            res.halt_reason,
+        )
+
+
 @dataclass(frozen=True, slots=True)
 class AuditFailure:
     input_bits: str
@@ -309,6 +355,49 @@ class AuditReport:
         return not self.failures
 
 
+class LowerBoundCheck:
+    """The lower-bound audit of one program at one width, fed row by row.
+
+    :meth:`add` takes each :data:`Row` of :func:`measure`: the output must
+    equal ``nu`` (including at density n/2), and where ``nu != n/2`` the
+    inc/dec steps must reach ``min(nu, n - nu)``.  :meth:`report` summarizes
+    the rows added so far as an :class:`AuditReport`.
+    """
+
+    def __init__(self, program: str, width: int) -> None:
+        self.program = program
+        self.width = width
+        self.inputs = 0
+        self.failures: list[AuditFailure] = []
+        self.min_ratio: float | None = None
+        self.max_incdec = 0
+
+    def add(self, row: Row) -> None:
+        value, nu, out, incdec, _, halt = row
+        width = self.width
+        self.inputs += 1
+        if incdec > self.max_incdec:
+            self.max_incdec = incdec
+        if halt is not HaltReason.OUT or out != nu:
+            got = out if out is not None else halt.value
+            self.failures.append(AuditFailure(
+                f"{value:0{width}b}", nu, "output", f"expected {nu}, got {got}"))
+            return
+        if 2 * nu != width:
+            bound = min(nu, width - nu)
+            if incdec < bound:
+                self.failures.append(AuditFailure(
+                    f"{value:0{width}b}", nu, "bound", f"incdec {incdec} < bound {bound}"))
+            elif bound > 0:
+                ratio = incdec / bound
+                if self.min_ratio is None or ratio < self.min_ratio:
+                    self.min_ratio = ratio
+
+    def report(self) -> AuditReport:
+        return AuditReport(self.program, self.width, self.inputs, tuple(self.failures),
+                           self.min_ratio, self.max_incdec)
+
+
 def lower_bound_audit(
     g: GeneratedProgram,
     width: int,
@@ -325,33 +414,7 @@ def lower_bound_audit(
         raise ValueError(f"audit width must be 2..12, got {width}")
     if g.width != width:
         raise ValueError(f"program was generated for width {g.width}, not {width}")
-    machine = machine or Machine()
-    program = g.program
-    failures: list[AuditFailure] = []
-    min_ratio: float | None = None
-    max_incdec = 0
-    for value in range(1 << width):
-        word = Word(width, value)
-        nu = popcount_naive(word)
-        res = machine.run(program, word)
-        incdec = res.counters.incdec_steps
-        max_incdec = max(max_incdec, incdec)
-        if res.halt_reason is not HaltReason.OUT or res.output.value != nu:
-            got = res.output.value if res.output is not None else res.halt_reason.value
-            failures.append(
-                AuditFailure(word.to_bits(), nu, "output", f"expected {nu}, got {got}")
-            )
-            continue
-        if 2 * nu != width:
-            bound = min(nu, width - nu)
-            if incdec < bound:
-                failures.append(
-                    AuditFailure(
-                        word.to_bits(), nu, "bound", f"incdec {incdec} < bound {bound}"
-                    )
-                )
-            elif bound > 0:
-                ratio = incdec / bound
-                if min_ratio is None or ratio < min_ratio:
-                    min_ratio = ratio
-    return AuditReport(g.name, width, 1 << width, tuple(failures), min_ratio, max_incdec)
+    check = LowerBoundCheck(g.name, width)
+    for row in measure(g.program, width, range(1 << width), machine):
+        check.add(row)
+    return check.report()

@@ -24,21 +24,19 @@ import random
 import sys
 from typing import Callable, Sequence
 
-from .adversary import lower_bound_audit
+from .adversary import LowerBoundCheck, measure
 from .fuzzing import FUZZ_BUDGET, fuzz_divergence, fuzz_invariant
 from .programs import (
     GeneratedProgram,
     combined_program,
-    constant_inc_count,
     constant_program,
     dense_program,
-    hakmem_popcount,
-    broadword_popcount,
+    shipped_programs,
     twobit_program,
     wegner_program,
 )
-from .vm import DEFAULT_BUDGET, HaltReason, Machine, execute, parse_program
-from .words import MAX_WIDTH, Word, popcount_naive
+from .vm import DEFAULT_BUDGET, HaltReason, Machine, parse_program
+from .words import MAX_WIDTH
 
 __all__ = ["main", "build_parser", "verify_suite", "sweep_rows", "table_rows"]
 
@@ -65,13 +63,6 @@ def _emit(lines: list[str], out_path: str | None) -> None:
 # ---------------------------------------------------------------- verify
 
 
-def _shipped_programs(width: int) -> list[GeneratedProgram]:
-    programs = [wegner_program(width), dense_program(width), combined_program(width)]
-    if width == 2:
-        programs.append(twobit_program())
-    return programs
-
-
 def verify_suite(
     widths: Sequence[int], machine: Machine | None = None
 ) -> tuple[bool, list[tuple[str, str, int, str, str]]]:
@@ -80,7 +71,8 @@ def verify_suite(
     Returns ``(ok, rows)`` with one ``(check, program, width, status,
     detail)`` row per check; failures carry a witness input in the detail.
     Width 1 only admits the single-bit identity check (the input already is
-    the count); the audits are defined for widths 2..12.
+    the count); the audits are defined for widths 2..12.  Each (program,
+    input) pair runs once, and its :func:`measure` row feeds every check.
     """
     machine = machine or Machine()
     rows: list[tuple[str, str, int, str, str]] = []
@@ -96,54 +88,45 @@ def verify_suite(
 
     for width in widths:
         if width == 1:
-            identity = parse_program("OUT x")
-            failures = []
-            for value in (0, 1):
-                res = machine.run(identity, Word(1, value))
-                if res.output is None or res.output.value != value:
-                    failures.append(f"x={value}")
+            failures = [f"x={value}" for value, _, out, _, _, _
+                        in measure(parse_program("OUT x"), 1, (0, 1), machine) if out != value]
             record("single-bit-identity", "OUT x", 1, failures, "input is its own count")
             continue
 
-        for gen in _shipped_programs(width):
+        for gen in shipped_programs(width):
             oracle_failures: list[str] = []
             law_failures: list[str] = []
-            for value in range(1 << width):
-                word = Word(width, value)
-                nu = popcount_naive(word)
-                res = machine.run(gen.program, word)
-                if res.halt_reason is not HaltReason.OUT or res.output.value != nu:
-                    got = res.output.value if res.output else res.halt_reason.value
-                    oracle_failures.append(f"x={word.to_bits()} expected {nu} got {got}")
+            audit = LowerBoundCheck(gen.name, width)
+            # every non-zero input of twobit costs exactly one inc/dec
+            single_step = [] if gen.name == "twobit" else None
+            predicted = gen.predicted_incdec
+            for row in measure(gen.program, width, range(1 << width), machine):
+                value, nu, out, incdec, _, halt = row
+                audit.add(row)
+                if single_step is not None and value and incdec != 1:
+                    single_step.append(f"x={value:02b} incdec {incdec} != 1")
+                if halt is not HaltReason.OUT or out != nu:
+                    got = out if out is not None else halt.value
+                    oracle_failures.append(f"x={value:0{width}b} expected {nu} got {got}")
                     continue
-                want = gen.predicted_incdec(width, nu)
-                if res.counters.incdec_steps != want:
-                    law_failures.append(
-                        f"x={word.to_bits()} incdec {res.counters.incdec_steps} != {want}"
-                    )
+                want = predicted(width, nu)
+                if incdec != want:
+                    law_failures.append(f"x={value:0{width}b} incdec {incdec} != {want}")
             record("oracle-equivalence", gen.name, width, oracle_failures,
                    f"all {1 << width} inputs match the bit-count oracle")
             record("step-law", gen.name, width, law_failures,
                    "measured inc/dec equals the closed form on every input")
-
             if width <= 12:
-                audit = lower_bound_audit(gen, width, machine=machine)
+                report = audit.report()
                 audit_failures = [
-                    f"x={f.input_bits} {f.kind}: {f.detail}" for f in audit.failures
+                    f"x={f.input_bits} {f.kind}: {f.detail}" for f in report.failures
                 ]
-                ratio = "n/a" if audit.min_ratio is None else f"{audit.min_ratio:.3f}"
+                ratio = "n/a" if report.min_ratio is None else f"{report.min_ratio:.3f}"
                 record("lower-bound-audit", gen.name, width, audit_failures,
-                       f"tightest incdec/bound {ratio}, worst incdec {audit.max_incdec}")
-
-        if width == 2:
-            twobit = twobit_program()
-            failures = []
-            for value in (1, 2, 3):
-                res = machine.run(twobit.program, Word(2, value))
-                if res.counters.incdec_steps != 1:
-                    failures.append(f"x={value:02b} incdec {res.counters.incdec_steps} != 1")
-            record("twobit-single-step", "twobit", 2, failures,
-                   "every non-zero input costs exactly one inc/dec")
+                       f"tightest incdec/bound {ratio}, worst incdec {report.max_incdec}")
+            if single_step is not None:
+                record("twobit-single-step", "twobit", 2, single_step,
+                       "every non-zero input costs exactly one inc/dec")
 
     return ok, rows
 
@@ -183,16 +166,10 @@ def sweep_rows(
     else:
         rng = random.Random(seed)
         values = [rng.randrange(1 << width) for _ in range(SAMPLED_SWEEP_SIZE)]
-    rows = []
-    for value in values:
-        word = Word(width, value)
-        res = execute(gen.program, word, budget=budget)
-        out = res.output.value if res.output is not None else -1
-        rows.append(
-            (word.to_bits(), popcount_naive(word), out,
-             res.counters.incdec_steps, res.counters.total_steps)
-        )
-    return rows
+    return [
+        (f"{value:0{width}b}", nu, -1 if out is None else out, incdec, total)
+        for value, nu, out, incdec, total, _ in measure(gen.program, width, values, budget=budget)
+    ]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -305,8 +282,7 @@ def table_rows(widths: tuple[int, ...] = (8, 12)) -> list[tuple[str, str, str, s
         for width in widths:
             gen = _ALGOS[algo](width)
             measured = max(
-                execute(gen.program, Word(width, v)).counters.incdec_steps
-                for v in range(1 << width)
+                incdec for _, _, _, incdec, _, _ in measure(gen.program, width, range(1 << width))
             )
             cells.append(f"n={width}: {measured}")
         worst[algo] = cells

@@ -64,7 +64,12 @@ _OP_DECK = (
 
 
 def random_program(rng: random.Random, max_len: int = 24) -> Program:
-    """A random valid program: every jump target is an instruction index."""
+    """A random valid program of 2..``max_len`` instructions: every jump
+    target is an instruction index.  ``max_len < 2`` raises ``ValueError``
+    before anything is drawn from ``rng``."""
+    if max_len < 2:
+        raise ValueError(f"max_len must be >= 2 (a random program has at least two "
+                         f"instructions), got {max_len}")
     length = rng.randint(2, max_len)
     regs = _REG_POOL[: rng.randint(2, len(_REG_POOL))]
     instructions = []

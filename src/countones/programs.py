@@ -19,7 +19,8 @@ twobit    width 2 special case                     ``0`` if x = 0 else ``1``
 ========  =======================================  ========================
 
 ``gen(t)`` is the cost of building the constant ``t`` from zero with INC and
-OR only (:func:`constant_inc_count`).
+OR only (:func:`constant_inc_count`).  :func:`shipped_programs` lists the
+counters checked at one width.
 
 The module also houses two classic host-level popcounts (broadword fold,
 HAKMEM-style octal trick) used purely as reference oracles for wider words.
@@ -41,6 +42,7 @@ __all__ = [
     "dense_program",
     "combined_program",
     "twobit_program",
+    "shipped_programs",
     "broadword_popcount",
     "hakmem_popcount",
     "CONSTANT_STEP_FACTOR",
@@ -296,6 +298,16 @@ def twobit_program() -> GeneratedProgram:
         predicted_incdec=lambda n, nu: 0 if nu == 0 else 1,
         description="width-2 counter: one DEC on non-zero input, none on zero",
     )
+
+
+
+def shipped_programs(width: int) -> list[GeneratedProgram]:
+    """The counting programs checked at ``width``: wegner, dense and combined,
+    plus twobit at width 2."""
+    programs = [wegner_program(width), dense_program(width), combined_program(width)]
+    if width == 2:
+        programs.append(twobit_program())
+    return programs
 
 
 _M1 = 0x5555555555555555

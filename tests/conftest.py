@@ -1,6 +1,8 @@
+import functools
+
 import pytest
 
-from countones import Machine, combined_program, dense_program, twobit_program, wegner_program
+from countones import Machine, shipped_programs
 
 
 class NonWrappingIncMachine(Machine):
@@ -30,18 +32,4 @@ def complement_mov_machine():
 @pytest.fixture(scope="session")
 def generators():
     """Shipped counting programs per width, built once for the whole run."""
-    cache = {}
-
-    def build(width):
-        if width not in cache:
-            programs = [
-                wegner_program(width),
-                dense_program(width),
-                combined_program(width),
-            ]
-            if width == 2:
-                programs.append(twobit_program())
-            cache[width] = programs
-        return cache[width]
-
-    return build
+    return functools.cache(shipped_programs)

@@ -15,19 +15,18 @@ from countones import (
     AdversaryParams,
     Word,
     broadword_popcount,
-    combined_program,
     constant_inc_count,
     constant_program,
-    dense_program,
     execute,
     fuzz_divergence,
     fuzz_invariant,
     hakmem_popcount,
     lower_bound_audit,
+    measure,
     msb_flip_probe,
     popcount_naive,
+    shipped_programs,
     twobit_program,
-    wegner_program,
 )
 from countones.cli import main
 
@@ -39,58 +38,63 @@ WIDTHS = range(2, 13)
 @pytest.fixture(scope="module")
 def measurements():
     """One exhaustive run of every shipped program on every input, n = 2..12."""
-    rows = {}  # (name, width) -> list of (value, nu, output, incdec)
-    for width in WIDTHS:
-        programs = [wegner_program(width), dense_program(width), combined_program(width)]
-        if width == 2:
-            programs.append(twobit_program())
-        for gen in programs:
-            data = []
-            for value in range(1 << width):
-                word = Word(width, value)
-                res = execute(gen.program, word)
-                out = res.output.value if res.output is not None else None
-                data.append((value, popcount_naive(word), out, res.counters.incdec_steps))
-            rows[(gen.name, width)] = data
-    return rows
+    # (name, width) -> (program, [(value, nu, output, incdec, total, halt), ...])
+    return {
+        (gen.name, width): (gen, list(measure(gen.program, width, range(1 << width))))
+        for width in WIDTHS
+        for gen in shipped_programs(width)
+    }
 
 
 def test_oracle_equivalence_exhaustive(measurements):
     """outputs equal the naive bit count for every input, n = 2..12"""
     checked = 0
-    for (name, width), data in measurements.items():
-        for value, nu, out, _ in data:
+    for (name, width), (_, data) in measurements.items():
+        for value, nu, out, *_ in data:
             assert out == nu, (
                 f"{name} n={width} x={value:0{width}b}: expected {nu}, got {out}"
             )
             checked += 1
     # the width-2 special case, spelled out
-    twobit = {v: out for v, _, out, _ in measurements[("twobit", 2)]}
+    twobit = {v: out for v, _, out, *_ in measurements[("twobit", 2)][1]}
     assert twobit == {0: 0, 1: 1, 2: 1, 3: 2}
     print(f"\nPASS oracle equivalence: {checked} program runs match popcount_naive")
 
 
 def test_exact_step_laws(measurements):
     """measured inc/dec equals the closed form on every input, n = 2..12"""
-    gens = {}
-    for width in WIDTHS:
-        for g in (wegner_program(width), dense_program(width), combined_program(width)):
-            gens[(g.name, width)] = g
-    gens[("twobit", 2)] = twobit_program()
-    for (name, width), data in measurements.items():
-        predicted = gens[(name, width)].predicted_incdec
-        for value, nu, _, incdec in data:
+    for (name, width), (gen, data) in measurements.items():
+        predicted = gen.predicted_incdec
+        for value, nu, _, incdec, _, _ in data:
             assert incdec == predicted(width, nu), (
                 f"{name} n={width} x={value:0{width}b}: incdec {incdec}, "
                 f"law says {predicted(width, nu)}"
             )
     # frozen spot values from hand traces
-    spot = {v: i for v, _, _, i in measurements[("wegner", 4)]}
+    spot = {v: i for v, _, _, i, _, _ in measurements[("wegner", 4)][1]}
     assert spot[0b1011] == 6
-    spot = {v: i for v, _, _, i in measurements[("dense", 4)]}
+    spot = {v: i for v, _, _, i, _, _ in measurements[("dense", 4)][1]}
     assert spot[0b1101] == 6 and spot[0b1111] == 4
     print("PASS exact step laws: 2*nu (wegner) and gen(n)+2*(n-nu)+1 (dense), "
           "plus the exact combined form")
+
+
+def test_total_step_laws(measurements):
+    """total steps depend only on (n, nu) for wegner, dense and combined, n = 2..12"""
+    for (name, width), (_, data) in measurements.items():
+        if name == "twobit":
+            continue
+        totals: dict[int, int] = {}
+        for value, nu, _, _, total, _ in data:
+            assert totals.setdefault(nu, total) == total, (
+                f"{name} n={width} x={value:0{width}b}: total {total}, "
+                f"another input with nu={nu} took {totals[nu]}"
+            )
+        assert sorted(totals) == list(range(width + 1))
+        if name == "wegner":
+            assert totals == {nu: 6 * nu + 2 for nu in range(width + 1)}
+    print("PASS total-step laws: a function of (n, nu) for all three counters; "
+          "6*nu + 2 for wegner")
 
 
 def test_constant_generation_exact_and_logarithmic():
@@ -117,10 +121,7 @@ def test_lower_bound_audit_exhaustive():
     """incdec >= min(nu, n-nu) whenever nu != n/2, for every shipped program"""
     audited = 0
     for width in WIDTHS:
-        programs = [wegner_program(width), dense_program(width), combined_program(width)]
-        if width == 2:
-            programs.append(twobit_program())
-        for gen in programs:
+        for gen in shipped_programs(width):
             report = lower_bound_audit(gen, width)
             assert report.ok, report.failures[:3]
             audited += report.inputs_checked
@@ -151,9 +152,7 @@ def test_msb_flip_divergence_bounds():
     """no control-flow divergence below min(nu, n-nu), shipped and fuzzed"""
     probes = 0
     for n in range(2, 17):
-        programs = [wegner_program(n), dense_program(n), combined_program(n)]
-        if n == 2:
-            programs.append(twobit_program())
+        programs = shipped_programs(n)
         for m in range((n - 1) // 2 + 1):
             for bit in (0, 1):
                 params = AdversaryParams(bit, m, bit, n)

@@ -1,6 +1,6 @@
 import pytest
 
-from countones import Word, execute, parse_program, wegner_program
+from countones import Machine, Word, execute, parse_program, wegner_program
 from countones.cli import main, verify_suite
 
 
@@ -179,10 +179,51 @@ def test_verify_csv_output(tmp_path, capsys):
 
 
 def test_verify_fails_on_broken_machine(non_wrapping_machine):
-    # the dense loop relies on INC wrapping to detect the all-ones word
+    # the dense loop relies on INC wrapping to detect the all-ones word; it
+    # loops on every input, and combined takes one extra INC on three of them
     ok, rows = verify_suite([4], machine=non_wrapping_machine)
     assert not ok
-    assert any(status == "FAIL" for _, _, _, status, _ in rows)
+    stuck = "; ".join(f"x={bits} expected {nu} got budget-exhausted"
+                      for bits, nu in (("0000", 0), ("0001", 1), ("0010", 1)))
+    stuck_audit = "; ".join(f"x={bits} output: expected {nu}, got budget-exhausted"
+                            for bits, nu in (("0000", 0), ("0001", 1), ("0010", 1)))
+    law = "measured inc/dec equals the closed form on every input"
+    assert rows == [
+        ("oracle-equivalence", "wegner", 4, "PASS", "all 16 inputs match the bit-count oracle"),
+        ("step-law", "wegner", 4, "PASS", law),
+        ("lower-bound-audit", "wegner", 4, "PASS", "tightest incdec/bound 2.000, worst incdec 8"),
+        ("oracle-equivalence", "dense", 4, "FAIL", stuck),
+        ("step-law", "dense", 4, "PASS", law),
+        ("lower-bound-audit", "dense", 4, "FAIL", stuck_audit),
+        ("oracle-equivalence", "combined", 4, "PASS", "all 16 inputs match the bit-count oracle"),
+        ("step-law", "combined", 4, "FAIL",
+         "x=0111 incdec 13 != 12; x=1011 incdec 13 != 12; x=1101 incdec 13 != 12"),
+        ("lower-bound-audit", "combined", 4, "PASS",
+         "tightest incdec/bound 5.000, worst incdec 17"),
+    ]
+
+
+class CountingMachine(Machine):
+    """The stock machine, counting its runs; it keeps the stock hooks, so
+    its runs stay on the compiled path."""
+
+    def __init__(self):
+        self.runs = 0
+
+    def run(self, *args, **kwargs):
+        self.runs += 1
+        return super().run(*args, **kwargs)
+
+
+def test_verify_runs_each_pair_once():
+    machine = CountingMachine()
+    ok, rows = verify_suite(range(2, 13), machine=machine)
+    assert ok
+    # every input of wegner, dense and combined at n = 2..12, plus twobit's 4
+    assert machine.runs == 3 * sum(1 << n for n in range(2, 13)) + 4 == 24_568
+    assert all(status == "PASS" for _, _, _, status, _ in rows)
+    machine = CountingMachine()
+    assert verify_suite([1], machine=machine)[0] and machine.runs == 2
 
 
 def test_usage_error_exit_codes():

@@ -113,6 +113,18 @@ def test_generated_programs_always_parse():
             assert parse_program(text) == random_program(program_rng, max_len)
 
 
+def test_max_len_below_two_is_rejected_before_drawing():
+    rng = random.Random(5)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="max_len must be >= 2"):
+        random_program(rng, max_len=1)
+    assert rng.getstate() == state
+    with pytest.raises(ValueError, match="max_len must be >= 2"):
+        fuzz_invariant(seed=1, program_count=5, max_len=1)
+    with pytest.raises(ValueError, match="max_len must be >= 2"):
+        fuzz_divergence(seed=1, program_count=5, max_len=1)
+
+
 # -------------------------------------------------- online checks vs traces
 
 

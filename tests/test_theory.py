@@ -4,14 +4,20 @@ from hypothesis import strategies as st
 
 from countones import (
     AdversaryParams,
+    AuditFailure,
+    AuditReport,
+    HaltReason,
     KSchedule,
+    LowerBoundCheck,
     TraceSnapshot,
     Word,
     adversary_input,
     check_prefix_invariant,
+    combined_program,
     dense_program,
     execute,
     lower_bound_audit,
+    measure,
     msb_flip_probe,
     parse_program,
     popcount_naive,
@@ -179,6 +185,43 @@ def test_audit_dense_and_twobit():
     twobit = lower_bound_audit(twobit_program(), 2)
     assert twobit.ok
     assert twobit.max_incdec == 1
+
+
+def test_audit_reports_unchanged():
+    # whole reports, as the audit gave them before it became a fold of measure()
+    assert lower_bound_audit(wegner_program(12), 12) == AuditReport(
+        "wegner", 12, 4096, (), 2.0, 24)
+    assert lower_bound_audit(dense_program(8), 8) == AuditReport(
+        "dense", 8, 256, (), 11 / 3, 21)
+    assert lower_bound_audit(dense_program(12), 12) == AuditReport(
+        "dense", 12, 4096, (), 3.2, 30)
+    assert lower_bound_audit(combined_program(12), 12) == AuditReport(
+        "combined", 12, 4096, (), 4.2, 29)
+    assert lower_bound_audit(twobit_program(), 2) == AuditReport("twobit", 2, 4, (), None, 1)
+
+
+def test_audit_is_a_fold_of_measure(complement_mov_machine):
+    gen = twobit_program()
+    check = LowerBoundCheck("twobit", 2)
+    for row in measure(gen.program, 2, range(4), complement_mov_machine):
+        check.add(row)
+    report = lower_bound_audit(gen, 2, machine=complement_mov_machine)
+    assert check.report() == report
+    assert report.failures == (
+        AuditFailure("10", 1, "output", "expected 1, got 2"),
+        AuditFailure("11", 2, "output", "expected 2, got 3"),
+    )
+    assert report.inputs_checked == 4 and report.max_incdec == 1
+
+
+def test_measure_rows():
+    rows = list(measure(wegner_program(3).program, 3, [0b101, 0b000]))
+    assert rows == [(0b101, 2, 2, 4, 14, HaltReason.OUT), (0, 0, 0, 0, 2, HaltReason.OUT)]
+    # a cut run has no output
+    (row,) = measure(wegner_program(3).program, 3, [0b111], budget=5)
+    assert row == (0b111, 3, None, 2, 5, HaltReason.BUDGET_EXHAUSTED)
+    lazy = measure(wegner_program(3).program, 3, iter(range(8)))
+    assert next(lazy)[:3] == (0, 0, 0)
 
 
 def test_audit_rejects_bad_widths():
