@@ -4,9 +4,9 @@ A laboratory for population count under a deliberately poor instruction set:
 unsigned fixed-width registers, increment, decrement, AND, OR, assignment,
 comparisons, and zero as the only constant.  The package provides
 
-* exact word semantics and the naive bit-count oracle (:mod:`.words`),
-* a parser and step-counting interpreter for the instruction set
-  (:mod:`.vm`),
+* fixed-width words and the naive bit-count oracle (:mod:`.words`),
+* the instruction set as one opcode table, with a parser and a
+  step-counting interpreter for it (:mod:`.vm`),
 * generators emitting the counting algorithms as machine programs with
   exact inc/dec step laws, plus classic host-level reference popcounts
   (:mod:`.programs`),
@@ -69,16 +69,7 @@ from .vm import (
     execute,
     parse_program,
 )
-from .words import (
-    MAX_WIDTH,
-    Word,
-    bit_and,
-    bit_or,
-    msb_prefix,
-    popcount_naive,
-    wrap_dec,
-    wrap_inc,
-)
+from .words import MAX_WIDTH, Word, popcount_naive
 
 __version__ = "0.1.0"
 
@@ -109,8 +100,6 @@ __all__ = [
     "ViolationReport",
     "Word",
     "adversary_input",
-    "bit_and",
-    "bit_or",
     "broadword_popcount",
     "check_prefix_invariant",
     "combined_program",
@@ -125,7 +114,6 @@ __all__ = [
     "lower_bound_audit",
     "measure",
     "msb_flip_probe",
-    "msb_prefix",
     "parse_program",
     "popcount_naive",
     "random_program",
@@ -133,6 +121,4 @@ __all__ = [
     "shipped_programs",
     "twobit_program",
     "wegner_program",
-    "wrap_dec",
-    "wrap_inc",
 ]

@@ -56,8 +56,11 @@ def _emit(lines: list[str], out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(data)
     else:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(data)
+        try:
+            with open(out_path, "w", newline="") as fh:
+                fh.write(data)
+        except OSError as exc:
+            raise SystemExit(_usage_error(f"cannot write --out {out_path}: {exc.strerror}"))
 
 
 # ---------------------------------------------------------------- verify

@@ -26,7 +26,7 @@ from .adversary import (
     adversary_input,
     msb_flip_probe,
 )
-from .vm import _SIGNATURES, HaltReason, Instruction, Machine, Program
+from .vm import OPCODES, HaltReason, Instruction, Machine, Program
 
 __all__ = [
     "FUZZ_BUDGET",
@@ -76,9 +76,9 @@ def random_program(rng: random.Random, max_len: int = 24) -> Program:
     register_names: dict[str, None] = {"x": None}
     for _ in range(length):
         op = rng.choice(_OP_DECK)
-        n_regs, takes_label = _SIGNATURES[op]
-        operands = [rng.choice(regs) for _ in range(n_regs)]
-        target = rng.randrange(length) if takes_label else None
+        spec = OPCODES[op]
+        operands = [rng.choice(regs) for _ in range(spec.regs)]
+        target = rng.randrange(length) if spec.label else None
         register_names.update(dict.fromkeys(operands))
         instructions.append(Instruction(op, *operands, target=target))
     return Program(tuple(instructions), tuple(register_names))

@@ -20,7 +20,9 @@ twobit    width 2 special case                     ``0`` if x = 0 else ``1``
 
 ``gen(t)`` is the cost of building the constant ``t`` from zero with INC and
 OR only (:func:`constant_inc_count`).  :func:`shipped_programs` lists the
-counters checked at one width.
+counters checked at one width.  The four counter generators are memoized,
+so each width's program is parsed and compiled once per process;
+:func:`constant_program` is not, since callers build many one-shot constants.
 
 The module also houses two classic host-level popcounts (broadword fold,
 HAKMEM-style octal trick) used purely as reference oracles for wider words.
@@ -29,6 +31,7 @@ HAKMEM-style octal trick) used purely as reference oracles for wider words.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 from .vm import Program, parse_program
@@ -109,6 +112,7 @@ def _constant_blocks(target: int, t: str, s: str, acc: str) -> list[list[str]]:
     return blocks
 
 
+@cache
 def wegner_program(width: int) -> GeneratedProgram:
     """Clear the lowest set bit until nothing is left, counting clears.
 
@@ -171,6 +175,7 @@ def constant_program(target: int, width: int) -> GeneratedProgram:
     )
 
 
+@cache
 def dense_program(width: int) -> GeneratedProgram:
     """Count down from ``n`` over the zeros of x.
 
@@ -229,6 +234,7 @@ def _combined_predicted(gen: int, chunk_count: int) -> Callable[[int, int], int]
     return predicted
 
 
+@cache
 def combined_program(width: int) -> GeneratedProgram:
     """Interleave the wegner and dense methods; the first finisher answers.
 
@@ -273,6 +279,7 @@ def combined_program(width: int) -> GeneratedProgram:
     )
 
 
+@cache
 def twobit_program() -> GeneratedProgram:
     """Count ones in a two-bit word with at most one decrement.
 

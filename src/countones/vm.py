@@ -29,6 +29,13 @@ Opcodes::
 Every executed instruction costs one ``total_steps``; only INC and DEC add
 to ``incdec_steps``, the measure the lower-bound audits care about.
 
+:data:`OPCODES` is the one table of this instruction set: per opcode, its
+register operands, whether a label follows, whether it is metered and its
+source in a compiled segment.  The parser, the segment compiler and
+:func:`countones.fuzzing.random_program` all read it.  The reference loop
+spells the semantics out by hand in its own ``match``, so that it stays an
+independent oracle for the compiled path.
+
 The interpreter is a pure function of (program, input, budget): no shared
 mutable state, so any number of executions may run concurrently.  Trace
 memory belongs to the caller of each execution.
@@ -65,13 +72,16 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple
 
 from .words import Word
 
 __all__ = [
     "DEFAULT_BUDGET",
     "SEG",
+    "OpSpec",
+    "OPCODES",
     "ParseError",
     "Instruction",
     "Program",
@@ -94,21 +104,34 @@ DEFAULT_BUDGET = 1_000_000
 # small even where the code is straight-line.
 SEG = 64
 
-# opcode -> (number of register operands, takes a label)
-_SIGNATURES = {
-    "ZERO": (1, False),
-    "MOV": (2, False),
-    "INC": (1, False),
-    "DEC": (1, False),
-    "AND": (2, False),
-    "OR": (2, False),
-    "BZ": (1, True),
-    "BNZ": (1, True),
-    "BEQ": (2, True),
-    "BLT": (2, True),
-    "JMP": (0, True),
-    "OUT": (1, False),
-}
+
+class OpSpec(NamedTuple):
+    """One opcode of the machine, as the parser, the fuzzer and the compiler see it."""
+
+    regs: int  # register operands
+    label: bool  # a jump label follows the registers
+    metered: bool  # counted in ``incdec_steps``
+    # Python source in a compiled segment: ``r`` is the register list, ``m``
+    # the width mask, ``{exit}`` a constant ``(next_pc, steps, incdec)``.
+    source: str
+
+
+# The instruction set, written down once; see the module docstring.  It is
+# read-only, since compiled segments and fuzz seeds depend on it.
+OPCODES: Mapping[str, OpSpec] = MappingProxyType({
+    "ZERO": OpSpec(1, False, False, "r[{a}] = 0"),
+    "MOV": OpSpec(2, False, False, "r[{a}] = r[{b}]"),
+    "INC": OpSpec(1, False, True, "r[{a}] = (r[{a}] + 1) & m"),
+    "DEC": OpSpec(1, False, True, "r[{a}] = (r[{a}] - 1) & m"),
+    "AND": OpSpec(2, False, False, "r[{a}] &= r[{b}]"),
+    "OR": OpSpec(2, False, False, "r[{a}] |= r[{b}]"),
+    "BZ": OpSpec(1, True, False, "if not r[{a}]: return {exit}"),
+    "BNZ": OpSpec(1, True, False, "if r[{a}]: return {exit}"),
+    "BEQ": OpSpec(2, True, False, "if r[{a}] == r[{b}]: return {exit}"),
+    "BLT": OpSpec(2, True, False, "if r[{a}] < r[{b}]: return {exit}"),
+    "JMP": OpSpec(0, True, False, "return {exit}"),
+    "OUT": OpSpec(1, False, False, "return {exit}"),
+})
 
 
 class ParseError(ValueError):
@@ -179,15 +202,16 @@ def parse_program(text: str) -> Program:
             if not tokens:
                 raise ParseError(lineno, f"label {name!r} without an instruction")
         op = tokens[0]
-        if op not in _SIGNATURES:
+        spec = OPCODES.get(op)
+        if spec is None:
             raise ParseError(lineno, f"unknown opcode {op!r}")
-        n_regs, takes_label = _SIGNATURES[op]
+        n_regs = spec.regs
         operands = tokens[1:]
-        if len(operands) != n_regs + (1 if takes_label else 0):
-            raise ParseError(lineno, f"{op} expects {n_regs + takes_label} operand(s), got {len(operands)}")
+        if len(operands) != n_regs + spec.label:
+            raise ParseError(lineno, f"{op} expects {n_regs + spec.label} operand(s), got {len(operands)}")
         for reg in operands[:n_regs]:
             _ident(reg, lineno, "register")
-        rows.append((lineno, op, operands[:n_regs], operands[n_regs] if takes_label else None))
+        rows.append((lineno, op, operands[:n_regs], operands[n_regs] if spec.label else None))
 
     instructions = []
     registers: dict[str, None] = {"x": None}
@@ -206,24 +230,6 @@ def parse_program(text: str) -> Program:
     return Program(tuple(instructions), tuple(registers))
 
 
-# Python source of each opcode in a compiled segment: ``r`` is the register
-# list, ``m`` the width mask, ``{exit}`` a constant ``(next_pc, steps, incdec)``.
-_SOURCE = {
-    "ZERO": "r[{a}] = 0",
-    "MOV": "r[{a}] = r[{b}]",
-    "INC": "r[{a}] = (r[{a}] + 1) & m",
-    "DEC": "r[{a}] = (r[{a}] - 1) & m",
-    "AND": "r[{a}] &= r[{b}]",
-    "OR": "r[{a}] |= r[{b}]",
-    "BZ": "if not r[{a}]: return {exit}",
-    "BNZ": "if r[{a}]: return {exit}",
-    "BEQ": "if r[{a}] == r[{b}]: return {exit}",
-    "BLT": "if r[{a}] < r[{b}]: return {exit}",
-    "JMP": "return {exit}",
-    "OUT": "return {exit}",
-}
-
-
 def _compile_segments(program: Program) -> list[tuple[Callable, int] | None] | None:
     instructions = program.instructions
     size = len(instructions)
@@ -232,12 +238,12 @@ def _compile_segments(program: Program) -> list[tuple[Callable, int] | None] | N
     index = {name: i for i, name in enumerate(program.register_names)}
     leaders = {0}
     for pc, ins in enumerate(instructions):
-        if ins.op not in _SIGNATURES:
+        spec = OPCODES.get(ins.op)
+        if spec is None:
             return None
-        n_regs, takes_label = _SIGNATURES[ins.op]
-        if not all(reg in index for reg in (ins.a, ins.b)[:n_regs]):
+        if not all(reg in index for reg in (ins.a, ins.b)[:spec.regs]):
             return None
-        if takes_label:
+        if spec.label:
             if not isinstance(ins.target, int) or ins.target < 0:
                 return None
             leaders.add(ins.target)
@@ -252,12 +258,13 @@ def _compile_segments(program: Program) -> list[tuple[Callable, int] | None] | N
         steps = incdec = 0
         while True:
             ins = instructions[pc]
+            spec = OPCODES[ins.op]
             pc += 1
             steps += 1
-            incdec += ins.op in ("INC", "DEC")
+            incdec += spec.metered
             a = index.get(ins.a)
             side_exit = (~a if ins.op == "OUT" else ins.target, steps, incdec)
-            lines.append("    " + _SOURCE[ins.op].format(a=a, b=index.get(ins.b), exit=side_exit))
+            lines.append("    " + spec.source.format(a=a, b=index.get(ins.b), exit=side_exit))
             if ins.op in ("JMP", "OUT"):
                 break
             if pc == size or pc in leaders or steps == SEG:

@@ -1,11 +1,12 @@
-"""Fixed-width unsigned machine words with wraparound arithmetic.
+"""Fixed-width unsigned machine words and the naive bit-count oracle.
 
 The value domain everything else in this package builds on: unsigned
-integers of an explicit bit width between 1 and 64.  Incrementing the
-all-ones word yields zero and decrementing zero yields all-ones.  The only
-logical connectives are AND and OR; shifts, complement and wider arithmetic
-are deliberately absent from the model (the reference popcounts in
-:mod:`countones.programs` use them, but only as host-level oracles).
+integers of an explicit bit width between 1 and 64, reduced modulo
+``2**width``.  The machine's operations on them (wrapping INC and DEC, AND,
+OR) are defined once, in :data:`countones.vm.OPCODES`; shifts, complement
+and wider arithmetic are deliberately absent from the model (the reference
+popcounts in :mod:`countones.programs` use them, but only as host-level
+oracles).
 
 Words are immutable, so they can be shared freely between concurrent
 executions.
@@ -21,11 +22,6 @@ __all__ = [
     "MAX_WIDTH",
     "Word",
     "popcount_naive",
-    "wrap_inc",
-    "wrap_dec",
-    "bit_and",
-    "bit_or",
-    "msb_prefix",
 ]
 
 
@@ -69,40 +65,3 @@ def popcount_naive(x: Word) -> int:
         count += v & 1
         v >>= 1
     return count
-
-
-def wrap_inc(x: Word) -> Word:
-    """``(value + 1) mod 2**width``; the all-ones word wraps to zero."""
-    return Word(x.width, (x.value + 1) & ((1 << x.width) - 1))
-
-
-def wrap_dec(x: Word) -> Word:
-    """``(value - 1) mod 2**width``; zero wraps to the all-ones word."""
-    return Word(x.width, (x.value - 1) & ((1 << x.width) - 1))
-
-
-def _check_widths(a: Word, b: Word) -> None:
-    if a.width != b.width:
-        raise ValueError(f"width mismatch: {a.width} vs {b.width}")
-
-
-def bit_and(a: Word, b: Word) -> Word:
-    """Bitwise conjunction; operands must have equal widths."""
-    _check_widths(a, b)
-    return Word(a.width, a.value & b.value)
-
-
-def bit_or(a: Word, b: Word) -> Word:
-    """Bitwise disjunction; operands must have equal widths."""
-    _check_widths(a, b)
-    return Word(a.width, a.value | b.value)
-
-
-def msb_prefix(x: Word, k: int) -> str:
-    """The ``k`` most significant bits of ``x`` as an MSB-first string.
-
-    ``k = 0`` yields the empty string; ``k > width`` is a contract violation.
-    """
-    if not 0 <= k <= x.width:
-        raise ValueError(f"prefix length {k} out of range 0..{x.width}")
-    return x.to_bits()[:k]

@@ -1,8 +1,6 @@
-import functools
-
 import pytest
 
-from countones import Machine, shipped_programs
+from countones import Machine
 
 
 class NonWrappingIncMachine(Machine):
@@ -27,9 +25,3 @@ def non_wrapping_machine():
 @pytest.fixture
 def complement_mov_machine():
     return ComplementMovMachine()
-
-
-@pytest.fixture(scope="session")
-def generators():
-    """Shipped counting programs per width, built once for the whole run."""
-    return functools.cache(shipped_programs)

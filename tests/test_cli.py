@@ -226,6 +226,34 @@ def test_verify_runs_each_pair_once():
     assert verify_suite([1], machine=machine)[0] and machine.runs == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["table"],
+    ["table", "--format", "csv"],
+    ["sweep", "--width", "2", "--algo", "wegner"],
+    ["gen", "--algo", "wegner"],
+    ["fuzz", "--count", "10"],
+])
+def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys, argv):
+    for path in (tmp_path / "missing" / "x.csv", tmp_path):  # no such directory; a directory
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--out", str(path)])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write --out {path}: ")
+        assert captured.err.count("\n") == 1
+
+
+def test_verify_to_an_unwritable_out_path(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.csv"
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--width", "2", "--out", str(path)])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out.endswith("OK: 13/13 checks passed\n")  # the report still reaches stdout
+    assert captured.err.startswith(f"error: cannot write --out {path}: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_usage_error_exit_codes():
     with pytest.raises(SystemExit) as err:
         main(["sweep", "--width", "4", "--algo", "nonsense"])

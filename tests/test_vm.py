@@ -13,10 +13,11 @@ from countones import (
     diff_traces,
     execute,
     parse_program,
+    shipped_programs,
     wegner_program,
 )
-from countones.fuzzing import random_program
-from countones.vm import SEG, Instruction, Program
+from countones.fuzzing import _OP_DECK, random_program
+from countones.vm import OPCODES, SEG, Instruction, Program
 
 WEGNER_TEXT = """\
 loop: BZ x done
@@ -73,6 +74,21 @@ def test_parse_errors_carry_line_numbers(text, fragment):
         parse_program(text)
     assert fragment in str(err.value)
     assert err.value.lineno >= 1
+
+
+@pytest.mark.parametrize("op", OPCODES)
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_operand_count_comes_from_the_table(op, delta):
+    spec = OPCODES[op]
+    want = spec.regs + spec.label
+    with pytest.raises(ParseError) as err:
+        parse_program(" ".join([op] + ["a"] * (want + delta)))
+    assert f"expects {want} operand(s)" in str(err.value)
+
+
+def test_every_opcode_reaches_the_fuzzer():
+    # so that every opcode meets the compiled-vs-reference differential below
+    assert set(_OP_DECK) == set(OPCODES)
 
 
 def test_no_literal_other_than_zero_parses():
@@ -264,26 +280,26 @@ def test_compiled_matches_reference_on_random_programs():
     assert halts == set(HaltReason)
 
 
-def test_compiled_matches_reference_on_shipped_programs(generators):
+def test_compiled_matches_reference_on_shipped_programs():
     for width in (2, 3, 5, 8):
-        for gen in generators(width):
+        for gen in shipped_programs(width):
             for value in range(1 << width):
                 x = Word(width, value)
                 assert execute(gen.program, x) == reference_run(gen.program, x, 1_000_000)
     rng = random.Random(7)
-    for gen in generators(64):
+    for gen in shipped_programs(64):
         for _ in range(20):
             x = Word(64, rng.randrange(1 << 64))
             assert execute(gen.program, x) == reference_run(gen.program, x, 1_000_000)
 
 
-def test_compiled_budget_cut_at_segment_boundaries(generators):
+def test_compiled_budget_cut_at_segment_boundaries():
     # For every segment a run enters after t steps, cut it one step short,
     # exactly at its end and one step past it.
     rng = random.Random(11)
     cases = 0
     for width in (8, 64):
-        for gen in generators(width):
+        for gen in shipped_programs(width):
             program = gen.program
             execute(program, Word(width, 0))  # compile
             segments = program._segments
@@ -347,8 +363,7 @@ def test_hook_overrides_keep_the_reference_semantics_untraced(
 
 
 _TOKENS = st.sampled_from(
-    ["INC", "DEC", "MOV", "AND", "OR", "ZERO", "BZ", "BNZ", "BEQ", "BLT", "JMP", "OUT",
-     "x", "a", "b", "l", "l:", "x:", ":", ";", "0", "1", "\n", "\n", " ", "\t", "é", "_"]
+    [*OPCODES, "x", "a", "b", "l", "l:", "x:", ":", ";", "0", "1", "\n", "\n", " ", "\t", "é", "_"]
 )
 
 

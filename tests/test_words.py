@@ -2,20 +2,31 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from countones import (
-    Word,
-    bit_and,
-    bit_or,
-    msb_prefix,
-    popcount_naive,
-    wrap_dec,
-    wrap_inc,
-)
+from countones import Machine, Word, execute, parse_program, popcount_naive
 
 
 def popcount_second_opinion(x: Word) -> int:
     # independent of the shift loop in popcount_naive
     return sum((x.value >> i) & 1 for i in range(x.width))
+
+
+# The machine's word operations, as programs: every semantic test below runs
+# on the compiled path and on the reference loop and needs both to agree.
+INC = parse_program("INC x\nOUT x")
+DEC = parse_program("DEC x\nOUT x")
+INC_DEC = parse_program("INC x\nDEC x\nOUT x")
+DEC_INC = parse_program("DEC x\nINC x\nOUT x")
+CLEAR_LOWEST_ONE = parse_program("MOV t x\nDEC t\nAND x t\nOUT x")  # x AND (x-1)
+SET_LOWEST_ZERO = parse_program("MOV t x\nINC t\nOR x t\nOUT x")  # x OR (x+1)
+
+
+def run_both(program, x):
+    compiled = execute(program, x)
+    # an observer that detaches at once keeps the run on the reference loop
+    reference = Machine().run(program, x, observer=lambda *a: False)
+    assert compiled == reference
+    assert vars(program)["_segments"] is not None  # the compiled path ran
+    return compiled.output
 
 
 words = st.integers(min_value=1, max_value=64).flatmap(
@@ -35,46 +46,26 @@ def test_popcount_against_independent_loop(x):
 
 
 def test_wraparound_at_the_boundaries():
-    assert wrap_inc(Word(4, 0b1111)) == Word(4, 0)
-    assert wrap_inc(Word(4, 0)) == Word(4, 1)
-    assert wrap_inc(Word(6, 0b101111)) == Word(6, 0b110000)
-    assert wrap_dec(Word(4, 0)) == Word(4, 0b1111)
-    assert wrap_dec(Word(4, 0b1011)) == Word(4, 0b1010)
-    assert wrap_dec(Word(1, 1)) == Word(1, 0)
+    assert run_both(INC, Word(4, 0b1111)) == Word(4, 0)
+    assert run_both(INC, Word(4, 0)) == Word(4, 1)
+    assert run_both(INC, Word(6, 0b101111)) == Word(6, 0b110000)
+    assert run_both(DEC, Word(4, 0)) == Word(4, 0b1111)
+    assert run_both(DEC, Word(4, 0b1011)) == Word(4, 0b1010)
+    assert run_both(DEC, Word(1, 1)) == Word(1, 0)
+    assert run_both(DEC, Word(64, 0)) == Word(64, (1 << 64) - 1)
+    assert run_both(INC, Word(64, (1 << 64) - 1)) == Word(64, 0)
 
 
 @given(words)
 def test_inc_dec_are_inverse(x):
-    assert wrap_dec(wrap_inc(x)) == x
-    assert wrap_inc(wrap_dec(x)) == x
+    assert run_both(INC_DEC, x) == x
+    assert run_both(DEC_INC, x) == x
 
 
 def test_and_or_examples():
-    assert bit_and(Word(4, 0b1011), Word(4, 0b1010)) == Word(4, 0b1010)
-    assert bit_or(Word(4, 0b1101), Word(4, 0b1110)) == Word(4, 0b1111)
-
-
-@given(words, st.integers())
-def test_and_or_algebra(a, raw):
-    b = Word(a.width, raw)
-    assert bit_and(a, a) == a
-    assert bit_or(a, a) == a
-    assert bit_and(a, b) == bit_and(b, a)
-    assert bit_or(a, b) == bit_or(b, a)
-
-
-@given(words, st.integers(), st.integers())
-def test_and_or_associative(a, raw1, raw2):
-    b, c = Word(a.width, raw1), Word(a.width, raw2)
-    assert bit_and(bit_and(a, b), c) == bit_and(a, bit_and(b, c))
-    assert bit_or(bit_or(a, b), c) == bit_or(a, bit_or(b, c))
-
-
-def test_width_mismatch_rejected():
-    with pytest.raises(ValueError):
-        bit_and(Word(4, 1), Word(5, 1))
-    with pytest.raises(ValueError):
-        bit_or(Word(4, 1), Word(5, 1))
+    # 1011 AND 1010, i.e. x AND (x-1); 1101 OR 1110, i.e. x OR (x+1)
+    assert run_both(CLEAR_LOWEST_ONE, Word(4, 0b1011)) == Word(4, 0b1010)
+    assert run_both(SET_LOWEST_ZERO, Word(4, 0b1101)) == Word(4, 0b1111)
 
 
 @pytest.mark.parametrize("width", [0, -1, 65, 100])
@@ -87,16 +78,6 @@ def test_value_reduced_modulo_width():
     assert Word(4, 16).value == 0
     assert Word(4, 17).value == 1
     assert Word(4, -1).value == 0b1111
-
-
-def test_msb_prefix():
-    assert msb_prefix(Word(6, 0b101111), 3) == "101"
-    assert msb_prefix(Word(6, 0b101111), 0) == ""
-    assert msb_prefix(Word(6, 0), 6) == "000000"
-    with pytest.raises(ValueError):
-        msb_prefix(Word(6, 0), 7)
-    with pytest.raises(ValueError):
-        msb_prefix(Word(6, 0), -1)
 
 
 def test_bit_string_round_trip():
@@ -121,7 +102,7 @@ def test_clearing_lowest_one_drops_count_exhaustive():
     for x in _exhaustive_words(12):
         if x.value == 0:
             continue
-        assert popcount_naive(bit_and(x, wrap_dec(x))) == popcount_naive(x) - 1
+        assert popcount_naive(run_both(CLEAR_LOWEST_ONE, x)) == popcount_naive(x) - 1
 
 
 def test_setting_lowest_zero_raises_count_exhaustive():
@@ -129,12 +110,12 @@ def test_setting_lowest_zero_raises_count_exhaustive():
     for x in _exhaustive_words(12):
         if x.is_all_ones():
             continue
-        assert popcount_naive(bit_or(x, wrap_inc(x))) == popcount_naive(x) + 1
+        assert popcount_naive(run_both(SET_LOWEST_ZERO, x)) == popcount_naive(x) + 1
 
 
 @given(words)
 def test_step_laws_on_wide_words(x):
     if x.value != 0:
-        assert popcount_naive(bit_and(x, wrap_dec(x))) == popcount_naive(x) - 1
+        assert popcount_naive(run_both(CLEAR_LOWEST_ONE, x)) == popcount_naive(x) - 1
     if not x.is_all_ones():
-        assert popcount_naive(bit_or(x, wrap_inc(x))) == popcount_naive(x) + 1
+        assert popcount_naive(run_both(SET_LOWEST_ZERO, x)) == popcount_naive(x) + 1
