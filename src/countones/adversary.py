@@ -278,7 +278,7 @@ def msb_flip_probe(
     def compare(i: int, pc: int | None, regs: dict[str, int]) -> bool:
         nonlocal divergence, step
         if step == len(path):
-            return False  # one path is a prefix of the other: no branch differed
+            return False  # one path is a prefix of the other; see diff_traces
         if pc != path[step][0]:
             divergence = Divergence(step - 1, path[step - 1][1])
             return False
@@ -360,8 +360,10 @@ class LowerBoundCheck:
 
     :meth:`add` takes each :data:`Row` of :func:`measure`: the output must
     equal ``nu`` (including at density n/2), and where ``nu != n/2`` the
-    inc/dec steps must reach ``min(nu, n - nu)``.  :meth:`report` summarizes
-    the rows added so far as an :class:`AuditReport`.
+    inc/dec steps must reach ``min(nu, n - nu)``.  It returns whether the
+    row's output was correct, the one verdict ``verify`` reads too.
+    :meth:`report` summarizes the rows added so far as an
+    :class:`AuditReport`.
     """
 
     def __init__(self, program: str, width: int) -> None:
@@ -372,7 +374,7 @@ class LowerBoundCheck:
         self.min_ratio: float | None = None
         self.max_incdec = 0
 
-    def add(self, row: Row) -> None:
+    def add(self, row: Row) -> bool:
         value, nu, out, incdec, _, halt = row
         width = self.width
         self.inputs += 1
@@ -382,7 +384,7 @@ class LowerBoundCheck:
             got = out if out is not None else halt.value
             self.failures.append(AuditFailure(
                 f"{value:0{width}b}", nu, "output", f"expected {nu}, got {got}"))
-            return
+            return False
         if 2 * nu != width:
             bound = min(nu, width - nu)
             if incdec < bound:
@@ -392,6 +394,7 @@ class LowerBoundCheck:
                 ratio = incdec / bound
                 if self.min_ratio is None or ratio < self.min_ratio:
                     self.min_ratio = ratio
+        return True
 
     def report(self) -> AuditReport:
         return AuditReport(self.program, self.width, self.inputs, tuple(self.failures),

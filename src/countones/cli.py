@@ -13,6 +13,9 @@ CSV schemas (stable, part of the public contract):
   (header only when the campaign is clean).
 * ``table --format csv``: ``operation_set,lower_bound,upper_bound,measured``.
 
+One function, ``_table``, writes every CSV and markdown table above; it
+turns a ``,`` inside a cell into ``;`` so that each row keeps its columns.
+
 All output is deterministic for a given seed: identical invocations emit
 byte-identical bytes.
 """
@@ -22,9 +25,9 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .adversary import LowerBoundCheck, measure
+from .adversary import LowerBoundCheck, lower_bound_audit, measure
 from .fuzzing import FUZZ_BUDGET, fuzz_divergence, fuzz_invariant
 from .programs import (
     GeneratedProgram,
@@ -35,7 +38,7 @@ from .programs import (
     twobit_program,
     wegner_program,
 )
-from .vm import DEFAULT_BUDGET, HaltReason, Machine, parse_program
+from .vm import DEFAULT_BUDGET, Machine, parse_program
 from .words import MAX_WIDTH
 
 __all__ = ["main", "build_parser", "verify_suite", "sweep_rows", "table_rows"]
@@ -63,6 +66,16 @@ def _emit(lines: list[str], out_path: str | None) -> None:
             raise SystemExit(_usage_error(f"cannot write --out {out_path}: {exc.strerror}"))
 
 
+def _table(header: Sequence[str], rows: Iterable[Sequence[object]], fmt: str) -> list[str]:
+    """The lines of a ``csv`` table (``,`` in a cell becomes ``;``) or of a
+    ``markdown`` one (header, ``---`` row, one line per row)."""
+    if fmt == "csv":
+        return [",".join(header)] + [
+            ",".join(str(cell).replace(",", ";") for cell in row) for row in rows]
+    return ["| " + " | ".join(header) + " |", "|" + "|".join("---" for _ in header) + "|"] + [
+        "| " + " | ".join(str(cell) for cell in row) + " |" for row in rows]
+
+
 # ---------------------------------------------------------------- verify
 
 
@@ -74,17 +87,14 @@ def verify_suite(
     Returns ``(ok, rows)`` with one ``(check, program, width, status,
     detail)`` row per check; failures carry a witness input in the detail.
     Width 1 only admits the single-bit identity check (the input already is
-    the count); the audits are defined for widths 2..12.  Each (program,
-    input) pair runs once, and its :func:`measure` row feeds every check.
+    the count).  Each (program, input) pair runs once, and its
+    :func:`measure` row feeds every check; ``ok`` is whether all rows pass.
     """
     machine = machine or Machine()
     rows: list[tuple[str, str, int, str, str]] = []
-    ok = True
 
     def record(check: str, program: str, width: int, failures: list[str], detail: str) -> None:
-        nonlocal ok
         if failures:
-            ok = False
             rows.append((check, program, width, "FAIL", "; ".join(failures[:3])))
         else:
             rows.append((check, program, width, "PASS", detail))
@@ -105,10 +115,9 @@ def verify_suite(
             predicted = gen.predicted_incdec
             for row in measure(gen.program, width, range(1 << width), machine):
                 value, nu, out, incdec, _, halt = row
-                audit.add(row)
                 if single_step is not None and value and incdec != 1:
                     single_step.append(f"x={value:02b} incdec {incdec} != 1")
-                if halt is not HaltReason.OUT or out != nu:
+                if not audit.add(row):
                     got = out if out is not None else halt.value
                     oracle_failures.append(f"x={value:0{width}b} expected {nu} got {got}")
                     continue
@@ -119,19 +128,16 @@ def verify_suite(
                    f"all {1 << width} inputs match the bit-count oracle")
             record("step-law", gen.name, width, law_failures,
                    "measured inc/dec equals the closed form on every input")
-            if width <= 12:
-                report = audit.report()
-                audit_failures = [
-                    f"x={f.input_bits} {f.kind}: {f.detail}" for f in report.failures
-                ]
-                ratio = "n/a" if report.min_ratio is None else f"{report.min_ratio:.3f}"
-                record("lower-bound-audit", gen.name, width, audit_failures,
-                       f"tightest incdec/bound {ratio}, worst incdec {report.max_incdec}")
+            report = audit.report()
+            audit_failures = [f"x={f.input_bits} {f.kind}: {f.detail}" for f in report.failures]
+            ratio = "n/a" if report.min_ratio is None else f"{report.min_ratio:.3f}"
+            record("lower-bound-audit", gen.name, width, audit_failures,
+                   f"tightest incdec/bound {ratio}, worst incdec {report.max_incdec}")
             if single_step is not None:
                 record("twobit-single-step", "twobit", 2, single_step,
                        "every non-zero input costs exactly one inc/dec")
 
-    return ok, rows
+    return all(row[3] == "PASS" for row in rows), rows
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -146,9 +152,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                  f"/{len(rows)} checks passed")
     print("\n".join(lines))
     if args.out:
-        csv_lines = ["check,program,width,status,detail"]
-        csv_lines += [f"{c},{p},{w},{s},{d.replace(',', ';')}" for c, p, w, s, d in rows]
-        _emit(csv_lines, args.out)
+        _emit(_table(("check", "program", "width", "status", "detail"), rows, "csv"), args.out)
     return 0 if ok else 1
 
 
@@ -180,14 +184,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise SystemExit(_usage_error("twobit is defined for width 2 only"))
     rows = sweep_rows(args.width, args.algo, seed=args.seed, budget=args.budget)
     header = ("input_bits", "nu", "output", "incdec_steps", "total_steps")
-    if args.format == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(str(c) for c in row) for row in rows]
-    else:
-        lines = ["| " + " | ".join(header) + " |",
-                 "|" + "|".join("---" for _ in header) + "|"]
-        lines += ["| " + " | ".join(str(c) for c in row) + " |" for row in rows]
-    _emit(lines, args.out)
+    _emit(_table(header, rows, args.format), args.out)
     stuck = sum(row[2] == -1 for row in rows)
     if stuck:
         print(f"{stuck} of {len(rows)} runs did not halt within the budget (output=-1)",
@@ -227,20 +224,13 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         f"{divergence.violation_count} early divergences"
     )
     if args.out:
-        lines = ["kind,run,width,e,m,d,detail"]
-        for run_idx, params, violations in invariant.violating_runs:
-            for v in violations:
-                lines.append(
-                    f"invariant,{run_idx},{params.n},{params.e},{params.m},{params.d},"
-                    f"i={v.incdec_index} reg={v.register} prefix={v.prefix}"
-                )
-        for run_idx, probe in divergence.violating_probes:
-            p = probe.params
-            lines.append(
-                f"divergence,{run_idx},{p.n},{p.e},{p.m},{p.d},"
-                f"incdec={probe.divergence.incdec_index} bound={probe.bound}"
-            )
-        _emit(lines, args.out)
+        rows = [("invariant", run_idx, p.n, p.e, p.m, p.d,
+                 f"i={v.incdec_index} reg={v.register} prefix={v.prefix}")
+                for run_idx, p, violations in invariant.violating_runs for v in violations]
+        rows += [("divergence", run_idx, probe.params.n, probe.params.e, probe.params.m,
+                  probe.params.d, f"incdec={probe.divergence.incdec_index} bound={probe.bound}")
+                 for run_idx, probe in divergence.violating_probes]
+        _emit(_table(("kind", "run", "width", "e", "m", "d", "detail"), rows, "csv"), args.out)
     return 0 if invariant.ok and divergence.ok else 1
 
 
@@ -275,22 +265,16 @@ def cmd_gen(args: argparse.Namespace) -> int:
 # Hand-counted word operations in the reference routines (see programs.py).
 _BROADWORD_OPS = 18
 _HAKMEM_OPS = 10
+_TABLE_WIDTHS = (8, 12)
 
 
-def table_rows(widths: tuple[int, ...] = (8, 12)) -> list[tuple[str, str, str, str]]:
+def table_rows() -> list[tuple[str, str, str, str]]:
     """Bounds-vs-measurement table rows for the operation-set comparison."""
-    worst: dict[str, list[str]] = {}
-    for algo in ("wegner", "dense", "combined"):
-        cells = []
-        for width in widths:
-            gen = _ALGOS[algo](width)
-            measured = max(
-                incdec for _, _, _, incdec, _, _ in measure(gen.program, width, range(1 << width))
-            )
-            cells.append(f"n={width}: {measured}")
-        worst[algo] = cells
     restricted = "; ".join(
-        f"{algo} worst inc/dec {', '.join(cells)}" for algo, cells in worst.items()
+        f"{algo} worst inc/dec " + ", ".join(
+            f"n={width}: {lower_bound_audit(_ALGOS[algo](width), width).max_incdec}"
+            for width in _TABLE_WIDTHS)
+        for algo in ("wegner", "dense", "combined")
     )
     return [
         (
@@ -317,16 +301,8 @@ def table_rows(widths: tuple[int, ...] = (8, 12)) -> list[tuple[str, str, str, s
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    rows = table_rows()
     header = ("operation_set", "lower_bound", "upper_bound", "measured")
-    if args.format == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(cell.replace(",", ";") for cell in row) for row in rows]
-    else:
-        lines = ["| " + " | ".join(header) + " |",
-                 "|" + "|".join("---" for _ in header) + "|"]
-        lines += ["| " + " | ".join(row) + " |" for row in rows]
-    _emit(lines, args.out)
+    _emit(_table(header, table_rows(), args.format), args.out)
     return 0
 
 

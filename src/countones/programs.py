@@ -19,10 +19,13 @@ twobit    width 2 special case                     ``0`` if x = 0 else ``1``
 ========  =======================================  ========================
 
 ``gen(t)`` is the cost of building the constant ``t`` from zero with INC and
-OR only (:func:`constant_inc_count`).  :func:`shipped_programs` lists the
-counters checked at one width.  The four counter generators are memoized,
-so each width's program is parsed and compiled once per process;
-:func:`constant_program` is not, since callers build many one-shot constants.
+OR only (:func:`constant_inc_count`).  Each loop body is written once, as a
+step (:func:`_wegner_step`, :func:`_dense_step`): wegner and dense wrap
+their step in a loop, and combined emits both steps, on disjoint registers,
+in every round.  :func:`shipped_programs` lists the counters checked at one
+width.  The four counter generators are memoized, so each width's program
+is parsed and compiled once per process; :func:`constant_program` is not,
+since callers build many one-shot constants.
 
 The module also houses two classic host-level popcounts (broadword fold,
 HAKMEM-style octal trick) used purely as reference oracles for wider words.
@@ -70,7 +73,6 @@ class GeneratedProgram:
     text: str
     program: Program
     predicted_incdec: Callable[[int, int], int]
-    description: str
 
 
 def _check_width(width: int) -> None:
@@ -112,6 +114,19 @@ def _constant_blocks(target: int, t: str, s: str, acc: str) -> list[list[str]]:
     return blocks
 
 
+def _wegner_step(x: str, t: str, c: str, out: str) -> list[str]:
+    """One wegner iteration: leave for ``out`` once ``x`` is zero, else clear
+    its lowest one (``x AND (x-1)``, via ``t``) and count it in ``c``."""
+    return [f"BZ {x} {out}", f"MOV {t} {x}", f"DEC {t}", f"AND {x} {t}", f"INC {c}"]
+
+
+def _dense_step(x: str, y: str, b: str, out: str) -> list[str]:
+    """One dense iteration: leave for ``out`` once ``x + 1`` wraps to zero,
+    else set the lowest zero of ``x`` (``x OR (x+1)``, via ``y``) and count
+    it off ``b``."""
+    return [f"MOV {y} {x}", f"INC {y}", f"BZ {y} {out}", f"OR {x} {y}", f"DEC {b}"]
+
+
 @cache
 def wegner_program(width: int) -> GeneratedProgram:
     """Clear the lowest set bit until nothing is left, counting clears.
@@ -121,24 +136,14 @@ def wegner_program(width: int) -> GeneratedProgram:
     exactly ``2*nu`` inc/dec steps.
     """
     _check_width(width)
-    text = "\n".join(
-        [
-            "loop: BZ x done",
-            "MOV t x",
-            "DEC t",
-            "AND x t",
-            "INC c",
-            "JMP loop",
-            "done: OUT c",
-        ]
-    )
+    first, *rest = _wegner_step("x", "t", "c", "done")
+    text = "\n".join([f"loop: {first}", *rest, "JMP loop", "done: OUT c"])
     return GeneratedProgram(
         name="wegner",
         width=width,
         text=text,
         program=parse_program(text),
         predicted_incdec=lambda n, nu: 2 * nu,
-        description="clear lowest set bit per iteration; 2*nu inc/dec steps",
     )
 
 
@@ -168,10 +173,6 @@ def constant_program(target: int, width: int) -> GeneratedProgram:
         text=text,
         program=parse_program(text),
         predicted_incdec=lambda n, nu, _incs=incs: _incs,
-        description=(
-            f"generate constant {target}; {incs} increments, "
-            f"total steps <= {CONSTANT_STEP_FACTOR}*log2(target+2)"
-        ),
     )
 
 
@@ -189,17 +190,8 @@ def dense_program(width: int) -> GeneratedProgram:
     lines = ["ZERO ct", "ZERO b"]
     for block in _constant_blocks(width, "ct", "cs", "b"):
         lines.extend(block)
-    lines.extend(
-        [
-            "loop: MOV y x",
-            "INC y",
-            "BZ y done",
-            "OR x y",
-            "DEC b",
-            "JMP loop",
-            "done: OUT b",
-        ]
-    )
+    first, *rest = _dense_step("x", "y", "b", "done")
+    lines.extend([f"loop: {first}", *rest, "JMP loop", "done: OUT b"])
     text = "\n".join(lines)
     gen = constant_inc_count(width)
     return GeneratedProgram(
@@ -208,10 +200,6 @@ def dense_program(width: int) -> GeneratedProgram:
         text=text,
         program=parse_program(text),
         predicted_incdec=lambda n, nu, _gen=gen: _gen + 2 * (n - nu) + 1,
-        description=(
-            f"set lowest zero per iteration, counting down from {width}; "
-            f"gen(n)={gen} plus 2 per zero plus 1"
-        ),
     )
 
 
@@ -239,7 +227,8 @@ def combined_program(width: int) -> GeneratedProgram:
     """Interleave the wegner and dense methods; the first finisher answers.
 
     Each side works on its own copy of the input with disjoint registers.
-    Rounds alternate one basic block per side, dense turn first; the dense
+    Rounds alternate one step per side (the same :func:`_dense_step` and
+    :func:`_wegner_step` the single loops use), dense turn first; the dense
     side's early turns pay for its constant generation two increments at a
     time.  Whoever outputs first is correct (both are), and the pacing keeps
     the total within ``2*min(2*nu, gen(n) + 2*(n-nu) + 1) + 2`` inc/dec
@@ -260,8 +249,8 @@ def combined_program(width: int) -> GeneratedProgram:
             for block in chunks[r - 1]:
                 lines.extend(block)
         else:
-            lines.extend(["MOV yd xd", "INC yd", "BZ yd out_d", "OR xd yd", "DEC bd"])
-        lines.extend(["BZ xw out_w", "MOV tw xw", "DEC tw", "AND xw tw", "INC cw"])
+            lines.extend(_dense_step("xd", "yd", "bd", "out_d"))
+        lines.extend(_wegner_step("xw", "tw", "cw", "out_w"))
     lines.extend(["stuck: JMP stuck", "out_d: OUT bd", "out_w: OUT cw"])
     text = "\n".join(lines)
     gen = constant_inc_count(width)
@@ -271,11 +260,6 @@ def combined_program(width: int) -> GeneratedProgram:
         text=text,
         program=parse_program(text),
         predicted_incdec=_combined_predicted(gen, p),
-        description=(
-            "wegner and dense interleaved one iteration per round, dense "
-            f"first; gen(n)={gen} paid in {p} chunk(s); "
-            "inc/dec <= 2*min(2*nu, gen(n)+2*(n-nu)+1) + 2"
-        ),
     )
 
 
@@ -303,9 +287,7 @@ def twobit_program() -> GeneratedProgram:
         text=text,
         program=parse_program(text),
         predicted_incdec=lambda n, nu: 0 if nu == 0 else 1,
-        description="width-2 counter: one DEC on non-zero input, none on zero",
     )
-
 
 
 def shipped_programs(width: int) -> list[GeneratedProgram]:

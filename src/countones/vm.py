@@ -506,9 +506,13 @@ def diff_traces(a: ExecResult, b: ExecResult) -> Divergence | None:
 
     Both results must carry traces produced by the *same* program (that part
     of the contract is the caller's).  Returns ``None`` when the executed
-    instruction sequences are identical, or when one is a prefix of the other
-    (possible only under unequal budgets): in neither case did a branch
-    resolve differently.
+    instruction sequences are identical, or when one is a prefix of the other.
+    A prefix does not prove that every branch resolved alike: a run's last
+    instruction has no successor to compare, so a final branch that one run
+    takes and the other falls through (off the end) goes unseen.  For
+    example, ``L0: INC a`` / ``BZ x L0`` on ``0000`` and ``1000`` under
+    budget 50 exhausts its budget on one and falls off the end on the
+    other, yet gives ``None``.
     """
     if a.trace is None or b.trace is None:
         raise ValueError("diff_traces needs both results traced (trace=True)")

@@ -48,9 +48,6 @@ class Word:
         """MSB-first bit string, zero-padded to the full width."""
         return format(self.value, f"0{self.width}b")
 
-    def is_all_ones(self) -> bool:
-        return self.value == (1 << self.width) - 1
-
 
 def popcount_naive(x: Word) -> int:
     """Count one bits by inspecting every bit.

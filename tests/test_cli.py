@@ -1,7 +1,21 @@
+from dataclasses import replace
+
 import pytest
 
-from countones import Machine, Word, execute, parse_program, wegner_program
+from countones import (
+    AdversaryParams,
+    Divergence,
+    Machine,
+    Word,
+    cli,
+    execute,
+    msb_flip_probe,
+    parse_program,
+    wegner_program,
+)
 from countones.cli import main, verify_suite
+
+from conftest import NonWrappingIncMachine
 
 
 def run_cli(capsys, *argv):
@@ -111,6 +125,30 @@ def test_fuzz_deterministic_bytes(tmp_path):
     for path in paths:
         assert main(["fuzz", "--seed", "5", "--count", "40", "--out", str(path)]) == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_fuzz_out_writes_violation_rows(tmp_path, capsys, monkeypatch):
+    # a broken interpreter yields invariant rows; the divergence row is faked,
+    # since the flip fuzz always runs the stock machine
+    real_invariant, real_divergence = cli.fuzz_invariant, cli.fuzz_divergence
+    monkeypatch.setattr(cli, "fuzz_invariant", lambda *args, **kwargs: real_invariant(
+        *args, **kwargs, machine=NonWrappingIncMachine()))
+    probe = msb_flip_probe(wegner_program(4), AdversaryParams(1, 1, 1, 4))
+    early = replace(probe, divergence=Divergence(0, 0))
+    monkeypatch.setattr(cli, "fuzz_divergence", lambda *args, **kwargs: replace(
+        real_divergence(*args, **kwargs), violation_count=1, violating_probes=((0, early),)))
+    out_path = tmp_path / "fuzz.csv"
+    code, out = run_cli(capsys, "fuzz", "--seed", "3", "--count", "300",
+                        "--out", str(out_path))
+    assert code == 1
+    assert "3 violations" in out and "1 early divergences" in out
+    assert out_path.read_text().splitlines() == [
+        "kind,run,width,e,m,d,detail",
+        "invariant,155,15,1,7,0,i=3 reg=e prefix=1000000000",
+        "invariant,155,15,1,7,0,i=3 reg=e prefix=1000000000",
+        "invariant,155,15,1,7,0,i=4 reg=e prefix=10000000",
+        "divergence,0,4,1,1,1,incdec=0 bound=1",
+    ]
 
 
 def test_fuzz_usage_errors(capsys):

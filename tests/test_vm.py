@@ -248,6 +248,17 @@ def test_diff_traces_branchless_program():
     assert diff_traces(a, b) is None
 
 
+@pytest.mark.xfail(strict=True, reason="a branch that falls off the end leaves no successor "
+                                        "to compare, so the shorter trace reads as a prefix")
+def test_diff_traces_sees_a_branch_off_the_end():
+    program = parse_program("L0: INC a\nBZ x L0")
+    a = execute(program, Word.from_bits("0000"), budget=50, trace=True)
+    b = execute(program, Word.from_bits("1000"), budget=50, trace=True)
+    assert (a.halt_reason, b.halt_reason) == (HaltReason.BUDGET_EXHAUSTED,
+                                              HaltReason.FELL_OFF_END)
+    assert diff_traces(a, b) is not None
+
+
 def test_diff_traces_requires_traces():
     program = parse_program("OUT x")
     a = execute(program, Word(4, 1), trace=True)
