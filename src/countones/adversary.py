@@ -262,8 +262,6 @@ def msb_flip_probe(
         )
     x = adversary_input(params)
     nu = popcount_naive(x)
-    if 2 * nu == params.n:
-        raise ValueError("inputs with nu = n/2 are outside the bound's domain")
     program = g.program if isinstance(g, GeneratedProgram) else g
     flipped = Word(params.n, x.value ^ (1 << (params.n - 1)))
     # (pc, incdec_index) of every state of the run on x, the initial one first

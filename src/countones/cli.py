@@ -43,11 +43,18 @@ from .words import MAX_WIDTH
 
 __all__ = ["main", "build_parser", "verify_suite", "sweep_rows", "table_rows"]
 
+
+def _twobit(width: int) -> GeneratedProgram:
+    if width != 2:
+        raise ValueError("twobit is defined for width 2 only")
+    return twobit_program()
+
+
 _ALGOS: dict[str, Callable[[int], GeneratedProgram]] = {
     "wegner": wegner_program,
     "dense": dense_program,
     "combined": combined_program,
-    "twobit": lambda width: twobit_program(),
+    "twobit": _twobit,
 }
 
 SAMPLED_SWEEP_SIZE = 4096  # rows when the width is too wide to enumerate
@@ -180,9 +187,10 @@ def sweep_rows(
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.algo == "twobit" and args.width != 2:
-        raise SystemExit(_usage_error("twobit is defined for width 2 only"))
-    rows = sweep_rows(args.width, args.algo, seed=args.seed, budget=args.budget)
+    try:
+        rows = sweep_rows(args.width, args.algo, seed=args.seed, budget=args.budget)
+    except ValueError as exc:  # a generator's own rule, such as twobit's width
+        raise SystemExit(_usage_error(str(exc)))
     header = ("input_bits", "nu", "output", "incdec_steps", "total_steps")
     _emit(_table(header, rows, args.format), args.out)
     stuck = sum(row[2] == -1 for row in rows)
@@ -252,9 +260,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
         if args.target is not None:
             raise SystemExit(_usage_error("--target only applies to --algo constant"))
         width = args.width if args.width is not None else (2 if args.algo == "twobit" else 8)
-        if args.algo == "twobit" and width != 2:
-            raise SystemExit(_usage_error("twobit is defined for width 2 only"))
-        gen = _ALGOS[args.algo](width)
+        try:
+            gen = _ALGOS[args.algo](width)
+        except ValueError as exc:
+            raise SystemExit(_usage_error(str(exc)))
     _emit(gen.text.splitlines(), args.out)
     return 0
 

@@ -64,24 +64,21 @@ _OP_DECK = (
 
 
 def random_program(rng: random.Random, max_len: int = 24) -> Program:
-    """A random valid program of 2..``max_len`` instructions: every jump
-    target is an instruction index.  ``max_len < 2`` raises ``ValueError``
-    before anything is drawn from ``rng``."""
+    """A random program of 2..``max_len`` instructions; ``max_len < 2``
+    raises ``ValueError`` before anything is drawn from ``rng``."""
     if max_len < 2:
         raise ValueError(f"max_len must be >= 2 (a random program has at least two "
                          f"instructions), got {max_len}")
     length = rng.randint(2, max_len)
     regs = _REG_POOL[: rng.randint(2, len(_REG_POOL))]
     instructions = []
-    register_names: dict[str, None] = {"x": None}
     for _ in range(length):
         op = rng.choice(_OP_DECK)
         spec = OPCODES[op]
         operands = [rng.choice(regs) for _ in range(spec.regs)]
         target = rng.randrange(length) if spec.label else None
-        register_names.update(dict.fromkeys(operands))
         instructions.append(Instruction(op, *operands, target=target))
-    return Program(tuple(instructions), tuple(register_names))
+    return Program(tuple(instructions))
 
 
 def random_program_text(rng: random.Random, max_len: int = 24) -> str:

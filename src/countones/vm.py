@@ -32,9 +32,13 @@ to ``incdec_steps``, the measure the lower-bound audits care about.
 :data:`OPCODES` is the one table of this instruction set: per opcode, its
 register operands, whether a label follows, whether it is metered and its
 source in a compiled segment.  The parser, the segment compiler and
-:func:`countones.fuzzing.random_program` all read it.  The reference loop
-spells the semantics out by hand in its own ``match``, so that it stays an
-independent oracle for the compiled path.
+:func:`countones.fuzzing.random_program` all read it, and a :class:`Program`
+is checked against it when built: ``ValueError`` unless every opcode is in
+the table with exactly its register operands, and with a target in
+``0..len-1`` exactly where it takes a label.  So both executors run only
+well-formed programs.  The reference loop spells the semantics out by hand
+in its own ``match``, so that it stays an independent oracle for the
+compiled path.
 
 The interpreter is a pure function of (program, input, budget): no shared
 mutable state, so any number of executions may run concurrently.  Trace
@@ -133,6 +137,9 @@ OPCODES: Mapping[str, OpSpec] = MappingProxyType({
     "OUT": OpSpec(1, False, False, "return {exit}"),
 })
 
+# Per opcode, which of an instruction's ``(a, b, target)`` are present.
+_OPERANDS = {op: (spec.regs > 0, spec.regs > 1, spec.label) for op, spec in OPCODES.items()}
+
 
 class ParseError(ValueError):
     """Raised on malformed program text; carries the 1-based line number."""
@@ -152,22 +159,31 @@ class Instruction:
 
 @dataclass(frozen=True)
 class Program:
-    """A parsed program: labels resolved, registers collected in first-use order."""
+    """A well-formed program (see the module docstring); ``register_names`` is
+    derived: ``x`` first, then the other register operands in first-use order."""
 
     instructions: tuple[Instruction, ...]
-    register_names: tuple[str, ...]
+    register_names: tuple[str, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        targets = range(len(self.instructions))
+        names: dict[str | None, None] = {"x": None}
+        for pc, ins in enumerate(self.instructions):
+            if _OPERANDS.get(ins.op) != (ins.a is not None, ins.b is not None, ins.target is not None):
+                raise ValueError(f"instruction {pc}: {ins} does not fit its opcode in OPCODES")
+            if ins.target is not None and ins.target not in targets:
+                raise ValueError(f"instruction {pc}: target {ins.target} is not in 0..{len(targets) - 1}")
+            names[ins.a] = names[ins.b] = None  # a key set again keeps its first position
+        names.pop(None, None)
+        object.__setattr__(self, "register_names", tuple(names))
 
     def __len__(self) -> int:
         return len(self.instructions)
 
     @cached_property
-    def _segments(self) -> list[tuple[Callable, int] | None] | None:
-        """Per pc, the compiled segment starting there and its length; see the module docstring.
-
-        ``None`` when the program is not one that :func:`parse_program` could
-        produce (unknown opcode, missing label, unlisted register, ``x`` not
-        first): such programs stay on the reference loop.
-        """
+    def _segments(self) -> list[tuple[Callable, int] | None]:
+        """Per pc, the compiled segment starting there and its length (``None``
+        where no segment starts); see the module docstring."""
         return _compile_segments(self)
 
 
@@ -214,7 +230,6 @@ def parse_program(text: str) -> Program:
         rows.append((lineno, op, operands[:n_regs], operands[n_regs] if spec.label else None))
 
     instructions = []
-    registers: dict[str, None] = {"x": None}
     for lineno, op, regs, label in rows:
         target = None
         if label is not None:
@@ -222,30 +237,17 @@ def parse_program(text: str) -> Program:
             if label not in labels:
                 raise ParseError(lineno, f"unresolved label {label!r}")
             target = labels[label]
-        for reg in regs:
-            registers.setdefault(reg)
-        a = regs[0] if len(regs) > 0 else None
-        b = regs[1] if len(regs) > 1 else None
-        instructions.append(Instruction(op, a, b, target))
-    return Program(tuple(instructions), tuple(registers))
+        instructions.append(Instruction(op, *regs, target=target))
+    return Program(tuple(instructions))
 
 
-def _compile_segments(program: Program) -> list[tuple[Callable, int] | None] | None:
+def _compile_segments(program: Program) -> list[tuple[Callable, int] | None]:
     instructions = program.instructions
     size = len(instructions)
-    if program.register_names[:1] != ("x",):
-        return None
     index = {name: i for i, name in enumerate(program.register_names)}
     leaders = {0}
     for pc, ins in enumerate(instructions):
-        spec = OPCODES.get(ins.op)
-        if spec is None:
-            return None
-        if not all(reg in index for reg in (ins.a, ins.b)[:spec.regs]):
-            return None
-        if spec.label:
-            if not isinstance(ins.target, int) or ins.target < 0:
-                return None
+        if ins.target is not None:
             leaders.add(ins.target)
         if ins.op in ("JMP", "OUT"):
             leaders.add(pc + 1)
@@ -367,7 +369,6 @@ class Machine:
             and cls._inc is Machine._inc
             and cls._dec is Machine._dec
             and cls._mov is Machine._mov
-            and program._segments is not None
         ):
             return self._run_compiled(program, x, budget)
 

@@ -65,6 +65,20 @@ def test_gen_twobit_width_guard(capsys):
         main(["gen", "--algo", "twobit", "--width", "4"])
 
 
+@pytest.mark.parametrize("width", [1, 3, 20])
+def test_twobit_width_rule_is_stated_once(capsys, width):
+    with pytest.raises(ValueError, match="twobit is defined for width 2 only"):
+        cli.sweep_rows(width, "twobit")
+    for argv in (["sweep", "--width", str(width), "--algo", "twobit"],
+                 ["gen", "--algo", "twobit", "--width", str(width)]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert capsys.readouterr() == ("", "error: twobit is defined for width 2 only\n")
+    assert [row[:3] for row in cli.sweep_rows(2, "twobit")] == [
+        ("00", 0, 0), ("01", 1, 1), ("10", 1, 1), ("11", 2, 2)]
+
+
 # ------------------------------------------------------------------ sweep
 
 

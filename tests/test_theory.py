@@ -64,6 +64,8 @@ def test_adversary_population_formula(p):
     word = adversary_input(p)
     assert word.width == p.n
     assert popcount_naive(word) == p.e + p.m + p.d * (p.n - 2 * p.m - 1)
+    if p.e == p.d:  # nu is m or n - m with 2m < n, so msb_flip_probe never meets nu = n/2
+        assert 2 * popcount_naive(word) != p.n
 
 
 # -------------------------------------------------------------- k schedule

@@ -287,7 +287,7 @@ def test_compiled_matches_reference_on_random_programs():
             got = execute(program, x, budget=budget)
             assert got == reference_run(program, x, budget), (program, x, budget)
             halts.add(got.halt_reason)
-        assert vars(program)["_segments"] is not None  # the compiled path ran
+        assert "_segments" in vars(program)  # the compiled path ran
     assert halts == set(HaltReason)
 
 
@@ -346,20 +346,30 @@ def test_segments_are_capped_and_compiled_lazily():
     assert fell.halt_reason is HaltReason.FELL_OFF_END
 
 
-@pytest.mark.parametrize("program", [
-    Program((Instruction("OUT", "x"),), ("a", "x")),  # x not listed first
-    Program((Instruction("NOP"), Instruction("OUT", "x")), ("x",)),  # unknown opcode
-    Program((Instruction("INC", "y"), Instruction("OUT", "y")), ("x",)),  # unlisted register
+@pytest.mark.parametrize("instructions", [
+    (Instruction("JMP"),),  # jump without a target
+    (Instruction("JMP", target=-2), Instruction("OUT", "x")),  # negative target
+    (Instruction("JMP", target=2), Instruction("OUT", "x")),  # target == len
+    (Instruction("NOP"), Instruction("OUT", "x")),  # unknown opcode
+    (Instruction("MOV", "a"), Instruction("OUT", "a")),  # missing source register
+    (Instruction("INC", None, "a"), Instruction("OUT", "a")),  # register in the wrong slot
+    (Instruction("INC", "a", "b"), Instruction("OUT", "a")),  # surplus register
+    (Instruction("JMP", "x", target=0),),  # surplus register on a jump
+    (Instruction("INC", "a", target=0), Instruction("OUT", "a")),  # target on a non-jump
 ])
-def test_hand_built_programs_behave_as_on_the_reference_loop(program):
-    outcomes = []
-    for run in (execute, reference_run):
-        try:
-            outcomes.append(run(program, Word(4, 5), 10))
-        except KeyError as exc:
-            outcomes.append(repr(exc))
-    assert outcomes[0] == outcomes[1]
-    assert program._segments is None
+def test_malformed_programs_are_rejected_when_built(instructions):
+    with pytest.raises(ValueError, match="instruction "):
+        Program(instructions)
+
+
+def test_hand_built_program_derives_its_registers():
+    program = Program((Instruction("MOV", "b", "a"), Instruction("BEQ", "x", "b", 0),
+                       Instruction("JMP", target=1), Instruction("OUT", "b")))
+    assert program.register_names == ("x", "b", "a")
+    assert Program(()).register_names == ("x",)
+    assert program.register_names == parse_program(
+        "l0: MOV b a\nl1: BEQ x b l0\nJMP l1\nOUT b").register_names
+    assert execute(program, Word(4, 5), budget=10) == reference_run(program, Word(4, 5), 10)
 
 
 def test_hook_overrides_keep_the_reference_semantics_untraced(
