@@ -36,7 +36,7 @@ for label, word in samples.items():
     cells = []
     for g in programs:
         measured = execute(g.program, word).counters.incdec_steps
-        law = g.predicted_incdec(N, nu)
+        law = g.predicted_incdec(nu)
         assert measured == law
         cells.append(f"{measured:>5} ({law:>3})")
     print(f"{label}  {word.to_bits()}  {nu:>2}   " + "  ".join(cells))

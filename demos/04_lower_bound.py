@@ -31,10 +31,9 @@ print(f"  bound respected: {probe.bound_holds}")
 
 print("\nexhaustive audits (tightest measured/bound ratio, worst inc/dec):")
 for width in (4, 8, 12):
-    for make in (wegner_program,):
-        report = lower_bound_audit(make(width), width)
-        print(f"  {report.program} n={width}: ok={report.ok} "
-              f"ratio={report.min_ratio} worst={report.max_incdec}")
+    report = lower_bound_audit(wegner_program(width))  # audits at the program's own width
+    print(f"  {report.program} n={report.width}: ok={report.ok} "
+          f"ratio={report.min_ratio} worst={report.max_incdec}")
 
 print("\nwidth two, where the floor is exactly one decrement:")
 g = twobit_program()

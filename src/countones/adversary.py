@@ -68,7 +68,11 @@ __all__ = [
     "AuditReport",
     "LowerBoundCheck",
     "lower_bound_audit",
+    "AUDIT_WIDTH_MAX",
 ]
+
+# The widest word whose every input ``lower_bound_audit`` and ``verify`` run.
+AUDIT_WIDTH_MAX = 12
 
 
 @dataclass(frozen=True, slots=True)
@@ -399,22 +403,17 @@ class LowerBoundCheck:
                            self.min_ratio, self.max_incdec)
 
 
-def lower_bound_audit(
-    g: GeneratedProgram,
-    width: int,
-    machine: Machine | None = None,
-) -> AuditReport:
-    """Exhaustively audit a counting program at one width.
+def lower_bound_audit(g: GeneratedProgram, machine: Machine | None = None) -> AuditReport:
+    """Exhaustively audit a counting program at its own width ``g.width``.
 
     For every input: the output must equal the naive bit count (including at
     density n/2), and for every input with ``nu != n/2`` the measured
     inc/dec steps must reach ``min(nu, n - nu)``.  Reports the tightest
     ratio of measured steps to bound and the worst-case step count.
     """
-    if not 2 <= width <= 12:
-        raise ValueError(f"audit width must be 2..12, got {width}")
-    if g.width != width:
-        raise ValueError(f"program was generated for width {g.width}, not {width}")
+    width = g.width
+    if not 2 <= width <= AUDIT_WIDTH_MAX:
+        raise ValueError(f"audit width must be 2..{AUDIT_WIDTH_MAX}, got {width}")
     check = LowerBoundCheck(g.name, width)
     for row in measure(g.program, width, range(1 << width), machine):
         check.add(row)

@@ -27,7 +27,7 @@ import random
 import sys
 from typing import Callable, Iterable, Sequence
 
-from .adversary import LowerBoundCheck, lower_bound_audit, measure
+from .adversary import AUDIT_WIDTH_MAX, LowerBoundCheck, lower_bound_audit, measure
 from .fuzzing import FUZZ_BUDGET, fuzz_divergence, fuzz_invariant
 from .programs import (
     GeneratedProgram,
@@ -128,7 +128,7 @@ def verify_suite(
                     got = out if out is not None else halt.value
                     oracle_failures.append(f"x={value:0{width}b} expected {nu} got {got}")
                     continue
-                want = predicted(width, nu)
+                want = predicted(nu)
                 if incdec != want:
                     law_failures.append(f"x={value:0{width}b} incdec {incdec} != {want}")
             record("oracle-equivalence", gen.name, width, oracle_failures,
@@ -148,10 +148,10 @@ def verify_suite(
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    widths = [args.width] if args.width is not None else list(range(2, 13))
+    widths = [args.width] if args.width is not None else range(2, AUDIT_WIDTH_MAX + 1)
     for width in widths:
-        if not 1 <= width <= 12:
-            raise SystemExit(_usage_error("verify supports widths 1..12"))
+        if not 1 <= width <= AUDIT_WIDTH_MAX:
+            raise SystemExit(_usage_error(f"verify supports widths 1..{AUDIT_WIDTH_MAX}"))
     ok, rows = verify_suite(widths)
     lines = [f"{status} {check} {program} n={width}: {detail}"
              for check, program, width, status, detail in rows]
@@ -281,7 +281,7 @@ def table_rows() -> list[tuple[str, str, str, str]]:
     """Bounds-vs-measurement table rows for the operation-set comparison."""
     restricted = "; ".join(
         f"{algo} worst inc/dec " + ", ".join(
-            f"n={width}: {lower_bound_audit(_ALGOS[algo](width), width).max_incdec}"
+            f"n={width}: {lower_bound_audit(_ALGOS[algo](width)).max_incdec}"
             for width in _TABLE_WIDTHS)
         for algo in ("wegner", "dense", "combined")
     )
@@ -331,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="exhaustive correctness, step-law and bound checks")
-    p.add_argument("--width", type=int, help="check a single width (default: 2..12)")
+    p.add_argument("--width", type=int,
+                   help=f"check a single width (default: 2..{AUDIT_WIDTH_MAX})")
     p.add_argument("--out", help="also write a CSV summary to this path")
     p.set_defaults(func=cmd_verify)
 

@@ -115,8 +115,11 @@ class InvariantFuzzReport:
     seed: int
     runs: int
     budget_exhausted: int
-    violation_count: int
     violating_runs: tuple[tuple[int, AdversaryParams, tuple[Violation, ...]], ...]
+
+    @property
+    def violation_count(self) -> int:
+        return sum(len(violations) for _, _, violations in self.violating_runs)
 
     @property
     def ok(self) -> bool:
@@ -140,7 +143,6 @@ def fuzz_invariant(
     rng = random.Random(seed)
     machine = machine or Machine()
     exhausted = 0
-    violation_count = 0
     violating: list[tuple[int, AdversaryParams, tuple[Violation, ...]]] = []
     for run_idx in range(program_count):
         program = random_program(rng, max_len)
@@ -153,11 +155,8 @@ def fuzz_invariant(
             exhausted += 1
         report = check.report()
         if not report.ok:
-            violation_count += len(report.violations)
             violating.append((run_idx, params, report.violations))
-    return InvariantFuzzReport(
-        seed, program_count, exhausted, violation_count, tuple(violating)
-    )
+    return InvariantFuzzReport(seed, program_count, exhausted, tuple(violating))
 
 
 @dataclass(frozen=True)
@@ -165,8 +164,11 @@ class DivergenceFuzzReport:
     seed: int
     runs: int
     diverged: int
-    violation_count: int
     violating_probes: tuple[tuple[int, MsbFlipProbe], ...]
+
+    @property
+    def violation_count(self) -> int:
+        return len(self.violating_probes)
 
     @property
     def ok(self) -> bool:
@@ -187,7 +189,6 @@ def fuzz_divergence(
     """
     rng = random.Random(seed)
     diverged = 0
-    violation_count = 0
     violating: list[tuple[int, MsbFlipProbe]] = []
     for run_idx in range(program_count):
         program = random_program(rng, max_len)
@@ -196,8 +197,5 @@ def fuzz_divergence(
         if probe.divergence is not None:
             diverged += 1
         if not probe.bound_holds:
-            violation_count += 1
             violating.append((run_idx, probe))
-    return DivergenceFuzzReport(
-        seed, program_count, diverged, violation_count, tuple(violating)
-    )
+    return DivergenceFuzzReport(seed, program_count, diverged, tuple(violating))

@@ -1,10 +1,10 @@
 """Counting programs for the restricted machine, with exact step laws.
 
-Each generator emits program text for :func:`countones.vm.parse_program`
-together with a closed-form ``predicted_incdec(n, nu)`` giving the exact
-number of INC/DEC steps the program performs on any input of width ``n``
-with ``nu`` one bits.  The asymptotic claims about these algorithms thereby
-become testable equalities:
+Each generator emits program text for one word length ``n`` (its ``width``)
+together with a closed-form ``predicted_incdec(nu)`` giving the exact number
+of INC/DEC steps the program performs on any ``n``-bit input with ``nu`` one
+bits.  The asymptotic claims about these algorithms thereby become testable
+equalities:
 
 ========  =======================================  ========================
 program   idea                                     inc/dec steps
@@ -33,7 +33,7 @@ HAKMEM-style octal trick) used purely as reference oracles for wider words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable
 
@@ -62,17 +62,22 @@ CONSTANT_STEP_FACTOR = 8
 
 @dataclass(frozen=True)
 class GeneratedProgram:
-    """A generated program plus its exact inc/dec step law.
+    """A program for ``width``-bit words plus its exact inc/dec step law.
 
-    ``predicted_incdec(n, nu)`` must equal the measured ``incdec_steps`` for
-    every input -- exhaustively testable for small widths.
+    ``program`` is derived: it is parsed from ``text`` when built, so a text
+    that does not parse raises :class:`countones.vm.ParseError`.
+    ``predicted_incdec(nu)`` must equal the measured ``incdec_steps`` on
+    every input with ``nu`` one bits -- exhaustively testable for small widths.
     """
 
     name: str
     width: int
     text: str
-    program: Program
-    predicted_incdec: Callable[[int, int], int]
+    predicted_incdec: Callable[[int], int]
+    program: Program = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "program", parse_program(self.text))
 
 
 def _check_width(width: int) -> None:
@@ -142,8 +147,7 @@ def wegner_program(width: int) -> GeneratedProgram:
         name="wegner",
         width=width,
         text=text,
-        program=parse_program(text),
-        predicted_incdec=lambda n, nu: 2 * nu,
+        predicted_incdec=lambda nu: 2 * nu,
     )
 
 
@@ -171,8 +175,7 @@ def constant_program(target: int, width: int) -> GeneratedProgram:
         name=f"constant[{target}]",
         width=width,
         text=text,
-        program=parse_program(text),
-        predicted_incdec=lambda n, nu, _incs=incs: _incs,
+        predicted_incdec=lambda nu: incs,
     )
 
 
@@ -198,24 +201,23 @@ def dense_program(width: int) -> GeneratedProgram:
         name="dense",
         width=width,
         text=text,
-        program=parse_program(text),
-        predicted_incdec=lambda n, nu, _gen=gen: _gen + 2 * (n - nu) + 1,
+        predicted_incdec=lambda nu: gen + 2 * (width - nu) + 1,
     )
 
 
-def _combined_predicted(gen: int, chunk_count: int) -> Callable[[int, int], int]:
-    def predicted(n: int, nu: int, _gen=gen, _p=chunk_count) -> int:
-        zeros = n - nu
-        dense_exit_round = _p + zeros + 1  # its turn comes first in a round
+def _combined_predicted(width: int, gen: int, chunk_count: int) -> Callable[[int], int]:
+    def predicted(nu: int) -> int:
+        zeros = width - nu
+        dense_exit_round = chunk_count + zeros + 1  # its turn comes first in a round
         wegner_exit_round = nu + 1
         if dense_exit_round <= wegner_exit_round:
             # dense outputs first: its full cost plus a wegner iteration in
             # every earlier round
-            return _gen + 2 * zeros + 1 + 2 * (dense_exit_round - 1)
-        if wegner_exit_round >= _p:
+            return gen + 2 * zeros + 1 + 2 * (dense_exit_round - 1)
+        if wegner_exit_round >= chunk_count:
             # wegner outputs first, after the whole constant prefix plus
             # (rounds - prefix) dense iterations have run
-            return 2 * nu + _gen + 2 * (wegner_exit_round - _p)
+            return 2 * nu + gen + 2 * (wegner_exit_round - chunk_count)
         # wegner outputs while the constant prefix is still being paid off
         # in chunks of two increments per round
         return 2 * nu + 2 * wegner_exit_round
@@ -258,8 +260,7 @@ def combined_program(width: int) -> GeneratedProgram:
         name="combined",
         width=width,
         text=text,
-        program=parse_program(text),
-        predicted_incdec=_combined_predicted(gen, p),
+        predicted_incdec=_combined_predicted(width, gen, p),
     )
 
 
@@ -285,8 +286,7 @@ def twobit_program() -> GeneratedProgram:
         name="twobit",
         width=2,
         text=text,
-        program=parse_program(text),
-        predicted_incdec=lambda n, nu: 0 if nu == 0 else 1,
+        predicted_incdec=lambda nu: 0 if nu == 0 else 1,
     )
 
 

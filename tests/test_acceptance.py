@@ -66,9 +66,9 @@ def test_exact_step_laws(measurements):
     for (name, width), (gen, data) in measurements.items():
         predicted = gen.predicted_incdec
         for value, nu, _, incdec, _, _ in data:
-            assert incdec == predicted(width, nu), (
+            assert incdec == predicted(nu), (
                 f"{name} n={width} x={value:0{width}b}: incdec {incdec}, "
-                f"law says {predicted(width, nu)}"
+                f"law says {predicted(nu)}"
             )
     # frozen spot values from hand traces
     spot = {v: i for v, _, _, i, _, _ in measurements[("wegner", 4)][1]}
@@ -122,7 +122,7 @@ def test_lower_bound_audit_exhaustive():
     audited = 0
     for width in WIDTHS:
         for gen in shipped_programs(width):
-            report = lower_bound_audit(gen, width)
+            report = lower_bound_audit(gen)
             assert report.ok, report.failures[:3]
             audited += report.inputs_checked
     # the two-bit floor: every non-zero input costs exactly one inc/dec

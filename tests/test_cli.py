@@ -3,6 +3,7 @@ from dataclasses import replace
 import pytest
 
 from countones import (
+    MAX_WIDTH,
     AdversaryParams,
     Divergence,
     Machine,
@@ -79,6 +80,18 @@ def test_twobit_width_rule_is_stated_once(capsys, width):
         ("00", 0, 0), ("01", 1, 1), ("10", 1, 1), ("11", 2, 2)]
 
 
+def test_every_generator_builds_the_width_it_was_asked_for():
+    # sweep_rows and measure take the requested width on trust; a generator
+    # that cannot build a width must raise, not return another width's program
+    for algo, make in cli._ALGOS.items():
+        for width in range(1, MAX_WIDTH + 1):
+            try:
+                gen = make(width)
+            except ValueError:
+                continue
+            assert gen.width == width, (algo, width)
+
+
 # ------------------------------------------------------------------ sweep
 
 
@@ -150,7 +163,7 @@ def test_fuzz_out_writes_violation_rows(tmp_path, capsys, monkeypatch):
     probe = msb_flip_probe(wegner_program(4), AdversaryParams(1, 1, 1, 4))
     early = replace(probe, divergence=Divergence(0, 0))
     monkeypatch.setattr(cli, "fuzz_divergence", lambda *args, **kwargs: replace(
-        real_divergence(*args, **kwargs), violation_count=1, violating_probes=((0, early),)))
+        real_divergence(*args, **kwargs), violating_probes=((0, early),)))
     out_path = tmp_path / "fuzz.csv"
     code, out = run_cli(capsys, "fuzz", "--seed", "3", "--count", "300",
                         "--out", str(out_path))

@@ -83,7 +83,8 @@ def reference_invariant(seed, count, budget=FUZZ_BUDGET, machine=None):
         if not report.ok:
             violation_count += len(report.violations)
             violating.append((run_idx, params, report.violations))
-    report = InvariantFuzzReport(seed, count, exhausted, violation_count, tuple(violating))
+    report = InvariantFuzzReport(seed, count, exhausted, tuple(violating))
+    assert report.violation_count == violation_count  # the derived sum
     return report, cut_in_window
 
 
@@ -98,7 +99,7 @@ def reference_divergence(seed, count, budget=FUZZ_BUDGET):
         diverged += probe.divergence is not None
         if not probe.bound_holds:
             violating.append((run_idx, probe))
-    return DivergenceFuzzReport(seed, count, diverged, len(violating), tuple(violating))
+    return DivergenceFuzzReport(seed, count, diverged, tuple(violating))
 
 
 # ------------------------------------------------------------------ programs

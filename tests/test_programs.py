@@ -5,6 +5,8 @@ import pytest
 
 from countones import (
     CONSTANT_STEP_FACTOR,
+    GeneratedProgram,
+    ParseError,
     Word,
     broadword_popcount,
     combined_program,
@@ -35,7 +37,7 @@ def test_wegner_spot_values():
     g12 = wegner_program(12)
     res = run(g12, 12, (1 << 12) - 1)
     assert res.output.value == 12
-    assert res.counters.incdec_steps == 24 == g12.predicted_incdec(12, 12)
+    assert res.counters.incdec_steps == 24 == g12.predicted_incdec(12)
 
 
 # ---------------------------------------------------------------- constant
@@ -104,7 +106,7 @@ def test_combined_sparse_input_bound():
     assert res.output.value == 1
     bound = 2 * min(2 * 1, constant_inc_count(12) + 2 * 11 + 1) + 2
     assert res.counters.incdec_steps <= bound == 6
-    assert res.counters.incdec_steps == g.predicted_incdec(12, 1)
+    assert res.counters.incdec_steps == g.predicted_incdec(1)
 
 
 def test_combined_dense_input_finishes_early():
@@ -112,7 +114,7 @@ def test_combined_dense_input_finishes_early():
     res = run(g, 12, (1 << 12) - 1)
     assert res.output.value == 12
     # far below what the clearing loop alone would need (24)
-    assert res.counters.incdec_steps == g.predicted_incdec(12, 12) < 24
+    assert res.counters.incdec_steps == g.predicted_incdec(12) < 24
 
 
 # ------------------------------------------------ exhaustive program laws
@@ -126,7 +128,7 @@ def test_outputs_and_exact_step_laws_exhaustive(width):
             nu = popcount_naive(word)
             res = execute(gen.program, word)
             assert res.output is not None and res.output.value == nu, (gen.name, value)
-            assert res.counters.incdec_steps == gen.predicted_incdec(width, nu), (
+            assert res.counters.incdec_steps == gen.predicted_incdec(nu), (
                 gen.name,
                 value,
             )
@@ -170,6 +172,11 @@ def test_generated_text_round_trips(width):
         for value in range(min(1 << width, 64)):
             word = Word(width, value)
             assert execute(reparsed, word) == execute(gen.program, word)
+
+
+def test_generated_program_parses_its_text_when_built():
+    with pytest.raises(ParseError, match="line 2"):
+        GeneratedProgram("broken", 3, "OUT x\nNOPE x", lambda nu: 0)
 
 
 def test_width_validation():

@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from countones import (
+    AUDIT_WIDTH_MAX,
     AdversaryParams,
     AuditFailure,
     AuditReport,
@@ -188,30 +189,30 @@ def test_probe_exhaustive_equal_end_params():
 
 
 def test_audit_wegner_width_8():
-    report = lower_bound_audit(wegner_program(8), 8)
+    report = lower_bound_audit(wegner_program(8))
     assert report.ok
     assert report.min_ratio == 2.0  # incdec = 2*nu against a nu bound
     assert report.max_incdec == 16
 
 
 def test_audit_dense_and_twobit():
-    assert lower_bound_audit(dense_program(8), 8).ok
-    twobit = lower_bound_audit(twobit_program(), 2)
+    assert lower_bound_audit(dense_program(8)).ok
+    twobit = lower_bound_audit(twobit_program())
     assert twobit.ok
     assert twobit.max_incdec == 1
 
 
 def test_audit_reports_unchanged():
     # whole reports, as the audit gave them before it became a fold of measure()
-    assert lower_bound_audit(wegner_program(12), 12) == AuditReport(
+    assert lower_bound_audit(wegner_program(12)) == AuditReport(
         "wegner", 12, 4096, (), 2.0, 24)
-    assert lower_bound_audit(dense_program(8), 8) == AuditReport(
+    assert lower_bound_audit(dense_program(8)) == AuditReport(
         "dense", 8, 256, (), 11 / 3, 21)
-    assert lower_bound_audit(dense_program(12), 12) == AuditReport(
+    assert lower_bound_audit(dense_program(12)) == AuditReport(
         "dense", 12, 4096, (), 3.2, 30)
-    assert lower_bound_audit(combined_program(12), 12) == AuditReport(
+    assert lower_bound_audit(combined_program(12)) == AuditReport(
         "combined", 12, 4096, (), 4.2, 29)
-    assert lower_bound_audit(twobit_program(), 2) == AuditReport("twobit", 2, 4, (), None, 1)
+    assert lower_bound_audit(twobit_program()) == AuditReport("twobit", 2, 4, (), None, 1)
 
 
 def test_audit_is_a_fold_of_measure(complement_mov_machine):
@@ -219,7 +220,7 @@ def test_audit_is_a_fold_of_measure(complement_mov_machine):
     check = LowerBoundCheck("twobit", 2)
     for row in measure(gen.program, 2, range(4), complement_mov_machine):
         check.add(row)
-    report = lower_bound_audit(gen, 2, machine=complement_mov_machine)
+    report = lower_bound_audit(gen, machine=complement_mov_machine)
     assert check.report() == report
     assert report.failures == (
         AuditFailure("10", 1, "output", "expected 1, got 2"),
@@ -244,7 +245,7 @@ def test_audit_verdict_is_the_output_check():
             check = LowerBoundCheck(gen.name, width)
             rejected = [f"{row[0]:0{width}b}" for row in measure(gen.program, width, inputs, broken)
                         if not check.add(row)]
-            report = lower_bound_audit(gen, width, machine=broken)
+            report = lower_bound_audit(gen, machine=broken)
             assert rejected == [f.input_bits for f in report.failures if f.kind == "output"]
             wrong += len(rejected)
             stock = LowerBoundCheck(gen.name, width)
@@ -263,10 +264,9 @@ def test_measure_rows():
 
 
 def test_audit_rejects_bad_widths():
-    with pytest.raises(ValueError):
-        lower_bound_audit(wegner_program(13), 13)
-    with pytest.raises(ValueError):
-        lower_bound_audit(wegner_program(4), 8)
+    for width in (1, AUDIT_WIDTH_MAX + 1):
+        with pytest.raises(ValueError, match=rf"2\.\.{AUDIT_WIDTH_MAX}, got {width}$"):
+            lower_bound_audit(wegner_program(width))
 
 
 def test_audit_catches_a_wrong_counter():
@@ -277,10 +277,10 @@ def test_audit_catches_a_wrong_counter():
         name="identity",
         width=3,
         text="OUT x",
-        program=parse_program("OUT x"),
-        predicted_incdec=lambda n, nu: 0,
+        predicted_incdec=lambda nu: 0,
     )
-    report = lower_bound_audit(fake, 3)
+    assert fake.program == parse_program("OUT x")
+    report = lower_bound_audit(fake)
     assert not report.ok
     assert any(f.kind == "output" for f in report.failures)
 
