@@ -8,7 +8,7 @@ and INC/DEC are additionally counted on their own meter -- that second meter
 is the whole point of the laboratory.
 """
 
-from countones import Word, execute, parse_program
+from countones import Machine, Word, execute, parse_program
 
 SOURCE = """\
 ; count the ones of x by clearing the lowest set bit per pass
@@ -25,14 +25,16 @@ program = parse_program(SOURCE)
 print(f"parsed {len(program)} instructions, registers {program.register_names}")
 
 x = Word.from_bits("1011")
-result = execute(program, x, trace=True)
+# an observer is shown every state of the run; this one keeps a copy of each
+states = []
+result = Machine().run(program, x, observer=lambda i, pc, regs: states.append((i, pc, dict(regs))))
 print(f"input {x.to_bits()} -> output {result.output.value}")
 print(f"steps: {result.counters.total_steps} total, "
       f"{result.counters.incdec_steps} inc/dec")
 
-print("\nfirst few snapshots (inc/dec meter, just-executed pc, registers):")
-for snap in result.trace[:8]:
-    print(f"  i={snap.incdec_index}  pc={snap.pc}  {snap.registers}")
+print("\nfirst few states (inc/dec meter, just-executed pc, registers):")
+for i, pc, registers in states[:8]:
+    print(f"  i={i}  pc={pc}  {registers}")
 
 print("\nwraparound is load-bearing:")
 print("  1111 + 1 ->", execute(parse_program("INC x\nOUT x"), Word(4, 0b1111)).output.to_bits())

@@ -13,9 +13,8 @@ from countones import (
     AdversaryParams,
     KSchedule,
     Machine,
+    PrefixInvariantCheck,
     adversary_input,
-    check_prefix_invariant,
-    execute,
     fuzz_invariant,
     parse_program,
     wegner_program,
@@ -28,9 +27,11 @@ print(f"adversary input: {x.to_bits()}  (e={params.e}, m={params.m}, d={params.d
 print("protected prefix lengths:",
       {i: sched.k_value(i) for i in range(params.m + 2)})
 
-result = execute(wegner_program(params.n).program, x, trace=True)
-report = check_prefix_invariant(result.trace, params)
-print(f"\nwegner trace: {len(result.trace)} snapshots, "
+# the checker watches the run as an observer and lets go once i > m
+check = PrefixInvariantCheck(params)
+result = Machine().run(wegner_program(params.n).program, x, observer=check.observe)
+report = check.report()
+print(f"\nwegner run: {result.counters.total_steps + 1} states, "
       f"{report.snapshots_checked} checked, violations: {len(report.violations)}")
 
 print("\nfuzzing 2000 random programs on random adversary words:")
@@ -49,8 +50,9 @@ class NonWrappingInc(Machine):
 broken = NonWrappingInc()
 program = parse_program("DEC a\nINC a\nOUT a")
 wide = AdversaryParams(e=0, m=5, d=0, n=12)
-res = broken.run(program, adversary_input(wide), trace=True)
-bad = check_prefix_invariant(res.trace, wide)
+check = PrefixInvariantCheck(wide)
+broken.run(program, adversary_input(wide), observer=check.observe)
+bad = check.report()
 print("\nthe same checker against a non-wrapping INC:")
 for v in bad.violations:
     print(f"  snapshot {v.snapshot_index} (i={v.incdec_index}): register "

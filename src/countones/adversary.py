@@ -8,12 +8,11 @@ empirically checkable:
   register in a tight straitjacket:
 
 * the **prefix invariant** (:class:`PrefixInvariantCheck`, run online as a
-  :meth:`Machine.run` observer, or over a recorded trace by
-  :func:`check_prefix_invariant`): after ``i``
-  inc/dec steps, the top ``k_i`` bits of every register are all-zeros,
-  all-ones, or the input's own top ``k_i`` bits, where ``k_0 = n`` and
-  ``k_i = 2*(m - i) + 1``.  Each inc/dec can chew at most two bits off the
-  protected prefix, which is what the shrinking schedule expresses.
+  :meth:`Machine.run` observer): after ``i`` inc/dec steps, the top
+  ``k_i`` bits of every register are all-zeros, all-ones, or the input's
+  own top ``k_i`` bits, where ``k_0 = n`` and ``k_i = 2*(m - i) + 1``.
+  Each inc/dec can chew at most two bits off the protected prefix, which
+  is what the shrinking schedule expresses.
 
 * the **MSB flip probe** (:func:`msb_flip_probe`): on inputs with ``e = d``,
   flipping the most significant bit cannot change the branch decisions of
@@ -48,7 +47,6 @@ from .vm import (
     HaltReason,
     Machine,
     Program,
-    TraceSnapshot,
 )
 from .words import MAX_WIDTH, Word, popcount_naive
 
@@ -59,7 +57,6 @@ __all__ = [
     "Violation",
     "ViolationReport",
     "PrefixInvariantCheck",
-    "check_prefix_invariant",
     "MsbFlipProbe",
     "msb_flip_probe",
     "Row",
@@ -201,28 +198,11 @@ class PrefixInvariantCheck:
         return ViolationReport(self.params, self.checked, tuple(self.violations))
 
 
-def check_prefix_invariant(
-    trace: list[TraceSnapshot], params: AdversaryParams
-) -> ViolationReport:
-    """Check a recorded trace against the prefix invariant.
-
-    ``trace`` must come from an execution on ``adversary_input(params)``.
-    Feeds the snapshots through :class:`PrefixInvariantCheck` up to the first
-    one past ``i = m``; the later ones are vacuous and skipped.
-    """
-    check = PrefixInvariantCheck(params)
-    for snap in trace:
-        if not check.observe(snap.incdec_index, snap.pc, snap.registers):
-            break
-    return check.report()
-
-
 @dataclass(frozen=True)
 class MsbFlipProbe:
     """Outcome of running a program on an adversary word and its MSB flip.
 
-    ``result_x`` and ``result_flipped`` are complete untraced results
-    (``trace`` is ``None``).
+    ``result_x`` and ``result_flipped`` are the complete results of both runs.
     """
 
     params: AdversaryParams
@@ -254,10 +234,13 @@ def msb_flip_probe(
     branch -- so such parameters are rejected.
 
     Returns the first control-flow divergence (if any) and whether it
-    respects ``incdec_index >= min(nu, n - nu)``.  It is the one
-    :func:`diff_traces` would find on traced runs, but only the run on ``x``
-    records its path, and the run on the flipped word stops comparing at the
-    first difference or where that path ends.
+    respects ``incdec_index >= min(nu, n - nu)``.  The run on ``x`` records
+    its path of executed instructions through an observer; the run on the
+    flipped word is compared against it online and stops comparing at the
+    first difference or where that path ends.  A path that is a prefix of
+    the other is no divergence, so a last branch that one run takes and the
+    other falls through, off the end, goes unseen (``L0: INC a`` / ``BZ x
+    L0`` on ``0000`` and ``1000`` under budget 50).
     """
     if params.e != params.d:
         raise ValueError(
@@ -280,7 +263,7 @@ def msb_flip_probe(
     def compare(i: int, pc: int | None, regs: dict[str, int]) -> bool:
         nonlocal divergence, step
         if step == len(path):
-            return False  # one path is a prefix of the other; see diff_traces
+            return False  # one path is a prefix of the other, which is no divergence
         if pc != path[step][0]:
             divergence = Divergence(step - 1, path[step - 1][1])
             return False

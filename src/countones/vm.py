@@ -41,8 +41,8 @@ in its own ``match``, so that it stays an independent oracle for the
 compiled path.
 
 The interpreter is a pure function of (program, input, budget): no shared
-mutable state, so any number of executions may run concurrently.  Trace
-memory belongs to the caller of each execution.
+mutable state, so any number of executions may run concurrently.  What an
+observer keeps belongs to the caller of each execution.
 
 Observers.  :meth:`Machine.run` takes one optional ``observer`` callback,
 called as ``observer(incdec_index, pc, registers)`` on the initial state
@@ -52,20 +52,21 @@ attached until it returns ``False`` (any other value, ``None`` included,
 keeps it attached); once detached it is never called again, and the run
 goes on to its normal halt with the same counters as an unobserved run.
 ``registers`` is the interpreter's live register dict: read it during the
-call, copy what must outlive it, and never mutate it.  ``trace=True`` is the
-recording observer that copies each state into a :class:`TraceSnapshot`.
+call, copy what must outlive it, and never mutate it.  An observer is the
+one way to watch a run: to record one, append a copy of each state, as in
+``observer=lambda i, pc, regs: states.append((i, pc, dict(regs)))``.
 
-Compiled runs.  A run with no observer, no trace and a machine whose class
-keeps the stock ``_inc``/``_dec``/``_mov`` executes compiled code; every
-other run, and every hook override, uses the reference loop, which stays the
-oracle.  On a program's first such run it is split into straight-line
-segments of at most :data:`SEG` instructions, one Python function each,
-cached on the :class:`Program` (nothing is compiled at parse time).  A
-segment starts at 0, at every jump target and after every JMP/OUT; inside it
-the registers live in a list, a taken conditional branch is a side exit, and
-the step counts of every exit are compile-time constants.  Before a segment
-runs, the end of the program is tested first and then ``total + len(segment)
-> budget``; a segment that might cross the budget is not entered, and the
+Compiled runs.  A run with no observer and a machine whose class keeps the
+stock ``_inc``/``_dec``/``_mov`` executes compiled code; every other run,
+and every hook override, uses the reference loop, which stays the oracle.
+On a program's first such run it is split into straight-line segments of at
+most :data:`SEG` instructions, one Python function each, cached on the
+:class:`Program` (nothing is compiled at parse time).  A segment starts at
+0, at every jump target and after every JMP/OUT; inside it the registers
+live in a list, a taken conditional branch is a side exit, and the step
+counts of every exit are compile-time constants.  Before a segment runs, the
+end of the program is tested first and then ``total + len(segment) >
+budget``; a segment that might cross the budget is not entered, and the
 reference loop resumes at that ``pc`` with the same registers and counters.
 The budget cut-off, the halt reason and both counters are therefore exactly
 those of the reference loop.
@@ -92,13 +93,11 @@ __all__ = [
     "parse_program",
     "HaltReason",
     "StepCounters",
-    "TraceSnapshot",
     "ExecResult",
     "Observer",
     "Machine",
     "execute",
     "Divergence",
-    "diff_traces",
 ]
 
 DEFAULT_BUDGET = 1_000_000
@@ -291,20 +290,6 @@ class StepCounters:
     incdec_steps: int
 
 
-@dataclass(frozen=True, slots=True)
-class TraceSnapshot:
-    """Register file after one executed instruction.
-
-    ``incdec_index`` is the number of INC/DEC executed so far, ``pc`` the
-    index of the instruction just executed (``None`` for the initial state).
-    Register values are plain ints; they all share the input's width.
-    """
-
-    incdec_index: int
-    pc: int | None
-    registers: dict[str, int]
-
-
 # observer(incdec_index, pc, registers); returning False detaches it.
 Observer = Callable[[int, int | None, dict[str, int]], bool | None]
 
@@ -314,7 +299,6 @@ class ExecResult:
     output: Word | None
     counters: StepCounters
     halt_reason: HaltReason
-    trace: list[TraceSnapshot] | None = field(default=None, repr=False)
 
 
 class Machine:
@@ -325,7 +309,7 @@ class Machine:
     INC and a complementing MOV to prove the invariant checker actually
     bites).  The stock machine wraps at the word boundary.
 
-    Untraced, unobserved runs of a machine that overrides none of these hooks
+    Unobserved runs of a machine that overrides none of these hooks
     execute compiled segments (see the module docstring); every other run
     takes the reference loop, so an override always applies.  Both paths
     give identical :class:`ExecResult` values, budget cut-off included.
@@ -345,7 +329,6 @@ class Machine:
         program: Program,
         x: Word,
         budget: int = DEFAULT_BUDGET,
-        trace: bool = False,
         observer: Observer | None = None,
     ) -> ExecResult:
         """Run ``program`` on ``x`` until OUT, the end of the program or ``budget`` steps.
@@ -353,19 +336,14 @@ class Machine:
         ``observer`` is called with ``(incdec_index, pc, registers)`` on the
         initial state and after each executed instruction, until it returns
         ``False``; the run itself is unaffected either way.  ``registers`` is
-        the live register dict: do not keep or mutate it.  ``trace=True``
-        records every state as a :class:`TraceSnapshot` in ``result.trace``;
-        it cannot be combined with an ``observer``.  A run with neither, on
-        a machine without hook overrides, executes compiled code.
+        the live register dict: do not keep or mutate it.  A run without an
+        observer, on a machine without hook overrides, executes compiled code.
         """
         if budget < 1:
             raise ValueError(f"budget must be >= 1, got {budget}")
-        if trace and observer is not None:
-            raise ValueError("trace=True records through its own observer; pass one or the other")
         cls = type(self)
         if (
             observer is None
-            and not trace
             and cls._inc is Machine._inc
             and cls._dec is Machine._dec
             and cls._mov is Machine._mov
@@ -374,17 +352,9 @@ class Machine:
 
         regs: dict[str, int] = {name: 0 for name in program.register_names}
         regs["x"] = x.value
-        snaps: list[TraceSnapshot] | None = None
-        if trace:
-            snaps = []
-
-            def record(incdec_index: int, at: int | None, registers: dict[str, int]) -> None:
-                snaps.append(TraceSnapshot(incdec_index, at, dict(registers)))
-
-            observer = record
         if observer is not None and observer(0, None, regs) is False:
             observer = None
-        return self._interpret(program, x.width, regs, budget, 0, 0, 0, observer, snaps)
+        return self._interpret(program, x.width, regs, budget, 0, 0, 0, observer)
 
     def _run_compiled(self, program: Program, x: Word, budget: int) -> ExecResult:
         """Run segment by segment; hand a segment that might cross ``budget`` to the reference loop."""
@@ -401,7 +371,7 @@ class Machine:
             segment, length = segments[pc]
             if total + length > budget:
                 regs = dict(zip(program.register_names, r))
-                return self._interpret(program, width, regs, budget, pc, total, incdec, None, None)
+                return self._interpret(program, width, regs, budget, pc, total, incdec, None)
             pc, steps, k = segment(r, mask)
             total += steps
             incdec += k
@@ -418,7 +388,6 @@ class Machine:
         total: int,
         incdec: int,
         observer: Observer | None,
-        snaps: list[TraceSnapshot] | None,
     ) -> ExecResult:
         """The reference loop, from ``pc`` with the given registers and counters."""
         mask = (1 << width) - 1
@@ -476,17 +445,12 @@ class Machine:
                 break
             pc = next_pc
 
-        return ExecResult(output, StepCounters(total, incdec), halt, snaps)
+        return ExecResult(output, StepCounters(total, incdec), halt)
 
 
-def execute(
-    program: Program,
-    x: Word,
-    budget: int = DEFAULT_BUDGET,
-    trace: bool = False,
-) -> ExecResult:
+def execute(program: Program, x: Word, budget: int = DEFAULT_BUDGET) -> ExecResult:
     """Run ``program`` on input ``x`` with the stock machine."""
-    return Machine().run(program, x, budget=budget, trace=trace)
+    return Machine().run(program, x, budget=budget)
 
 
 @dataclass(frozen=True, slots=True)
@@ -501,23 +465,3 @@ class Divergence:
     step_index: int
     incdec_index: int
 
-
-def diff_traces(a: ExecResult, b: ExecResult) -> Divergence | None:
-    """Locate the earliest control-flow divergence between two traced runs.
-
-    Both results must carry traces produced by the *same* program (that part
-    of the contract is the caller's).  Returns ``None`` when the executed
-    instruction sequences are identical, or when one is a prefix of the other.
-    A prefix does not prove that every branch resolved alike: a run's last
-    instruction has no successor to compare, so a final branch that one run
-    takes and the other falls through (off the end) goes unseen.  For
-    example, ``L0: INC a`` / ``BZ x L0`` on ``0000`` and ``1000`` under
-    budget 50 exhausts its budget on one and falls off the end on the
-    other, yet gives ``None``.
-    """
-    if a.trace is None or b.trace is None:
-        raise ValueError("diff_traces needs both results traced (trace=True)")
-    for idx, (sa, sb) in enumerate(zip(a.trace[1:], b.trace[1:])):
-        if sa.pc != sb.pc:
-            return Divergence(idx, a.trace[idx].incdec_index)
-    return None

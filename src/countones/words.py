@@ -50,15 +50,10 @@ class Word:
 
 
 def popcount_naive(x: Word) -> int:
-    """Count one bits by inspecting every bit.
+    """Count one bits by inspecting every digit of ``bin(x.value)``.
 
     This is the ground-truth oracle: every counting program and every fancier
     popcount routine in this package is checked against it, so it must stay
     independent of the ``x AND (x-1)`` trick and of any table or fold.
     """
-    v = x.value
-    count = 0
-    while v:
-        count += v & 1
-        v >>= 1
-    return count
+    return bin(x.value).count("1")

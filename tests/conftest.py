@@ -1,6 +1,15 @@
 import pytest
 
-from countones import Machine
+from countones import DEFAULT_BUDGET, Machine
+
+
+def record_run(program, x, budget=DEFAULT_BUDGET, machine=None):
+    """A run's result and a copy of every state its observer was shown, as
+    ``(incdec_index, pc, registers)``, the initial state first."""
+    states = []
+    result = (machine or Machine()).run(
+        program, x, budget=budget, observer=lambda i, pc, regs: states.append((i, pc, dict(regs))))
+    return result, states
 
 
 class NonWrappingIncMachine(Machine):

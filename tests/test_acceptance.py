@@ -136,7 +136,7 @@ def test_lower_bound_audit_exhaustive():
 
 
 def test_prefix_invariant_fuzz_and_checker_sensitivity():
-    """10^4 random traced runs stay clean; a broken interpreter does not"""
+    """10^4 random observed runs stay clean; a broken interpreter does not"""
     report = fuzz_invariant(seed=1, program_count=10_000, width_range=(4, 16))
     assert report.ok, report.violating_runs[:2]
     mutated = fuzz_invariant(

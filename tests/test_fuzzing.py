@@ -1,9 +1,9 @@
 import random
-from dataclasses import replace
 
 import pytest
 
 from countones import (
+    Divergence,
     DivergenceFuzzReport,
     HaltReason,
     InvariantFuzzReport,
@@ -12,8 +12,6 @@ from countones import (
     Violation,
     Word,
     adversary_input,
-    check_prefix_invariant,
-    diff_traces,
     fuzz_divergence,
     fuzz_invariant,
     msb_flip_probe,
@@ -24,44 +22,49 @@ from countones import (
 )
 from countones.fuzzing import FUZZ_BUDGET, random_adversary_params
 
-from conftest import ComplementMovMachine, NonWrappingIncMachine
+from conftest import ComplementMovMachine, NonWrappingIncMachine, record_run
 
 # ----------------------------------------------------------------- reference
 # The campaigns recomputed from the same rng draws the slow way: program
-# text through the parser, fully traced runs, and the checks applied to the
-# recorded traces afterwards.
+# text through the parser, runs that record every state, and the checks
+# applied to the recorded states afterwards.
 
 
-def reference_violations(trace, params):
-    """The invariant stated on bit strings, snapshot by snapshot: (checked, violations)."""
+def reference_violations(states, params):
+    """The invariant stated on bit strings, state by state."""
     n, m = params.n, params.m
     xbits = adversary_input(params).to_bits()
-    checked, violations = 0, []
-    for snap_idx, snap in enumerate(trace):
-        i = snap.incdec_index
+    violations = []
+    for snap_idx, (i, _, registers) in enumerate(states):
         if i > m:
             break
         k = n if i == 0 else 2 * (m - i) + 1
         allowed = ("0" * k, "1" * k, xbits[:k])
-        for name, value in snap.registers.items():
+        for name, value in registers.items():
             prefix = format(value >> (n - k), f"0{k}b")
             if prefix not in allowed:
                 violations.append(Violation(snap_idx, i, name, prefix, allowed))
-        checked += 1
-    return checked, tuple(violations)
+    return tuple(violations)
+
+
+def first_divergence(a, b):
+    """Where two recorded runs of one program first execute different
+    instructions; a run whose path is a prefix of the other's is no divergence."""
+    for idx, ((_, pc_a, _), (_, pc_b, _)) in enumerate(zip(a[1:], b[1:])):
+        if pc_a != pc_b:
+            return Divergence(idx, a[idx][0])
+    return None
 
 
 def reference_probe(program, params, budget):
     x = adversary_input(params)
     flipped = Word(params.n, x.value ^ (1 << (params.n - 1)))
-    result_x = Machine().run(program, x, budget=budget, trace=True)
-    result_flipped = Machine().run(program, flipped, budget=budget, trace=True)
+    result_x, states_x = record_run(program, x, budget)
+    result_flipped, states_flipped = record_run(program, flipped, budget)
     nu = popcount_naive(x)
     return MsbFlipProbe(
         params, x, flipped, nu, min(nu, params.n - nu),
-        diff_traces(result_x, result_flipped),
-        replace(result_x, trace=None),
-        replace(result_flipped, trace=None),
+        first_divergence(states_x, states_flipped), result_x, result_flipped,
     )
 
 
@@ -73,16 +76,14 @@ def reference_invariant(seed, count, budget=FUZZ_BUDGET, machine=None):
     for run_idx in range(count):
         program = parse_program(random_program_text(rng))
         params = random_adversary_params(rng, (4, 16))
-        result = machine.run(program, adversary_input(params), budget=budget, trace=True)
+        result, states = record_run(program, adversary_input(params), budget, machine)
         if result.halt_reason is HaltReason.BUDGET_EXHAUSTED:
             exhausted += 1
-            cut_in_window += result.trace[-1].incdec_index <= params.m
-        report = check_prefix_invariant(result.trace, params)
-        assert (report.snapshots_checked, report.violations) == reference_violations(
-            result.trace, params)
-        if not report.ok:
-            violation_count += len(report.violations)
-            violating.append((run_idx, params, report.violations))
+            cut_in_window += states[-1][0] <= params.m
+        violations = reference_violations(states, params)
+        if violations:
+            violation_count += len(violations)
+            violating.append((run_idx, params, violations))
     report = InvariantFuzzReport(seed, count, exhausted, tuple(violating))
     assert report.violation_count == violation_count  # the derived sum
     return report, cut_in_window
@@ -126,7 +127,7 @@ def test_max_len_below_two_is_rejected_before_drawing():
         fuzz_divergence(seed=1, program_count=5, max_len=1)
 
 
-# -------------------------------------------------- online checks vs traces
+# ------------------------------------------ online checks vs recorded runs
 
 
 @pytest.mark.parametrize("seed", [1, 2, 42])
@@ -164,7 +165,6 @@ def test_flip_probe_matches_traced_reference():
         budget = rng.choice((1, 2, 7, 30, FUZZ_BUDGET))
         probe = msb_flip_probe(program, params, budget=budget)
         assert probe == reference_probe(program, params, budget)
-        assert probe.result_x.trace is None and probe.result_flipped.trace is None
         outcomes.add((probe.divergence is not None, probe.result_x.halt_reason))
     # both verdicts were reached, and runs were cut by the budget
     assert {d for d, _ in outcomes} == {False, True}

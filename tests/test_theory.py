@@ -7,16 +7,16 @@ from countones import (
     AdversaryParams,
     AuditFailure,
     AuditReport,
+    Divergence,
     HaltReason,
     KSchedule,
     LowerBoundCheck,
-    TraceSnapshot,
+    Machine,
+    PrefixInvariantCheck,
     Word,
     adversary_input,
-    check_prefix_invariant,
     combined_program,
     dense_program,
-    execute,
     lower_bound_audit,
     measure,
     msb_flip_probe,
@@ -27,7 +27,7 @@ from countones import (
     wegner_program,
 )
 
-from conftest import ComplementMovMachine
+from conftest import ComplementMovMachine, record_run
 
 adversary_params = st.integers(1, 24).flatmap(
     lambda n: st.builds(
@@ -84,11 +84,19 @@ def test_k_schedule_values():
 # --------------------------------------------------------- prefix invariant
 
 
+def invariant_report(program, params, machine=None):
+    """The prefix invariant checked online over one run on ``adversary_input(params)``."""
+    check = PrefixInvariantCheck(params)
+    (machine or Machine()).run(program, adversary_input(params), observer=check.observe)
+    return check.report()
+
+
 def test_initial_state_always_satisfies_invariant():
     params = AdversaryParams(1, 2, 1, 8)
     x = adversary_input(params)
-    trace = [TraceSnapshot(0, None, {"x": x.value, "a": 0, "b": 0})]
-    report = check_prefix_invariant(trace, params)
+    check = PrefixInvariantCheck(params)
+    check.observe(0, None, {"x": x.value, "a": 0, "b": 0})
+    report = check.report()
     assert report.ok
     assert report.snapshots_checked == 1
 
@@ -97,8 +105,9 @@ def test_fabricated_violation_detected():
     params = AdversaryParams(1, 2, 0, 8)
     # a register whose top three bits are 010 at inc/dec index 1:
     # allowed prefixes there are 000, 111 and 101
-    trace = [TraceSnapshot(1, 0, {"r": 0b010_00000})]
-    report = check_prefix_invariant(trace, params)
+    check = PrefixInvariantCheck(params)
+    check.observe(1, 0, {"r": 0b010_00000})
+    report = check.report()
     assert len(report.violations) == 1
     v = report.violations[0]
     assert v.register == "r"
@@ -108,26 +117,29 @@ def test_fabricated_violation_detected():
 
 def test_wegner_trace_satisfies_invariant():
     params = AdversaryParams(0, 2, 0, 6)
-    res = execute(wegner_program(6).program, adversary_input(params), trace=True)
-    assert check_prefix_invariant(res.trace, params).ok
+    program = wegner_program(6).program
+    report = invariant_report(program, params)
+    assert report.ok
+    # every state up to the last one with i <= m was checked
+    _, states = record_run(program, adversary_input(params))
+    assert report.snapshots_checked == sum(1 for i, _, _ in states if i <= params.m) > 1
 
 
 @given(adversary_params)
 def test_shipped_program_traces_satisfy_invariant(p):
     for gen in (wegner_program(p.n), dense_program(p.n)):
-        res = execute(gen.program, adversary_input(p), trace=True)
-        report = check_prefix_invariant(res.trace, p)
+        report = invariant_report(gen.program, p)
         assert report.ok, report.violations[:3]
 
 
 def test_vacuous_beyond_m_snapshots_are_skipped():
     params = AdversaryParams(0, 1, 0, 6)
-    # arbitrary garbage at inc/dec index 2 (> m) must not be flagged
-    trace = [
-        TraceSnapshot(0, None, {"x": adversary_input(params).value}),
-        TraceSnapshot(2, 0, {"x": 0b110011}),
-    ]
-    report = check_prefix_invariant(trace, params)
+    # arbitrary garbage at inc/dec index 2 (> m) must not be flagged, and
+    # detaches the check
+    check = PrefixInvariantCheck(params)
+    assert check.observe(0, None, {"x": adversary_input(params).value}) is True
+    assert check.observe(2, 0, {"x": 0b110011}) is False
+    report = check.report()
     assert report.ok
     assert report.snapshots_checked == 1
 
@@ -141,8 +153,8 @@ def test_probe_wegner_divergence_respects_bound():
     assert probe.x == Word.from_bits("001010")
     assert probe.x_flipped == Word.from_bits("101010")
     assert probe.bound == 2
-    assert probe.divergence is not None
-    assert probe.divergence.incdec_index == 4
+    # hand trace: the third BZ resolves differently, after 4 inc/dec steps
+    assert probe.divergence == Divergence(13, 4)
     assert probe.bound_holds
 
 
@@ -160,8 +172,8 @@ def test_probe_dense_program():
     assert probe.bound_holds
 
 
-@pytest.mark.xfail(strict=True, reason="the probe inherits the diff_traces blind spot: a "
-                                        "branch that falls off the end goes unseen")
+@pytest.mark.xfail(strict=True, reason="a path that is a prefix of the other is no divergence, "
+                                        "so a branch that falls off the end goes unseen")
 def test_probe_sees_a_branch_off_the_end():
     # 0000 loops until the budget ends; its flip 1000 falls off the end
     probe = msb_flip_probe(parse_program("L0: INC a\nBZ x L0"), AdversaryParams(0, 0, 0, 4),
@@ -291,8 +303,7 @@ def test_audit_catches_a_wrong_counter():
 def test_non_wrapping_inc_breaks_invariant(non_wrapping_machine):
     program = parse_program("DEC a\nINC a\nOUT a")
     params = AdversaryParams(0, 5, 0, 12)
-    res = non_wrapping_machine.run(program, adversary_input(params), trace=True)
-    report = check_prefix_invariant(res.trace, params)
+    report = invariant_report(program, params, non_wrapping_machine)
     assert not report.ok
     assert any(v.incdec_index == 2 for v in report.violations)
 
@@ -300,7 +311,6 @@ def test_non_wrapping_inc_breaks_invariant(non_wrapping_machine):
 def test_complement_mov_breaks_invariant(complement_mov_machine):
     program = parse_program("MOV a x\nOUT a")
     params = AdversaryParams(0, 3, 0, 8)
-    res = complement_mov_machine.run(program, adversary_input(params), trace=True)
-    report = check_prefix_invariant(res.trace, params)
+    report = invariant_report(program, params, complement_mov_machine)
     assert not report.ok
     assert report.violations[0].incdec_index == 0

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -10,14 +9,14 @@ from countones import (
     Machine,
     ParseError,
     Word,
-    diff_traces,
     execute,
     parse_program,
     shipped_programs,
-    wegner_program,
 )
 from countones.fuzzing import _OP_DECK, random_program
 from countones.vm import OPCODES, SEG, Instruction, Program
+
+from conftest import record_run
 
 WEGNER_TEXT = """\
 loop: BZ x done
@@ -158,41 +157,38 @@ def test_bnz_branch():
 
 def test_determinism():
     program = parse_program(WEGNER_TEXT)
-    a = execute(program, Word(6, 0b110101), trace=True)
-    b = execute(program, Word(6, 0b110101), trace=True)
+    a = record_run(program, Word(6, 0b110101))
+    b = record_run(program, Word(6, 0b110101))
     assert a == b
 
 
 def test_trace_contract():
     program = parse_program(WEGNER_TEXT)
-    res = execute(program, Word(4, 0b1011), trace=True)
-    trace = res.trace
-    # initial snapshot plus one per executed instruction
+    res, trace = record_run(program, Word(4, 0b1011))
+    # initial state plus one per executed instruction
     assert len(trace) == res.counters.total_steps + 1
-    assert trace[0].pc is None and trace[0].incdec_index == 0
-    assert trace[0].registers == {"x": 0b1011, "t": 0, "c": 0}
+    assert trace[0] == (0, None, {"x": 0b1011, "t": 0, "c": 0})
     # counter soundness: incdec_steps equals the number of inc/dec events
-    events = sum(
-        1 for a, b in zip(trace, trace[1:]) if b.incdec_index == a.incdec_index + 1
-    )
+    events = sum(1 for (i, _, _), (j, _, _) in zip(trace, trace[1:]) if j == i + 1)
     assert events == res.counters.incdec_steps
-    assert trace[-1].incdec_index == res.counters.incdec_steps
+    assert trace[-1][0] == res.counters.incdec_steps
     # width preservation
-    for snap in trace:
-        for value in snap.registers.values():
+    for _, _, registers in trace:
+        for value in registers.values():
             assert 0 <= value < (1 << 4)
 
 
 def test_observer_sees_every_traced_state():
-    program = parse_program(WEGNER_TEXT)
-    seen = []
-    res = execute(program, Word(6, 0b110101), trace=True)
-    observed = Machine().run(
-        program, Word(6, 0b110101), observer=lambda i, pc, regs: seen.append((i, pc, dict(regs)))
-    )
-    assert observed.trace is None
-    assert observed == replace(res, trace=None)
-    assert seen == [(s.incdec_index, s.pc, s.registers) for s in res.trace]
+    # hand trace: the initial state, then the state after each instruction
+    program = parse_program("INC a\nMOV b a\nOUT b")
+    observed, seen = record_run(program, Word(4, 5))
+    assert observed == execute(program, Word(4, 5))
+    assert seen == [
+        (0, None, {"x": 5, "a": 0, "b": 0}),
+        (1, 0, {"x": 5, "a": 1, "b": 0}),
+        (1, 1, {"x": 5, "a": 1, "b": 1}),
+        (1, 2, {"x": 5, "a": 1, "b": 1}),
+    ]
 
 
 @pytest.mark.parametrize("detach_at", [0, 1, 5, 31])
@@ -215,56 +211,6 @@ def test_observer_cut_by_the_budget():
     res = Machine().run(program, Word(4, 0), budget=5, observer=lambda i, pc, regs: seen.append(i))
     assert res.halt_reason is HaltReason.BUDGET_EXHAUSTED
     assert seen == [0, 1, 1, 2, 2, 3]
-
-
-def test_observer_and_trace_are_exclusive():
-    with pytest.raises(ValueError):
-        Machine().run(parse_program("OUT x"), Word(4, 1), trace=True, observer=lambda *a: None)
-
-
-def test_diff_traces_identical_runs():
-    program = parse_program(WEGNER_TEXT)
-    a = execute(program, Word(6, 0b001010), trace=True)
-    b = execute(program, Word(6, 0b001010), trace=True)
-    assert diff_traces(a, b) is None
-
-
-def test_diff_traces_wegner_divergence():
-    program = wegner_program(6).program
-    a = execute(program, Word.from_bits("001010"), trace=True)
-    b = execute(program, Word.from_bits("101010"), trace=True)
-    div = diff_traces(a, b)
-    # hand trace: the third BZ resolves differently, after 4 inc/dec steps
-    assert div is not None
-    assert div.step_index == 13
-    assert div.incdec_index == 4
-    assert div.incdec_index >= 2  # min(nu, n - nu) of 001010
-
-
-def test_diff_traces_branchless_program():
-    program = parse_program("OUT x")
-    a = execute(program, Word(4, 1), trace=True)
-    b = execute(program, Word(4, 2), trace=True)
-    assert diff_traces(a, b) is None
-
-
-@pytest.mark.xfail(strict=True, reason="a branch that falls off the end leaves no successor "
-                                        "to compare, so the shorter trace reads as a prefix")
-def test_diff_traces_sees_a_branch_off_the_end():
-    program = parse_program("L0: INC a\nBZ x L0")
-    a = execute(program, Word.from_bits("0000"), budget=50, trace=True)
-    b = execute(program, Word.from_bits("1000"), budget=50, trace=True)
-    assert (a.halt_reason, b.halt_reason) == (HaltReason.BUDGET_EXHAUSTED,
-                                              HaltReason.FELL_OFF_END)
-    assert diff_traces(a, b) is not None
-
-
-def test_diff_traces_requires_traces():
-    program = parse_program("OUT x")
-    a = execute(program, Word(4, 1), trace=True)
-    b = execute(program, Word(4, 2))
-    with pytest.raises(ValueError):
-        diff_traces(a, b)
 
 
 # ------------------------------------------- compiled runs vs the reference
@@ -316,11 +262,11 @@ def test_compiled_budget_cut_at_segment_boundaries():
             segments = program._segments
             for _ in range(3):
                 x = Word(width, rng.randrange(1 << width))
-                trace = execute(program, x, trace=True).trace
-                for t, snap in enumerate(trace[1:]):
-                    if segments[snap.pc] is None:
+                _, trace = record_run(program, x)
+                for t, (_, pc, _) in enumerate(trace[1:]):
+                    if segments[pc] is None:
                         continue  # not where a segment starts
-                    length = segments[snap.pc][1]
+                    length = segments[pc][1]
                     for budget in (t + length - 1, t + length, t + length + 1):
                         if budget >= 1:
                             cases += 1

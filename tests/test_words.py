@@ -6,7 +6,7 @@ from countones import Machine, Word, execute, parse_program, popcount_naive
 
 
 def popcount_second_opinion(x: Word) -> int:
-    # independent of the shift loop in popcount_naive
+    # independent of the bin() count in popcount_naive
     return sum((x.value >> i) & 1 for i in range(x.width))
 
 
@@ -42,7 +42,12 @@ def test_popcount_examples():
 
 @given(words)
 def test_popcount_against_independent_loop(x):
-    assert popcount_naive(x) == popcount_second_opinion(x) == bin(x.value).count("1")
+    assert popcount_naive(x) == popcount_second_opinion(x) == x.value.bit_count()
+
+
+def test_popcount_exhaustive_at_width_16():
+    for value in range(1 << 16):
+        assert popcount_naive(Word(16, value)) == value.bit_count()
 
 
 def test_wraparound_at_the_boundaries():
