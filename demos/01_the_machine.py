@@ -28,14 +28,14 @@ x = Word.from_bits("1011")
 # an observer is shown every state of the run; this one keeps a copy of each
 states = []
 result = Machine().run(program, x, observer=lambda i, pc, regs: states.append((i, pc, dict(regs))))
-print(f"input {x.to_bits()} -> output {result.output.value}")
-print(f"steps: {result.counters.total_steps} total, "
-      f"{result.counters.incdec_steps} inc/dec")
+print(f"input {x.to_bits()} -> output {result.output}")
+print(f"steps: {result.total_steps} total, "
+      f"{result.incdec_steps} inc/dec")
 
 print("\nfirst few states (inc/dec meter, just-executed pc, registers):")
 for i, pc, registers in states[:8]:
     print(f"  i={i}  pc={pc}  {registers}")
 
 print("\nwraparound is load-bearing:")
-print("  1111 + 1 ->", execute(parse_program("INC x\nOUT x"), Word(4, 0b1111)).output.to_bits())
-print("  0000 - 1 ->", execute(parse_program("DEC x\nOUT x"), Word(4, 0)).output.to_bits())
+print("  1111 + 1 ->", format(execute(parse_program("INC x\nOUT x"), Word(4, 0b1111)).output, "04b"))
+print("  0000 - 1 ->", format(execute(parse_program("DEC x\nOUT x"), Word(4, 0)).output, "04b"))

@@ -35,7 +35,7 @@ for label, word in samples.items():
     nu = popcount_naive(word)
     cells = []
     for g in programs:
-        measured = execute(g.program, word).counters.incdec_steps
+        measured = execute(g.program, word).incdec_steps
         law = g.predicted_incdec(nu)
         assert measured == law
         cells.append(f"{measured:>5} ({law:>3})")
@@ -46,6 +46,6 @@ for nu_target in (0, 1, 6, 11, 12):
     value = (1 << nu_target) - 1
     word = Word(N, value)
     nu = popcount_naive(word)
-    w, d, c = (execute(g.program, word).counters.incdec_steps for g in programs)
+    w, d, c = (execute(g.program, word).incdec_steps for g in programs)
     print(f"  nu={nu:>2}: wegner {w:>3}  dense {d:>3}  combined {c:>3}"
           f"  (2*min+2 = {2 * min(w, d) + 2})")

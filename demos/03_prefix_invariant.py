@@ -30,9 +30,8 @@ print("protected prefix lengths:",
 # the checker watches the run as an observer and lets go once i > m
 check = PrefixInvariantCheck(params)
 result = Machine().run(wegner_program(params.n).program, x, observer=check.observe)
-report = check.report()
-print(f"\nwegner run: {result.counters.total_steps + 1} states, "
-      f"{report.snapshots_checked} checked, violations: {len(report.violations)}")
+print(f"\nwegner run: {result.total_steps + 1} states, "
+      f"{check.checked} checked, violations: {len(check.violations)}")
 
 print("\nfuzzing 2000 random programs on random adversary words:")
 fuzz = fuzz_invariant(seed=1, program_count=2000)
@@ -52,8 +51,7 @@ program = parse_program("DEC a\nINC a\nOUT a")
 wide = AdversaryParams(e=0, m=5, d=0, n=12)
 check = PrefixInvariantCheck(wide)
 broken.run(program, adversary_input(wide), observer=check.observe)
-bad = check.report()
 print("\nthe same checker against a non-wrapping INC:")
-for v in bad.violations:
+for v in check.violations:
     print(f"  snapshot {v.snapshot_index} (i={v.incdec_index}): register "
           f"{v.register} has prefix {v.prefix}, allowed {v.allowed}")

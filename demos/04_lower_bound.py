@@ -22,7 +22,7 @@ from countones import (
 )
 
 params = AdversaryParams(e=0, m=2, d=0, n=6)
-probe = msb_flip_probe(wegner_program(6), params)
+probe = msb_flip_probe(wegner_program(6).program, params)
 print(f"probe wegner on {probe.x.to_bits()} vs {probe.x_flipped.to_bits()}:")
 print(f"  nu={probe.nu}, bound={probe.bound}")
 print(f"  first divergence: executed step {probe.divergence.step_index}, "
@@ -39,5 +39,5 @@ print("\nwidth two, where the floor is exactly one decrement:")
 g = twobit_program()
 for value in range(4):
     res = execute(g.program, Word(2, value))
-    print(f"  x={value:02b} -> {res.output.value} "
-          f"({res.counters.incdec_steps} inc/dec)")
+    print(f"  x={value:02b} -> {res.output} "
+          f"({res.incdec_steps} inc/dec)")

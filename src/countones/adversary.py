@@ -17,18 +17,22 @@ empirically checkable:
 * the **MSB flip probe** (:func:`msb_flip_probe`): on inputs with ``e = d``,
   flipping the most significant bit cannot change the branch decisions of
   any program until at least ``min(nu, n - nu)`` inc/dec steps have run, so
-  the two runs must agree on their executed path up to that point.
+  the two runs must agree on their executed path up to that point; the
+  probe reports where they first part as a :class:`Divergence`.
 
 * the **lower-bound audit** (:func:`lower_bound_audit`): exhaustively checks
   a counting program for correctness and for ``incdec_steps >=
   min(nu, n - nu)`` on every input with ``nu != n/2``.  It is a fold of
-  :func:`measure` rows into a :class:`LowerBoundCheck`.
+  :func:`measure` rows into a :class:`LowerBoundCheck`, which it returns.
 
 * **measurement** (:func:`measure`): the one loop that runs a program over a
   set of inputs, yielding ``(value, nu, output, incdec, total, halt)`` per
   input with ``nu`` from the naive oracle.  ``countones verify``, ``sweep``
   and ``table`` read their rows from it, and ``verify`` feeds each row to
   all of its checks at once, so every (program, input) pair runs once.
+
+Each check is its own report: a :class:`PrefixInvariantCheck` or
+:class:`LowerBoundCheck` holds what it has seen so far and says ``ok``.
 
 Audits and fuzzing are embarrassingly parallel across (program, input)
 pairs; every execution is independent.
@@ -40,14 +44,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .programs import GeneratedProgram
-from .vm import (
-    DEFAULT_BUDGET,
-    Divergence,
-    ExecResult,
-    HaltReason,
-    Machine,
-    Program,
-)
+from .vm import DEFAULT_BUDGET, ExecResult, HaltReason, Machine, Program
 from .words import MAX_WIDTH, Word, popcount_naive
 
 __all__ = [
@@ -55,14 +52,13 @@ __all__ = [
     "adversary_input",
     "KSchedule",
     "Violation",
-    "ViolationReport",
     "PrefixInvariantCheck",
+    "Divergence",
     "MsbFlipProbe",
     "msb_flip_probe",
     "Row",
     "measure",
     "AuditFailure",
-    "AuditReport",
     "LowerBoundCheck",
     "lower_bound_audit",
     "AUDIT_WIDTH_MAX",
@@ -126,17 +122,6 @@ class Violation:
     allowed: tuple[str, str, str]
 
 
-@dataclass(frozen=True)
-class ViolationReport:
-    params: AdversaryParams
-    snapshots_checked: int
-    violations: tuple[Violation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 def _prefix_bits(value: int, k: int) -> str:
     # A register that escaped its width renders wider than k; that is the
     # point -- such a state is itself a violation worth seeing verbatim.
@@ -152,9 +137,9 @@ class PrefixInvariantCheck:
     Prefixes are compared as integers (``value >> (n - k)``), which
     additionally flags any register whose value escaped the word width.  The
     first state past ``i = m`` detaches the check: the inc/dec index only
-    grows, so the rest of the run is vacuous.  :meth:`report` summarizes the
-    states seen so far; a violation's ``snapshot_index`` counts the initial
-    state as 0.
+    grows, so the rest of the run is vacuous.  ``checked`` counts the states
+    seen so far and ``violations`` lists what they broke; a violation's
+    ``snapshot_index`` counts the initial state as 0.
     """
 
     def __init__(self, params: AdversaryParams) -> None:
@@ -194,8 +179,22 @@ class PrefixInvariantCheck:
         self.checked += 1
         return True
 
-    def report(self) -> ViolationReport:
-        return ViolationReport(self.params, self.checked, tuple(self.violations))
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+@dataclass(frozen=True, slots=True)
+class Divergence:
+    """First point where two executions of the same program took different paths.
+
+    ``step_index`` is the 0-based position in the executed-instruction
+    sequence; ``incdec_index`` the number of INC/DEC completed before that
+    instruction (equal in both runs, since everything before it matched).
+    """
+
+    step_index: int
+    incdec_index: int
 
 
 @dataclass(frozen=True)
@@ -220,11 +219,11 @@ class MsbFlipProbe:
 
 
 def msb_flip_probe(
-    g: GeneratedProgram | Program,
+    program: Program,
     params: AdversaryParams,
     budget: int = DEFAULT_BUDGET,
 ) -> MsbFlipProbe:
-    """Run a program on ``x`` and on ``x`` with its MSB flipped.
+    """Run ``program`` on ``x`` and on ``x`` with its MSB flipped.
 
     Requires ``e == d`` (the families ``1(01)^m 1^...`` and ``0(01)^m
     0^...``): those are the inputs for which the flip argument is sound, and
@@ -249,7 +248,6 @@ def msb_flip_probe(
         )
     x = adversary_input(params)
     nu = popcount_naive(x)
-    program = g.program if isinstance(g, GeneratedProgram) else g
     flipped = Word(params.n, x.value ^ (1 << (params.n - 1)))
     # (pc, incdec_index) of every state of the run on x, the initial one first
     path: list[tuple[int | None, int]] = []
@@ -306,14 +304,12 @@ def measure(
     for value in values:
         word = Word(width, value)
         res = run(program, word, budget)
-        out = res.output
-        counters = res.counters
         yield (
             word.value,
             popcount_naive(word),
-            None if out is None else out.value,
-            counters.incdec_steps,
-            counters.total_steps,
+            res.output,
+            res.incdec_steps,
+            res.total_steps,
             res.halt_reason,
         )
 
@@ -326,38 +322,29 @@ class AuditFailure:
     detail: str
 
 
-@dataclass(frozen=True)
-class AuditReport:
-    program: str
-    width: int
-    inputs_checked: int
-    failures: tuple[AuditFailure, ...]
-    min_ratio: float | None  # tightest incdec/bound over inputs with bound >= 1
-    max_incdec: int
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
+@dataclass
 class LowerBoundCheck:
     """The lower-bound audit of one program at one width, fed row by row.
 
     :meth:`add` takes each :data:`Row` of :func:`measure`: the output must
     equal ``nu`` (including at density n/2), and where ``nu != n/2`` the
     inc/dec steps must reach ``min(nu, n - nu)``.  It returns whether the
-    row's output was correct, the one verdict ``verify`` reads too.
-    :meth:`report` summarizes the rows added so far as an
-    :class:`AuditReport`.
+    row's output was correct, the one verdict ``verify`` reads too.  The
+    fields summarize the rows added so far: ``inputs`` counted, the
+    ``failures``, the tightest incdec/bound ratio over inputs with bound
+    >= 1 (``min_ratio``) and the worst-case inc/dec steps (``max_incdec``).
     """
 
-    def __init__(self, program: str, width: int) -> None:
-        self.program = program
-        self.width = width
-        self.inputs = 0
-        self.failures: list[AuditFailure] = []
-        self.min_ratio: float | None = None
-        self.max_incdec = 0
+    program: str
+    width: int
+    inputs: int = 0
+    failures: list[AuditFailure] = field(default_factory=list)
+    min_ratio: float | None = None
+    max_incdec: int = 0
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
     def add(self, row: Row) -> bool:
         value, nu, out, incdec, _, halt = row
@@ -381,18 +368,14 @@ class LowerBoundCheck:
                     self.min_ratio = ratio
         return True
 
-    def report(self) -> AuditReport:
-        return AuditReport(self.program, self.width, self.inputs, tuple(self.failures),
-                           self.min_ratio, self.max_incdec)
 
-
-def lower_bound_audit(g: GeneratedProgram, machine: Machine | None = None) -> AuditReport:
+def lower_bound_audit(g: GeneratedProgram, machine: Machine | None = None) -> LowerBoundCheck:
     """Exhaustively audit a counting program at its own width ``g.width``.
 
     For every input: the output must equal the naive bit count (including at
     density n/2), and for every input with ``nu != n/2`` the measured
-    inc/dec steps must reach ``min(nu, n - nu)``.  Reports the tightest
-    ratio of measured steps to bound and the worst-case step count.
+    inc/dec steps must reach ``min(nu, n - nu)``.  Returns the filled
+    :class:`LowerBoundCheck`, tightest step/bound ratio and worst case included.
     """
     width = g.width
     if not 2 <= width <= AUDIT_WIDTH_MAX:
@@ -400,4 +383,4 @@ def lower_bound_audit(g: GeneratedProgram, machine: Machine | None = None) -> Au
     check = LowerBoundCheck(g.name, width)
     for row in measure(g.program, width, range(1 << width), machine):
         check.add(row)
-    return check.report()
+    return check

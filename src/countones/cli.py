@@ -135,11 +135,10 @@ def verify_suite(
                    f"all {1 << width} inputs match the bit-count oracle")
             record("step-law", gen.name, width, law_failures,
                    "measured inc/dec equals the closed form on every input")
-            report = audit.report()
-            audit_failures = [f"x={f.input_bits} {f.kind}: {f.detail}" for f in report.failures]
-            ratio = "n/a" if report.min_ratio is None else f"{report.min_ratio:.3f}"
+            audit_failures = [f"x={f.input_bits} {f.kind}: {f.detail}" for f in audit.failures]
+            ratio = "n/a" if audit.min_ratio is None else f"{audit.min_ratio:.3f}"
             record("lower-bound-audit", gen.name, width, audit_failures,
-                   f"tightest incdec/bound {ratio}, worst incdec {report.max_incdec}")
+                   f"tightest incdec/bound {ratio}, worst incdec {audit.max_incdec}")
             if single_step is not None:
                 record("twobit-single-step", "twobit", 2, single_step,
                        "every non-zero input costs exactly one inc/dec")

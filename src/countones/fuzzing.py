@@ -153,9 +153,8 @@ def fuzz_invariant(
         )
         if result.halt_reason is HaltReason.BUDGET_EXHAUSTED:
             exhausted += 1
-        report = check.report()
-        if not report.ok:
-            violating.append((run_idx, params, report.violations))
+        if not check.ok:
+            violating.append((run_idx, params, tuple(check.violations)))
     return InvariantFuzzReport(seed, program_count, exhausted, tuple(violating))
 
 

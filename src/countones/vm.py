@@ -92,12 +92,10 @@ __all__ = [
     "Program",
     "parse_program",
     "HaltReason",
-    "StepCounters",
     "ExecResult",
     "Observer",
     "Machine",
     "execute",
-    "Divergence",
 ]
 
 DEFAULT_BUDGET = 1_000_000
@@ -284,20 +282,18 @@ class HaltReason(enum.Enum):
     FELL_OFF_END = "fell-off-end"
 
 
-@dataclass(frozen=True, slots=True)
-class StepCounters:
-    total_steps: int
-    incdec_steps: int
-
-
 # observer(incdec_index, pc, registers); returning False detaches it.
 Observer = Callable[[int, int | None, dict[str, int]], bool | None]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExecResult:
-    output: Word | None
-    counters: StepCounters
+    """One run.  ``output`` is the OUT register as the machine left it, even
+    out of its width (``None`` unless the run halted with OUT)."""
+
+    output: int | None
+    total_steps: int
+    incdec_steps: int
     halt_reason: HaltReason
 
 
@@ -367,7 +363,7 @@ class Machine:
         pc = total = incdec = 0
         while True:
             if pc >= size:
-                return ExecResult(None, StepCounters(total, incdec), HaltReason.FELL_OFF_END)
+                return ExecResult(None, total, incdec, HaltReason.FELL_OFF_END)
             segment, length = segments[pc]
             if total + length > budget:
                 regs = dict(zip(program.register_names, r))
@@ -376,7 +372,7 @@ class Machine:
             total += steps
             incdec += k
             if pc < 0:
-                return ExecResult(Word(width, r[~pc]), StepCounters(total, incdec), HaltReason.OUT)
+                return ExecResult(r[~pc], total, incdec, HaltReason.OUT)
 
     def _interpret(
         self,
@@ -393,7 +389,7 @@ class Machine:
         mask = (1 << width) - 1
         instructions = program.instructions
         size = len(instructions)
-        output: Word | None = None
+        output: int | None = None
         halt: HaltReason | None = None
 
         while True:
@@ -437,7 +433,7 @@ class Machine:
                 case "JMP":
                     next_pc = ins.target
                 case "OUT":
-                    output = Word(width, regs[ins.a])
+                    output = regs[ins.a]
                     halt = HaltReason.OUT
             if observer is not None and observer(incdec, pc, regs) is False:
                 observer = None
@@ -445,23 +441,10 @@ class Machine:
                 break
             pc = next_pc
 
-        return ExecResult(output, StepCounters(total, incdec), halt)
+        return ExecResult(output, total, incdec, halt)
 
 
 def execute(program: Program, x: Word, budget: int = DEFAULT_BUDGET) -> ExecResult:
     """Run ``program`` on input ``x`` with the stock machine."""
     return Machine().run(program, x, budget=budget)
-
-
-@dataclass(frozen=True, slots=True)
-class Divergence:
-    """First point where two executions of the same program took different paths.
-
-    ``step_index`` is the 0-based position in the executed-instruction
-    sequence; ``incdec_index`` the number of INC/DEC completed before that
-    instruction (equal in both runs, since everything before it matched).
-    """
-
-    step_index: int
-    incdec_index: int
 

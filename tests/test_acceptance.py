@@ -102,17 +102,17 @@ def test_constant_generation_exact_and_logarithmic():
     for target in range(4097):
         gen = constant_program(target, 13)
         res = execute(gen.program, Word(13, 0))
-        assert res.output.value == target
-        assert res.counters.incdec_steps == constant_inc_count(target)
+        assert res.output == target
+        assert res.incdec_steps == constant_inc_count(target)
         limit = CONSTANT_STEP_FACTOR * math.log2(target + 2)
-        assert res.counters.total_steps <= limit, (target, res.counters.total_steps)
+        assert res.total_steps <= limit, (target, res.total_steps)
     rng = random.Random(2)
     for _ in range(1000):
         target = rng.randrange(1 << 16)
         gen = constant_program(target, 17)
         res = execute(gen.program, Word(17, 0))
-        assert res.output.value == target
-        assert res.counters.total_steps <= CONSTANT_STEP_FACTOR * math.log2(target + 2)
+        assert res.output == target
+        assert res.total_steps <= CONSTANT_STEP_FACTOR * math.log2(target + 2)
     print(f"PASS constant generation: 4097 exhaustive + 1000 sampled targets, "
           f"steps within {CONSTANT_STEP_FACTOR}*log2(t+2)")
 
@@ -124,13 +124,13 @@ def test_lower_bound_audit_exhaustive():
         for gen in shipped_programs(width):
             report = lower_bound_audit(gen)
             assert report.ok, report.failures[:3]
-            audited += report.inputs_checked
+            audited += report.inputs
     # the two-bit floor: every non-zero input costs exactly one inc/dec
     twobit = twobit_program()
     for value in (1, 2, 3):
         res = execute(twobit.program, Word(2, value))
-        assert res.counters.incdec_steps == 1
-    assert execute(twobit.program, Word(2, 0)).counters.incdec_steps == 0
+        assert res.incdec_steps == 1
+    assert execute(twobit.program, Word(2, 0)).incdec_steps == 0
     print(f"PASS lower-bound audit: {audited} audited runs, zero bound violations; "
           "width-2 floor is exactly one inc/dec")
 
@@ -157,7 +157,7 @@ def test_msb_flip_divergence_bounds():
             for bit in (0, 1):
                 params = AdversaryParams(bit, m, bit, n)
                 for gen in programs:
-                    probe = msb_flip_probe(gen, params)
+                    probe = msb_flip_probe(gen.program, params)
                     assert probe.bound_holds, (gen.name, params, probe.divergence)
                     probes += 1
     fuzzed = fuzz_divergence(seed=1, program_count=1000, width_range=(2, 16))

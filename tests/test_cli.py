@@ -44,7 +44,7 @@ def test_gen_constant_requires_target(capsys):
     code, out = run_cli(capsys, "gen", "--algo", "constant", "--target", "6", "--width", "4")
     assert code == 0
     res = execute(parse_program(out), Word(4, 0))
-    assert res.output.value == 6
+    assert res.output == 6
 
 
 @pytest.mark.parametrize("argv", [
@@ -160,7 +160,7 @@ def test_fuzz_out_writes_violation_rows(tmp_path, capsys, monkeypatch):
     real_invariant, real_divergence = cli.fuzz_invariant, cli.fuzz_divergence
     monkeypatch.setattr(cli, "fuzz_invariant", lambda *args, **kwargs: real_invariant(
         *args, **kwargs, machine=NonWrappingIncMachine()))
-    probe = msb_flip_probe(wegner_program(4), AdversaryParams(1, 1, 1, 4))
+    probe = msb_flip_probe(wegner_program(4).program, AdversaryParams(1, 1, 1, 4))
     early = replace(probe, divergence=Divergence(0, 0))
     monkeypatch.setattr(cli, "fuzz_divergence", lambda *args, **kwargs: replace(
         real_divergence(*args, **kwargs), violating_probes=((0, early),)))

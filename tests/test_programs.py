@@ -32,12 +32,12 @@ def run(gen, width, value):
 
 def test_wegner_spot_values():
     g = wegner_program(4)
-    assert (run(g, 4, 0b1011).output.value, run(g, 4, 0b1011).counters.incdec_steps) == (3, 6)
-    assert (run(g, 4, 0).output.value, run(g, 4, 0).counters.incdec_steps) == (0, 0)
+    assert (run(g, 4, 0b1011).output, run(g, 4, 0b1011).incdec_steps) == (3, 6)
+    assert (run(g, 4, 0).output, run(g, 4, 0).incdec_steps) == (0, 0)
     g12 = wegner_program(12)
     res = run(g12, 12, (1 << 12) - 1)
-    assert res.output.value == 12
-    assert res.counters.incdec_steps == 24 == g12.predicted_incdec(12)
+    assert res.output == 12
+    assert res.incdec_steps == 24 == g12.predicted_incdec(12)
 
 
 # ---------------------------------------------------------------- constant
@@ -46,13 +46,13 @@ def test_wegner_spot_values():
 def test_constant_spot_values():
     g = constant_program(6, 4)
     res = run(g, 4, 0)
-    assert res.output.value == 6
-    assert res.counters.incdec_steps == 4
+    assert res.output == 6
+    assert res.incdec_steps == 4
 
     g0 = constant_program(0, 4)
     res0 = run(g0, 4, 0)
-    assert res0.output.value == 0
-    assert res0.counters.incdec_steps == 0
+    assert res0.output == 0
+    assert res0.incdec_steps == 0
     assert g0.text.splitlines()[0] == "ZERO acc"
 
 
@@ -60,17 +60,17 @@ def test_constant_spot_values():
 def test_constant_powers_of_two(k):
     g = constant_program(1 << k, 13)
     res = run(g, 13, 0)
-    assert res.output.value == 1 << k
-    assert res.counters.incdec_steps == k + 1
+    assert res.output == 1 << k
+    assert res.incdec_steps == k + 1
 
 
 def test_constant_exact_values_and_step_bound():
     for target in range(513):
         g = constant_program(target, 10)
         res = run(g, 10, 0)
-        assert res.output.value == target
-        assert res.counters.incdec_steps == constant_inc_count(target)
-        assert res.counters.total_steps <= CONSTANT_STEP_FACTOR * math.log2(target + 2)
+        assert res.output == target
+        assert res.incdec_steps == constant_inc_count(target)
+        assert res.total_steps <= CONSTANT_STEP_FACTOR * math.log2(target + 2)
 
 
 def test_constant_rejects_unrepresentable_target():
@@ -87,7 +87,7 @@ def test_dense_spot_values():
     g = dense_program(4)
     for value, out, incdec in ((0b1101, 3, 6), (0b1111, 4, 4), (0, 0, 12)):
         res = run(g, 4, value)
-        assert (res.output.value, res.counters.incdec_steps) == (out, incdec)
+        assert (res.output, res.incdec_steps) == (out, incdec)
 
 
 # ---------------------------------------------------------------- combined
@@ -97,24 +97,24 @@ def test_combined_tiny_width_exhaustive():
     g = combined_program(2)
     for value in range(4):
         res = run(g, 2, value)
-        assert res.output.value == popcount_naive(Word(2, value))
+        assert res.output == popcount_naive(Word(2, value))
 
 
 def test_combined_sparse_input_bound():
     g = combined_program(12)
     res = run(g, 12, 1 << 5)  # nu = 1
-    assert res.output.value == 1
+    assert res.output == 1
     bound = 2 * min(2 * 1, constant_inc_count(12) + 2 * 11 + 1) + 2
-    assert res.counters.incdec_steps <= bound == 6
-    assert res.counters.incdec_steps == g.predicted_incdec(1)
+    assert res.incdec_steps <= bound == 6
+    assert res.incdec_steps == g.predicted_incdec(1)
 
 
 def test_combined_dense_input_finishes_early():
     g = combined_program(12)
     res = run(g, 12, (1 << 12) - 1)
-    assert res.output.value == 12
+    assert res.output == 12
     # far below what the clearing loop alone would need (24)
-    assert res.counters.incdec_steps == g.predicted_incdec(12) < 24
+    assert res.incdec_steps == g.predicted_incdec(12) < 24
 
 
 # ------------------------------------------------ exhaustive program laws
@@ -127,8 +127,8 @@ def test_outputs_and_exact_step_laws_exhaustive(width):
             word = Word(width, value)
             nu = popcount_naive(word)
             res = execute(gen.program, word)
-            assert res.output is not None and res.output.value == nu, (gen.name, value)
-            assert res.counters.incdec_steps == gen.predicted_incdec(nu), (
+            assert res.output == nu, (gen.name, value)
+            assert res.incdec_steps == gen.predicted_incdec(nu), (
                 gen.name,
                 value,
             )
@@ -143,7 +143,7 @@ def test_combined_never_exceeds_interleave_bound(width):
         nu = popcount_naive(word)
         res = execute(g.program, word)
         bound = 2 * min(2 * nu, gen_cost + 2 * (width - nu) + 1) + 2
-        assert res.counters.incdec_steps <= bound, (width, value)
+        assert res.incdec_steps <= bound, (width, value)
 
 
 # ------------------------------------------------------------------ twobit
@@ -159,7 +159,7 @@ def test_twobit_observation():
     }
     for value, (out, incdec) in expectations.items():
         res = run(g, 2, value)
-        assert (res.output.value, res.counters.incdec_steps) == (out, incdec)
+        assert (res.output, res.incdec_steps) == (out, incdec)
 
 
 # ------------------------------------------------------------- round trips

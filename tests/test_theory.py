@@ -6,7 +6,6 @@ from countones import (
     AUDIT_WIDTH_MAX,
     AdversaryParams,
     AuditFailure,
-    AuditReport,
     Divergence,
     HaltReason,
     KSchedule,
@@ -84,11 +83,11 @@ def test_k_schedule_values():
 # --------------------------------------------------------- prefix invariant
 
 
-def invariant_report(program, params, machine=None):
+def invariant_check(program, params, machine=None):
     """The prefix invariant checked online over one run on ``adversary_input(params)``."""
     check = PrefixInvariantCheck(params)
     (machine or Machine()).run(program, adversary_input(params), observer=check.observe)
-    return check.report()
+    return check
 
 
 def test_initial_state_always_satisfies_invariant():
@@ -96,9 +95,8 @@ def test_initial_state_always_satisfies_invariant():
     x = adversary_input(params)
     check = PrefixInvariantCheck(params)
     check.observe(0, None, {"x": x.value, "a": 0, "b": 0})
-    report = check.report()
-    assert report.ok
-    assert report.snapshots_checked == 1
+    assert check.ok
+    assert check.checked == 1
 
 
 def test_fabricated_violation_detected():
@@ -107,9 +105,8 @@ def test_fabricated_violation_detected():
     # allowed prefixes there are 000, 111 and 101
     check = PrefixInvariantCheck(params)
     check.observe(1, 0, {"r": 0b010_00000})
-    report = check.report()
-    assert len(report.violations) == 1
-    v = report.violations[0]
+    assert len(check.violations) == 1
+    v = check.violations[0]
     assert v.register == "r"
     assert v.prefix == "010"
     assert set(v.allowed) == {"000", "111", "101"}
@@ -118,18 +115,18 @@ def test_fabricated_violation_detected():
 def test_wegner_trace_satisfies_invariant():
     params = AdversaryParams(0, 2, 0, 6)
     program = wegner_program(6).program
-    report = invariant_report(program, params)
-    assert report.ok
+    check = invariant_check(program, params)
+    assert check.ok
     # every state up to the last one with i <= m was checked
     _, states = record_run(program, adversary_input(params))
-    assert report.snapshots_checked == sum(1 for i, _, _ in states if i <= params.m) > 1
+    assert check.checked == sum(1 for i, _, _ in states if i <= params.m) > 1
 
 
 @given(adversary_params)
 def test_shipped_program_traces_satisfy_invariant(p):
     for gen in (wegner_program(p.n), dense_program(p.n)):
-        report = invariant_report(gen.program, p)
-        assert report.ok, report.violations[:3]
+        check = invariant_check(gen.program, p)
+        assert check.ok, check.violations[:3]
 
 
 def test_vacuous_beyond_m_snapshots_are_skipped():
@@ -139,9 +136,8 @@ def test_vacuous_beyond_m_snapshots_are_skipped():
     check = PrefixInvariantCheck(params)
     assert check.observe(0, None, {"x": adversary_input(params).value}) is True
     assert check.observe(2, 0, {"x": 0b110011}) is False
-    report = check.report()
-    assert report.ok
-    assert report.snapshots_checked == 1
+    assert check.ok
+    assert check.checked == 1
 
 
 # ------------------------------------------------------------- flip probes
@@ -149,7 +145,7 @@ def test_vacuous_beyond_m_snapshots_are_skipped():
 
 def test_probe_wegner_divergence_respects_bound():
     params = AdversaryParams(0, 2, 0, 6)
-    probe = msb_flip_probe(wegner_program(6), params)
+    probe = msb_flip_probe(wegner_program(6).program, params)
     assert probe.x == Word.from_bits("001010")
     assert probe.x_flipped == Word.from_bits("101010")
     assert probe.bound == 2
@@ -167,7 +163,7 @@ def test_probe_branchless_program_never_diverges():
 
 
 def test_probe_dense_program():
-    probe = msb_flip_probe(dense_program(6), AdversaryParams(1, 1, 1, 6))
+    probe = msb_flip_probe(dense_program(6).program, AdversaryParams(1, 1, 1, 6))
     assert probe.nu == 5 and probe.bound == 1
     assert probe.bound_holds
 
@@ -185,7 +181,7 @@ def test_probe_rejects_mixed_end_bits():
     # on 1 0^(n-1) the flipped word is zero and any first branch tells them
     # apart, so the bound claim is restricted to e == d inputs
     with pytest.raises(ValueError):
-        msb_flip_probe(wegner_program(6), AdversaryParams(1, 0, 0, 6))
+        msb_flip_probe(wegner_program(6).program, AdversaryParams(1, 0, 0, 6))
 
 
 def test_probe_exhaustive_equal_end_params():
@@ -194,7 +190,7 @@ def test_probe_exhaustive_equal_end_params():
             for bit in (0, 1):
                 params = AdversaryParams(bit, m, bit, n)
                 for gen in (wegner_program(n), dense_program(n)):
-                    assert msb_flip_probe(gen, params).bound_holds
+                    assert msb_flip_probe(gen.program, params).bound_holds
 
 
 # -------------------------------------------------------------- the audits
@@ -215,16 +211,16 @@ def test_audit_dense_and_twobit():
 
 
 def test_audit_reports_unchanged():
-    # whole reports, as the audit gave them before it became a fold of measure()
-    assert lower_bound_audit(wegner_program(12)) == AuditReport(
-        "wegner", 12, 4096, (), 2.0, 24)
-    assert lower_bound_audit(dense_program(8)) == AuditReport(
-        "dense", 8, 256, (), 11 / 3, 21)
-    assert lower_bound_audit(dense_program(12)) == AuditReport(
-        "dense", 12, 4096, (), 3.2, 30)
-    assert lower_bound_audit(combined_program(12)) == AuditReport(
-        "combined", 12, 4096, (), 4.2, 29)
-    assert lower_bound_audit(twobit_program()) == AuditReport("twobit", 2, 4, (), None, 1)
+    # whole checks, as the audit gave them before it became a fold of measure()
+    assert lower_bound_audit(wegner_program(12)) == LowerBoundCheck(
+        "wegner", 12, 4096, [], 2.0, 24)
+    assert lower_bound_audit(dense_program(8)) == LowerBoundCheck(
+        "dense", 8, 256, [], 11 / 3, 21)
+    assert lower_bound_audit(dense_program(12)) == LowerBoundCheck(
+        "dense", 12, 4096, [], 3.2, 30)
+    assert lower_bound_audit(combined_program(12)) == LowerBoundCheck(
+        "combined", 12, 4096, [], 4.2, 29)
+    assert lower_bound_audit(twobit_program()) == LowerBoundCheck("twobit", 2, 4, [], None, 1)
 
 
 def test_audit_is_a_fold_of_measure(complement_mov_machine):
@@ -233,12 +229,12 @@ def test_audit_is_a_fold_of_measure(complement_mov_machine):
     for row in measure(gen.program, 2, range(4), complement_mov_machine):
         check.add(row)
     report = lower_bound_audit(gen, machine=complement_mov_machine)
-    assert check.report() == report
-    assert report.failures == (
+    assert check == report
+    assert report.failures == [
         AuditFailure("10", 1, "output", "expected 1, got 2"),
         AuditFailure("11", 2, "output", "expected 2, got 3"),
-    )
-    assert report.inputs_checked == 4 and report.max_incdec == 1
+    ]
+    assert report.inputs == 4 and report.max_incdec == 1
 
 
 class CappedComplementMovMachine(ComplementMovMachine):
@@ -303,14 +299,14 @@ def test_audit_catches_a_wrong_counter():
 def test_non_wrapping_inc_breaks_invariant(non_wrapping_machine):
     program = parse_program("DEC a\nINC a\nOUT a")
     params = AdversaryParams(0, 5, 0, 12)
-    report = invariant_report(program, params, non_wrapping_machine)
-    assert not report.ok
-    assert any(v.incdec_index == 2 for v in report.violations)
+    check = invariant_check(program, params, non_wrapping_machine)
+    assert not check.ok
+    assert any(v.incdec_index == 2 for v in check.violations)
 
 
 def test_complement_mov_breaks_invariant(complement_mov_machine):
     program = parse_program("MOV a x\nOUT a")
     params = AdversaryParams(0, 3, 0, 8)
-    report = invariant_report(program, params, complement_mov_machine)
-    assert not report.ok
-    assert report.violations[0].incdec_index == 0
+    check = invariant_check(program, params, complement_mov_machine)
+    assert not check.ok
+    assert check.violations[0].incdec_index == 0

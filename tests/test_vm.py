@@ -101,16 +101,16 @@ def test_execute_wegner_hand_trace():
     program = parse_program(WEGNER_TEXT)
     res = execute(program, Word(4, 0b1011))
     assert res.halt_reason is HaltReason.OUT
-    assert res.output == Word(4, 3)
-    assert res.counters.incdec_steps == 6
-    assert res.counters.total_steps == 20
+    assert res.output == 3
+    assert res.incdec_steps == 6
+    assert res.total_steps == 20
 
 
 def test_identity_program():
     program = parse_program("OUT x")
     res = execute(program, Word(6, 0b101010))
-    assert res.output == Word(6, 0b101010)
-    assert res.counters == type(res.counters)(total_steps=1, incdec_steps=0)
+    assert res.output == 0b101010
+    assert (res.total_steps, res.incdec_steps) == (1, 0)
 
 
 def test_budget_exhaustion():
@@ -118,7 +118,7 @@ def test_budget_exhaustion():
     res = execute(program, Word(4, 0), budget=100)
     assert res.halt_reason is HaltReason.BUDGET_EXHAUSTED
     assert res.output is None
-    assert res.counters.total_steps == 100
+    assert res.total_steps == 100
 
 
 def test_fell_off_end():
@@ -134,25 +134,25 @@ def test_budget_must_be_positive():
 
 def test_wraparound_through_the_machine():
     inc = execute(parse_program("INC x\nOUT x"), Word(4, 0b1111))
-    assert inc.output == Word(4, 0)
+    assert inc.output == 0
     dec = execute(parse_program("DEC x\nOUT x"), Word(4, 0))
-    assert dec.output == Word(4, 0b1111)
+    assert dec.output == 0b1111
 
 
 def test_comparison_branches():
     # BLT is unsigned; BEQ compares registers
     text = "MOV a x\nDEC a\nBLT a x yes\nZERO r\nOUT r\nyes: INC r\nOUT r"
-    assert execute(parse_program(text), Word(4, 5)).output.value == 1
+    assert execute(parse_program(text), Word(4, 5)).output == 1
     # x = 0: a = 15 after DEC, not below x
-    assert execute(parse_program(text), Word(4, 0)).output.value == 0
+    assert execute(parse_program(text), Word(4, 0)).output == 0
     beq = "MOV a x\nBEQ a x yes\nZERO r\nOUT r\nyes: INC r\nOUT r"
-    assert execute(parse_program(beq), Word(4, 9)).output.value == 1
+    assert execute(parse_program(beq), Word(4, 9)).output == 1
 
 
 def test_bnz_branch():
     text = "BNZ x one\nOUT x\none: INC c\nOUT c"
-    assert execute(parse_program(text), Word(4, 0)).output.value == 0
-    assert execute(parse_program(text), Word(4, 7)).output.value == 1
+    assert execute(parse_program(text), Word(4, 0)).output == 0
+    assert execute(parse_program(text), Word(4, 7)).output == 1
 
 
 def test_determinism():
@@ -166,12 +166,12 @@ def test_trace_contract():
     program = parse_program(WEGNER_TEXT)
     res, trace = record_run(program, Word(4, 0b1011))
     # initial state plus one per executed instruction
-    assert len(trace) == res.counters.total_steps + 1
+    assert len(trace) == res.total_steps + 1
     assert trace[0] == (0, None, {"x": 0b1011, "t": 0, "c": 0})
     # counter soundness: incdec_steps equals the number of inc/dec events
     events = sum(1 for (i, _, _), (j, _, _) in zip(trace, trace[1:]) if j == i + 1)
-    assert events == res.counters.incdec_steps
-    assert trace[-1][0] == res.counters.incdec_steps
+    assert events == res.incdec_steps
+    assert trace[-1][0] == res.incdec_steps
     # width preservation
     for _, _, registers in trace:
         for value in registers.values():
@@ -281,7 +281,7 @@ def test_segments_are_capped_and_compiled_lazily():
     Machine().run(program, Word(8, 0), observer=lambda *a: None)
     assert "_segments" not in vars(program)
     res = execute(program, Word(8, 0))
-    assert res.output == Word(8, 2 * SEG + 5)
+    assert res.output == 2 * SEG + 5
     lengths = [seg[1] for seg in program._segments if seg is not None]
     assert lengths == [SEG, SEG, 6]
     for budget in (SEG - 1, SEG, SEG + 1, 2 * SEG, 2 * SEG + 6):
@@ -322,11 +322,13 @@ def test_hook_overrides_keep_the_reference_semantics_untraced(
     complement_mov_machine, non_wrapping_machine
 ):
     res = complement_mov_machine.run(parse_program("MOV a x\nOUT a"), Word(4, 0b0011))
-    assert res.output == Word(4, 0b1100)
+    assert res.output == 0b1100
     # a non-wrapping INC leaves 16 in a 4-bit register, which is not zero
     wraps = parse_program("INC x\nBZ x zero\nOUT y\nzero: INC y\nOUT y")
-    assert execute(wraps, Word(4, 0b1111)).output == Word(4, 1)
-    assert non_wrapping_machine.run(wraps, Word(4, 0b1111)).output == Word(4, 0)
+    assert execute(wraps, Word(4, 0b1111)).output == 1
+    assert non_wrapping_machine.run(wraps, Word(4, 0b1111)).output == 0
+    # the output is the register as the machine left it, escaped width included
+    assert non_wrapping_machine.run(parse_program("INC x\nOUT x"), Word(4, 0b1111)).output == 16
 
 
 _TOKENS = st.sampled_from(

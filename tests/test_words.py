@@ -26,7 +26,8 @@ def run_both(program, x):
     reference = Machine().run(program, x, observer=lambda *a: False)
     assert compiled == reference
     assert "_segments" in vars(program)  # the compiled path ran
-    return compiled.output
+    assert compiled.output >> x.width == 0  # the output stayed in its word
+    return Word(x.width, compiled.output)
 
 
 words = st.integers(min_value=1, max_value=64).flatmap(
