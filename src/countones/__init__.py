@@ -5,8 +5,9 @@ unsigned fixed-width registers, increment, decrement, AND, OR, assignment,
 comparisons, and zero as the only constant.  The package provides
 
 * fixed-width words and the naive bit-count oracle (:mod:`.words`),
-* the instruction set as one opcode table, with a parser and a
-  step-counting interpreter for it (:mod:`.vm`),
+* the instruction set as one opcode table, with a parser, a
+  step-counting reference interpreter and a bit-sliced lane executor for
+  it (:mod:`.vm`),
 * generators emitting the counting algorithms as machine programs with
   exact inc/dec step laws, plus classic host-level reference popcounts
   (:mod:`.programs`),

@@ -27,9 +27,10 @@ empirically checkable:
 
 * **measurement** (:func:`measure`): the one loop that runs a program over a
   set of inputs, yielding ``(value, nu, output, incdec, total, halt)`` per
-  input with ``nu`` from the naive oracle.  ``countones verify``, ``sweep``
-  and ``table`` read their rows from it, and ``verify`` feeds each row to
-  all of its checks at once, so every (program, input) pair runs once.
+  input with ``nu`` from the naive oracle, on the bit-sliced lane executor
+  unless a machine is given.  ``countones verify``, ``sweep`` and ``table``
+  read their rows from it, and ``verify`` feeds each row to all of its
+  checks at once, so every (program, input) pair runs once.
 
 Each check is its own report: a :class:`PrefixInvariantCheck` or
 :class:`LowerBoundCheck` holds what it has seen so far and says ``ok``.
@@ -41,10 +42,11 @@ pairs; every execution is independent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Iterator
 
 from .programs import GeneratedProgram
-from .vm import DEFAULT_BUDGET, ExecResult, HaltReason, Machine, Program
+from .vm import DEFAULT_BUDGET, ExecResult, HaltReason, Machine, Program, run_lanes
 from .words import MAX_WIDTH, Word, popcount_naive
 
 __all__ = [
@@ -297,21 +299,22 @@ def measure(
 
     Yields one :data:`Row` per input, in order: the input value, its naive
     bit count ``nu``, the output (``None`` if the run did not halt with
-    OUT), both step counters and the halt reason.  Rows are produced as they
-    are consumed, so a caller that folds them keeps no per-input state.
+    OUT), both step counters and the halt reason.  The inputs run on
+    :func:`run_lanes` in chunks of ``1 << AUDIT_WIDTH_MAX``, or each on
+    ``machine.run`` if a machine is given.  Rows are produced one chunk at a
+    time as they are consumed, so a caller that folds them keeps at most one
+    chunk of per-input state.
     """
-    run = (machine or Machine()).run
-    for value in values:
-        word = Word(width, value)
-        res = run(program, word, budget)
-        yield (
-            word.value,
-            popcount_naive(word),
-            res.output,
-            res.incdec_steps,
-            res.total_steps,
-            res.halt_reason,
-        )
+    values = iter(values)
+    while chunk := list(islice(values, 1 << AUDIT_WIDTH_MAX)):
+        if machine is None:
+            results = run_lanes(program, width, chunk, budget)
+        else:
+            results = [machine.run(program, Word(width, value), budget) for value in chunk]
+        for value, res in zip(chunk, results):
+            word = Word(width, value)
+            yield (word.value, popcount_naive(word), res.output, res.incdec_steps,
+                   res.total_steps, res.halt_reason)
 
 
 @dataclass(frozen=True, slots=True)

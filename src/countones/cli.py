@@ -44,17 +44,11 @@ from .words import MAX_WIDTH
 __all__ = ["main", "build_parser", "verify_suite", "sweep_rows", "table_rows"]
 
 
-def _twobit(width: int) -> GeneratedProgram:
-    if width != 2:
-        raise ValueError("twobit is defined for width 2 only")
-    return twobit_program()
-
-
 _ALGOS: dict[str, Callable[[int], GeneratedProgram]] = {
     "wegner": wegner_program,
     "dense": dense_program,
     "combined": combined_program,
-    "twobit": _twobit,
+    "twobit": twobit_program,
 }
 
 SAMPLED_SWEEP_SIZE = 4096  # rows when the width is too wide to enumerate
@@ -97,7 +91,6 @@ def verify_suite(
     the count).  Each (program, input) pair runs once, and its
     :func:`measure` row feeds every check; ``ok`` is whether all rows pass.
     """
-    machine = machine or Machine()
     rows: list[tuple[str, str, int, str, str]] = []
 
     def record(check: str, program: str, width: int, failures: list[str], detail: str) -> None:

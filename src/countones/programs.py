@@ -24,8 +24,8 @@ step (:func:`_wegner_step`, :func:`_dense_step`): wegner and dense wrap
 their step in a loop, and combined emits both steps, on disjoint registers,
 in every round.  :func:`shipped_programs` lists the counters checked at one
 width.  The four counter generators are memoized, so each width's program
-is parsed and compiled once per process; :func:`constant_program` is not,
-since callers build many one-shot constants.
+is parsed once per process; :func:`constant_program` is not, since
+callers build many one-shot constants.
 
 The module also houses two classic host-level popcounts (broadword fold,
 HAKMEM-style octal trick) used purely as reference oracles for wider words.
@@ -265,13 +265,16 @@ def combined_program(width: int) -> GeneratedProgram:
 
 
 @cache
-def twobit_program() -> GeneratedProgram:
+def twobit_program(width: int = 2) -> GeneratedProgram:
     """Count ones in a two-bit word with at most one decrement.
 
     Zero answers for itself; otherwise y = x - 1 is the answer unless it is
     zero, in which case x itself (which must be 01) is.  One DEC for any
     non-zero input, none for zero -- and that single step is unavoidable.
+    Any other ``width`` raises ``ValueError``.
     """
+    if width != 2:
+        raise ValueError("twobit is defined for width 2 only")
     text = "\n".join(
         [
             "BZ x out_x",

@@ -26,6 +26,9 @@ GOLDEN = {
         "d05e6be285a3cb9e44d5deb95be1cbd305665d336fd9a7c419b0f4f9521b9272",
     "sweep --width 8 --algo combined --format markdown":
         "cdf4469e5933ff6cbcb90395f1f2f4747e0125df21373c09a2d1f3cfe9f13f7a",
+    # 8,192 inputs: two chunks of measure()'s lanes
+    "sweep --width 13 --algo combined":
+        "4a5c5275de4c1c865c619af3ebacbbd050d1664d3a55b1047a1fb559ab3e1f71",
     "sweep --width 21 --algo dense --seed 3":
         "c3e73987d70e7f67afcd88a1e7caa8fe1712fda9045dd622287af48520470f8e",
     "sweep --width 2 --algo twobit --format markdown":

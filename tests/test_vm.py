@@ -5,16 +5,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from countones import (
+    DEFAULT_BUDGET,
+    ExecResult,
     HaltReason,
     Machine,
     ParseError,
     Word,
     execute,
     parse_program,
+    run_lanes,
     shipped_programs,
 )
 from countones.fuzzing import _OP_DECK, random_program
-from countones.vm import OPCODES, SEG, Instruction, Program
+from countones.vm import OPCODES, Instruction, Program
 
 from conftest import record_run
 
@@ -86,7 +89,7 @@ def test_operand_count_comes_from_the_table(op, delta):
 
 
 def test_every_opcode_reaches_the_fuzzer():
-    # so that every opcode meets the compiled-vs-reference differential below
+    # so that every opcode meets the lanes-vs-reference differential below
     assert set(_OP_DECK) == set(OPCODES)
 
 
@@ -213,83 +216,64 @@ def test_observer_cut_by_the_budget():
     assert seen == [0, 1, 1, 2, 2, 3]
 
 
-# ------------------------------------------- compiled runs vs the reference
+# ------------------------------------------------- lanes vs the reference
 
 
-def reference_run(program, x, budget):
-    # an observer that detaches at once keeps the run on the reference loop
-    return Machine().run(program, x, budget=budget, observer=lambda *a: False)
+def lanes_match_reference(program, width, values, budget=DEFAULT_BUDGET):
+    """``run_lanes`` on ``values`` at once, held to one reference run per input."""
+    got = run_lanes(program, width, values, budget)
+    assert got == [execute(program, Word(width, v), budget) for v in values], (
+        program, width, values, budget)
+    return got
 
 
-def test_compiled_matches_reference_on_random_programs():
+def test_lanes_match_reference_on_random_programs():
     rng = random.Random(2024)
     halts = set()
     for _ in range(1000):
         program = random_program(rng, max_len=rng.choice((4, 24, 160)))
         for _ in range(4):
             width = rng.randint(1, 64)
-            x = Word(width, rng.randrange(1 << width))
+            values = [rng.randrange(1 << width) for _ in range(rng.randint(1, 8))]
             budget = rng.randint(1, 400)
-            got = execute(program, x, budget=budget)
-            assert got == reference_run(program, x, budget), (program, x, budget)
-            halts.add(got.halt_reason)
-        assert "_segments" in vars(program)  # the compiled path ran
+            halts.update(r.halt_reason for r in lanes_match_reference(program, width, values, budget))
     assert halts == set(HaltReason)
 
 
-def test_compiled_matches_reference_on_shipped_programs():
+def test_lanes_match_reference_on_shipped_programs():
     for width in (2, 3, 5, 8):
         for gen in shipped_programs(width):
-            for value in range(1 << width):
-                x = Word(width, value)
-                assert execute(gen.program, x) == reference_run(gen.program, x, 1_000_000)
+            lanes_match_reference(gen.program, width, range(1 << width))
     rng = random.Random(7)
     for gen in shipped_programs(64):
-        for _ in range(20):
-            x = Word(64, rng.randrange(1 << 64))
-            assert execute(gen.program, x) == reference_run(gen.program, x, 1_000_000)
+        lanes_match_reference(gen.program, 64, [rng.randrange(1 << 64) for _ in range(20)])
 
 
-def test_compiled_budget_cut_at_segment_boundaries():
-    # For every segment a run enters after t steps, cut it one step short,
-    # exactly at its end and one step past it.
+def test_lanes_budget_cut_at_every_step():
+    # sampled runs of every shipped program, cut at every budget up to one past their end
     rng = random.Random(11)
     cases = 0
     for width in (8, 64):
         for gen in shipped_programs(width):
-            program = gen.program
-            execute(program, Word(width, 0))  # compile
-            segments = program._segments
-            for _ in range(3):
-                x = Word(width, rng.randrange(1 << width))
-                _, trace = record_run(program, x)
-                for t, (_, pc, _) in enumerate(trace[1:]):
-                    if segments[pc] is None:
-                        continue  # not where a segment starts
-                    length = segments[pc][1]
-                    for budget in (t + length - 1, t + length, t + length + 1):
-                        if budget >= 1:
-                            cases += 1
-                            assert execute(program, x, budget=budget) == reference_run(
-                                program, x, budget), (gen.name, width, x, budget)
+            values = [rng.randrange(1 << width) for _ in range(3)]
+            longest = max(execute(gen.program, Word(width, v)).total_steps for v in values)
+            for budget in range(1, longest + 2):
+                cases += 1
+                lanes_match_reference(gen.program, width, values, budget)
     assert cases > 100
 
 
-def test_segments_are_capped_and_compiled_lazily():
-    program = parse_program("\n".join(["INC a"] * (2 * SEG + 5) + ["OUT a"]))
-    assert "_segments" not in vars(program)
-    Machine().run(program, Word(8, 0), observer=lambda *a: None)
-    assert "_segments" not in vars(program)
-    res = execute(program, Word(8, 0))
-    assert res.output == 2 * SEG + 5
-    lengths = [seg[1] for seg in program._segments if seg is not None]
-    assert lengths == [SEG, SEG, 6]
-    for budget in (SEG - 1, SEG, SEG + 1, 2 * SEG, 2 * SEG + 6):
-        assert execute(program, Word(8, 0), budget=budget) == reference_run(
-            program, Word(8, 0), budget)
+def test_lanes_aliasing_and_edge_cases():
+    # an instruction whose two registers are one
+    for text in ("MOV x x\nOUT x", "AND x x\nOUT x", "BEQ x x yes\nOUT a\nyes: INC a\nOUT a",
+                 "BLT x x yes\nOUT a\nyes: INC a\nOUT a"):
+        lanes_match_reference(parse_program(text), 4, range(16))
+    assert run_lanes(parse_program("OUT x"), 4, []) == []
+    assert lanes_match_reference(parse_program(WEGNER_TEXT), 64, [(1 << 64) - 1]) == [
+        ExecResult(64, 6 * 64 + 2, 2 * 64, HaltReason.OUT)]
     # the end of the program takes precedence over a budget spent on the last step
-    fell = execute(parse_program("ZERO c"), Word(4, 0), budget=1)
-    assert fell.halt_reason is HaltReason.FELL_OFF_END
+    fell = lanes_match_reference(parse_program("ZERO c"), 4, [0, 5], budget=1)
+    assert {r.halt_reason for r in fell} == {HaltReason.FELL_OFF_END}
 
 
 @pytest.mark.parametrize("instructions", [
@@ -315,7 +299,7 @@ def test_hand_built_program_derives_its_registers():
     assert Program(()).register_names == ("x",)
     assert program.register_names == parse_program(
         "l0: MOV b a\nl1: BEQ x b l0\nJMP l1\nOUT b").register_names
-    assert execute(program, Word(4, 5), budget=10) == reference_run(program, Word(4, 5), 10)
+    lanes_match_reference(program, 4, range(16), budget=10)
 
 
 def test_hook_overrides_keep_the_reference_semantics_untraced(
@@ -344,5 +328,4 @@ def test_any_text_parses_or_raises_parse_error(text):
         program = parse_program(text)
     except ParseError:
         return
-    x = Word(4, 0b0110)
-    assert execute(program, x, budget=50) == reference_run(program, x, 50)
+    lanes_match_reference(program, 4, [0b0110, 0b1001], budget=50)
