@@ -139,9 +139,13 @@ class PrefixInvariantCheck:
     Prefixes are compared as integers (``value >> (n - k)``), which
     additionally flags any register whose value escaped the word width.  The
     first state past ``i = m`` detaches the check: the inc/dec index only
-    grows, so the rest of the run is vacuous.  ``checked`` counts the states
-    seen so far and ``violations`` lists what they broke; a violation's
-    ``snapshot_index`` counts the initial state as 0.
+    grows, so the rest of the run is vacuous.  So does, while nothing is
+    violated, the first state whose ``(pc, i, registers)`` equals one saved
+    by Brent's cycle detection (saves at ``checked`` = 1, 2, 4, ...): with no
+    INC/DEC since, the run replays states already found clean from there
+    on.  ``checked`` counts the states checked up to the detach and
+    ``violations`` lists what they broke; a violation's ``snapshot_index``
+    counts the initial state as 0.
     """
 
     def __init__(self, params: AdversaryParams) -> None:
@@ -150,6 +154,8 @@ class PrefixInvariantCheck:
         self.params = params
         self.checked = 0
         self.violations: list[Violation] = []
+        self._mark = 1  # the next ``checked`` at which to save a state
+        self._saved: tuple = (-1,)  # (pc, incdec_index, register values)
         # per index i <= m: (shift, all-zeros, all-ones, input prefix)
         self._allowed: list[tuple[int, int, int, int]] = []
         for i in range(params.m + 1):
@@ -159,6 +165,12 @@ class PrefixInvariantCheck:
 
     def observe(self, incdec_index: int, pc: int | None, registers: dict[str, int]) -> bool:
         if incdec_index > self.params.m:
+            return False
+        if self.checked == self._mark:
+            self._saved = (pc, incdec_index, tuple(registers.values()))
+            self._mark *= 2
+        elif (pc == self._saved[0] and not self.violations
+              and self._saved == (pc, incdec_index, tuple(registers.values()))):
             return False
         shift, zeros, ones, xpref = self._allowed[incdec_index]
         for name, value in registers.items():

@@ -10,7 +10,10 @@ precisely what the deliberately broken machines in the test suite
 demonstrate.
 
 Everything is reproducible from the seed.  Non-terminating programs are cut
-by the per-run budget; their states up to the cut are still checked.
+by the per-run budget; their states up to the cut are still checked, except
+where the check has detached at a repeated state with no INC/DEC since,
+whose replays it has already found clean.  After the detach such a run
+fast-forwards to its budget.
 """
 
 from __future__ import annotations

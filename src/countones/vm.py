@@ -55,6 +55,13 @@ call, copy what must outlive it, and never mutate it.  An observer is the
 one way to watch a run: to record one, append a copy of each state, as in
 ``observer=lambda i, pc, regs: states.append((i, pc, dict(regs)))``.
 
+Fast-forward.  The machine is deterministic: its next state depends only on
+``(pc, registers)``, so a run that comes back to a state loops until its
+budget runs out.  While no observer is attached, :meth:`Machine.run` finds
+such a repeat by Brent's cycle detection (Brent, BIT 1980) and adds every
+whole period that fits in the budget at once; the result equals the
+step-by-step one exactly.
+
 Lanes.  :func:`run_lanes` runs one program on many inputs at once,
 bit-sliced (Biham, FSE 1997): bit ``j`` of a register's slice ``b`` is its
 bit ``b`` in lane ``j``, the run on ``values[j]``.  Lanes that share a
@@ -245,8 +252,11 @@ class Machine:
     Subclasses may override :meth:`_inc`, :meth:`_dec` or :meth:`_mov` to
     build deliberately broken variants (the test suite uses a non-wrapping
     INC and a complementing MOV to prove the invariant checker actually
-    bites).  The stock machine wraps at the word boundary, and its
-    :meth:`run` is the oracle that :func:`run_lanes` must match exactly.
+    bites).  An override must be a pure function of ``(value, mask)``:
+    unobserved runs that do not halt are fast-forwarded over the repeats of
+    their cycle, which holds only if a state determines the rest of the run.
+    The stock machine wraps at the word boundary, and its :meth:`run` is the
+    oracle that :func:`run_lanes` must match exactly.
     """
 
     def _inc(self, value: int, mask: int) -> int:
@@ -279,19 +289,37 @@ class Machine:
         size = len(instructions)
         regs: dict[str, int] = {name: 0 for name in program.register_names}
         regs["x"] = x.value
-        if observer is not None and observer(0, None, regs) is False:
-            observer = None
         pc = total = incdec = 0
         output: int | None = None
         halt: HaltReason | None = None
+        # Brent's cycle detection, while no observer is attached: the state
+        # (pc, registers) is saved at total = mark, mark doubling up to the
+        # budget, and each later state whose pc matches is compared with it.
+        # saved_pc -1 means nothing is saved.
+        mark = budget
+        saved_pc, saved_regs, saved_total, saved_incdec = -1, (), 0, 0
+        if observer is None or observer(0, None, regs) is False:
+            observer, mark = None, 1
 
         while True:
             if pc >= size:
                 halt = HaltReason.FELL_OFF_END
                 break
-            if total >= budget:
-                halt = HaltReason.BUDGET_EXHAUSTED
-                break
+            if total >= mark:
+                if total >= budget:
+                    halt = HaltReason.BUDGET_EXHAUSTED
+                    break
+                saved_pc, saved_regs, saved_total, saved_incdec = pc, tuple(regs.values()), total, incdec
+                mark = min(2 * total, budget)
+            elif pc == saved_pc and tuple(regs.values()) == saved_regs:
+                # A repeated state loops forever: add every whole period that
+                # fits in the budget, then run out the rest step by step.
+                period = total - saved_total
+                cycles = (budget - total) // period
+                total += cycles * period
+                incdec += cycles * (incdec - saved_incdec)
+                saved_pc, mark = -1, budget
+                continue
             ins = instructions[pc]
             op = ins.op
             next_pc = pc + 1
@@ -329,7 +357,7 @@ class Machine:
                     output = regs[ins.a]
                     halt = HaltReason.OUT
             if observer is not None and observer(incdec, pc, regs) is False:
-                observer = None
+                observer, mark = None, min(total + 1, budget)
             if halt is not None:
                 break
             pc = next_pc

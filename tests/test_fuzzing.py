@@ -3,12 +3,15 @@ import random
 import pytest
 
 from countones import (
+    AdversaryParams,
     Divergence,
     DivergenceFuzzReport,
+    ExecResult,
     HaltReason,
     InvariantFuzzReport,
     Machine,
     MsbFlipProbe,
+    PrefixInvariantCheck,
     Violation,
     Word,
     adversary_input,
@@ -149,6 +152,39 @@ def test_budget_cut_inside_the_window_matches_traced_reference(machine):
     report, cut_in_window = reference_invariant(3, 300, budget=6, machine=machine())
     assert cut_in_window >= 1
     assert fuzz_invariant(3, 300, budget=6, machine=machine()) == report
+
+
+def test_check_detaches_from_a_clean_loop():
+    # a loop with no INC/DEC replays states already found clean, so the
+    # check detaches and the run fast-forwards to its budget
+    params = AdversaryParams(0, 0, 0, 6)  # the zero word
+    check = PrefixInvariantCheck(params)
+    res = Machine().run(parse_program("L0: BZ x L0"), adversary_input(params), 10**9,
+                        observer=check.observe)
+    assert res == ExecResult(None, 10**9, 0, HaltReason.BUDGET_EXHAUSTED)
+    assert check.ok
+    assert check.checked < 10
+    # a loop with INC/DEC repeats its registers at a higher i, which is no
+    # replay: the check stays attached until the window i <= m closes
+    params = AdversaryParams(1, 5, 1, 12)
+    program = parse_program("L0: INC a\nDEC a\nJMP L0")
+    check = PrefixInvariantCheck(params)
+    Machine().run(program, adversary_input(params), 10**9, observer=check.observe)
+    _, states = record_run(program, adversary_input(params), 100)
+    assert check.ok
+    assert check.checked == sum(i <= params.m for i, _, _ in states) == 8
+
+
+def test_check_stays_attached_to_a_violating_loop():
+    # the complementing MOV breaks the invariant on every state after the
+    # first, and every one of them is reported
+    params = AdversaryParams(1, 1, 0, 6)
+    program = parse_program("L0: MOV a x\nJMP L0")
+    check = PrefixInvariantCheck(params)
+    ComplementMovMachine().run(program, adversary_input(params), 50, observer=check.observe)
+    _, states = record_run(program, adversary_input(params), 50, ComplementMovMachine())
+    assert tuple(check.violations) == reference_violations(states, params)
+    assert len(check.violations) == 50 and check.checked == 51
 
 
 @pytest.mark.parametrize("seed", [1, 2, 42])

@@ -19,7 +19,7 @@ from countones import (
 from countones.fuzzing import _OP_DECK, random_program
 from countones.vm import OPCODES, Instruction, Program
 
-from conftest import record_run
+from conftest import ComplementMovMachine, NonWrappingIncMachine, record_run
 
 WEGNER_TEXT = """\
 loop: BZ x done
@@ -214,6 +214,54 @@ def test_observer_cut_by_the_budget():
     res = Machine().run(program, Word(4, 0), budget=5, observer=lambda i, pc, regs: seen.append(i))
     assert res.halt_reason is HaltReason.BUDGET_EXHAUSTED
     assert seen == [0, 1, 1, 2, 2, 3]
+
+
+# ------------------------------------------- fast-forward vs step by step
+
+
+@pytest.mark.parametrize("machine", [Machine, NonWrappingIncMachine, ComplementMovMachine])
+@pytest.mark.parametrize("seed", [3, 14, 15])
+def test_fast_forward_matches_step_by_step(seed, machine):
+    # an observer that never detaches keeps a run step by step
+    machine = machine()
+    rng = random.Random(seed)
+    halts = set()
+    for _ in range(150):
+        program = random_program(rng, max_len=rng.choice((4, 24)))
+        width = rng.randint(1, 16)
+        x = Word(width, rng.randrange(1 << width))
+        for budget in (1, 2, 3, 7, 512, 10_000):
+            res = machine.run(program, x, budget)
+            assert res == machine.run(program, x, budget, observer=lambda *a: None), (
+                program, x, budget)
+            halts.add(res.halt_reason)
+    assert halts == set(HaltReason)
+
+
+# B // 3 whole periods of INC, DEC, JMP, then the first B % 3 steps of one more
+@pytest.mark.parametrize("budget", [10**12 - 1, 10**12, 10**12 + 1])
+def test_fast_forward_exact_counts(budget):
+    res = execute(parse_program("L0: INC a\nDEC a\nJMP L0"), Word(8, 5), budget)
+    assert res == ExecResult(None, budget, 2 * (budget // 3) + min(budget % 3, 2),
+                             HaltReason.BUDGET_EXHAUSTED)
+
+
+def test_fast_forward_after_a_prefix_and_a_long_period():
+    # one INC b before a loop without INC/DEC
+    res = execute(parse_program("INC b\nL1: ZERO a\nJMP L1"), Word(4, 0), 10**12 + 1)
+    assert res == ExecResult(None, 10**12 + 1, 1, HaltReason.BUDGET_EXHAUSTED)
+    # a wraps after 2**10 INCs: a period of 2,048 steps, half of them INC
+    res = execute(parse_program("L0: INC a\nJMP L0"), Word(10, 0), 10**12 + 1)
+    assert res == ExecResult(None, 10**12 + 1, 10**12 // 2 + 1, HaltReason.BUDGET_EXHAUSTED)
+
+
+def test_fast_forward_after_the_observer_detaches():
+    program = parse_program("L0: INC a\nDEC a\nJMP L0")
+    seen = []
+    res = Machine().run(program, Word(8, 5), 10**12,
+                        observer=lambda i, pc, regs: seen.append(pc) or len(seen) < 10)
+    assert seen == [None, 0, 1, 2, 0, 1, 2, 0, 1, 2]
+    assert res == execute(program, Word(8, 5), 10**12)
 
 
 # ------------------------------------------------- lanes vs the reference
