@@ -22,15 +22,19 @@ empirically checkable:
 
 * the **lower-bound audit** (:func:`lower_bound_audit`): exhaustively checks
   a counting program for correctness and for ``incdec_steps >=
-  min(nu, n - nu)`` on every input with ``nu != n/2``.  It is a fold of
-  :func:`measure` rows into a :class:`LowerBoundCheck`, which it returns.
+  min(nu, n - nu)`` on every input with ``nu != n/2``.  It is a fold into
+  a :class:`LowerBoundCheck`, which it returns.
 
-* **measurement** (:func:`measure`): the one loop that runs a program over a
-  set of inputs, yielding ``(value, nu, output, incdec, total, halt)`` per
-  input with ``nu`` from the naive oracle, on the bit-sliced lane executor
-  unless a machine is given.  ``countones verify``, ``sweep`` and ``table``
-  read their rows from it, and ``verify`` feeds each row to all of its
-  checks at once, so every (program, input) pair runs once.
+* **measurement** (:func:`measure`): the one loop that yields a row
+  ``(value, nu, output, incdec, total, halt)`` per input, ``nu`` from the
+  naive oracle, on the lane executor or on a given machine.  ``sweep``
+  reads it, and so do ``verify`` and the audit when given a machine.
+
+* **the fold on slices** (:func:`fold_slices`): each check of ``verify``
+  and the audit is a function of ``(nu, output, incdec, halt)``, so on the
+  stock machine it runs once per cell of lanes, ``nu`` being a ripple add
+  of the input slices (:func:`_nu_slices`).  Passing cells fold in bulk;
+  only failing lanes become rows, for the row code.
 
 Each check is its own report: a :class:`PrefixInvariantCheck` or
 :class:`LowerBoundCheck` holds what it has seen so far and says ``ok``.
@@ -42,11 +46,13 @@ pairs; every execution is independent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import islice
-from typing import Iterable, Iterator
+from operator import and_, or_, xor
+from typing import Callable, Iterable, Iterator
 
 from .programs import GeneratedProgram
-from .vm import DEFAULT_BUDGET, ExecResult, HaltReason, Machine, Program, run_lanes
+from .vm import DEFAULT_BUDGET, ExecResult, HaltReason, Machine, Program, run_lanes, run_slices
 from .words import MAX_WIDTH, Word, popcount_naive
 
 __all__ = [
@@ -62,6 +68,7 @@ __all__ = [
     "measure",
     "AuditFailure",
     "LowerBoundCheck",
+    "fold_slices",
     "lower_bound_audit",
     "AUDIT_WIDTH_MAX",
 ]
@@ -344,10 +351,11 @@ class LowerBoundCheck:
     :meth:`add` takes each :data:`Row` of :func:`measure`: the output must
     equal ``nu`` (including at density n/2), and where ``nu != n/2`` the
     inc/dec steps must reach ``min(nu, n - nu)``.  It returns whether the
-    row's output was correct, the one verdict ``verify`` reads too.  The
-    fields summarize the rows added so far: ``inputs`` counted, the
-    ``failures``, the tightest incdec/bound ratio over inputs with bound
-    >= 1 (``min_ratio``) and the worst-case inc/dec steps (``max_incdec``).
+    row's output was correct, the one verdict ``verify`` reads too, and
+    :meth:`add_lanes` is its bulk form.  The fields summarize the inputs added
+    so far: ``inputs`` counted, the ``failures``, the tightest incdec/bound
+    ratio over inputs with bound >= 1 (``min_ratio``) and the worst-case
+    inc/dec steps (``max_incdec``).
     """
 
     program: str
@@ -361,27 +369,77 @@ class LowerBoundCheck:
     def ok(self) -> bool:
         return not self.failures
 
+    def add_lanes(self, nu: int, incdec: int, count: int) -> bool:
+        """Fold ``count`` inputs with ``nu`` one bits that output ``nu`` after
+        ``incdec`` inc/dec steps if they meet the bound; return whether they did."""
+        bound = min(nu, self.width - nu) if 2 * nu != self.width else 0
+        if incdec < bound:
+            return False
+        self.inputs += count
+        self.max_incdec = max(self.max_incdec, incdec)
+        if bound and (self.min_ratio is None or incdec / bound < self.min_ratio):
+            self.min_ratio = incdec / bound
+        return True
+
     def add(self, row: Row) -> bool:
         value, nu, out, incdec, _, halt = row
-        width = self.width
+        correct = halt is HaltReason.OUT and out == nu
+        if correct and self.add_lanes(nu, incdec, 1):
+            return True
         self.inputs += 1
-        if incdec > self.max_incdec:
-            self.max_incdec = incdec
-        if halt is not HaltReason.OUT or out != nu:
-            got = out if out is not None else halt.value
-            self.failures.append(AuditFailure(
-                f"{value:0{width}b}", nu, "output", f"expected {nu}, got {got}"))
-            return False
-        if 2 * nu != width:
-            bound = min(nu, width - nu)
-            if incdec < bound:
-                self.failures.append(AuditFailure(
-                    f"{value:0{width}b}", nu, "bound", f"incdec {incdec} < bound {bound}"))
-            elif bound > 0:
-                ratio = incdec / bound
-                if self.min_ratio is None or ratio < self.min_ratio:
-                    self.min_ratio = ratio
-        return True
+        self.max_incdec = max(self.max_incdec, incdec)
+        self.failures.append(AuditFailure(f"{value:0{self.width}b}", nu, *(
+            ("bound", f"incdec {incdec} < bound {min(nu, self.width - nu)}") if correct else
+            ("output", f"expected {nu}, got {out if out is not None else halt.value}"))))
+        return correct
+
+
+def _nu_slices(x: list[int]) -> list[int]:
+    """Each lane's count of one bits, as slices: a ripple-carry add of the input slices ``x``."""
+    nu = [0] * len(x).bit_length()
+    for carry in x:
+        for i, digit in enumerate(nu):
+            nu[i], carry = digit ^ carry, digit & carry
+            if not carry:
+                break
+    return nu
+
+
+def fold_slices(
+    check: LowerBoundCheck,
+    program: Program,
+    passes: Callable[[int, int], bool] = lambda nu, incdec: True,
+    budget: int = DEFAULT_BUDGET,
+) -> list[Row]:
+    """Run ``program`` on every ``check.width``-bit input as one batch of lanes,
+    fold what passes into ``check`` and return the :data:`Row` of every other
+    input, in input order, for the caller's row code.
+
+    A cell is a halt group of :func:`run_slices` times a ``nu`` class times
+    whether the OUT slices equal the ``nu`` slices.  A cell with a correct
+    output that meets ``passes(nu, incdec)`` and the bound is folded in bulk.
+    """
+    width = check.width
+    x, out, halts = run_slices(program, width, range(1 << width), budget)
+    nu = _nu_slices(x)
+    # per nu class, and where the output equals nu; both are read under a halt group's mask
+    classes = [reduce(and_, (s if v >> i & 1 else ~s for i, s in enumerate(nu)), -1)
+               for v in range(width + 1)]
+    correct = ~reduce(or_, map(xor, out, nu + [0] * (width - len(nu))))
+    rows: list[Row] = []
+    for group, total, incdec, halt in halts:
+        if halt is HaltReason.OUT:
+            for v, members in enumerate(classes):
+                cell = group & members & correct
+                if cell and passes(v, incdec) and check.add_lanes(v, incdec, cell.bit_count()):
+                    group ^= cell
+        while group:  # the lanes left failed a check, each a row as measure() makes it
+            j = (group & -group).bit_length() - 1
+            group ^= 1 << j
+            output = None if halt is not HaltReason.OUT else sum(
+                (s >> j & 1) << b for b, s in enumerate(out))
+            rows.append((j, popcount_naive(Word(width, j)), output, incdec, total, halt))
+    return sorted(rows)
 
 
 def lower_bound_audit(g: GeneratedProgram, machine: Machine | None = None) -> LowerBoundCheck:
@@ -390,12 +448,15 @@ def lower_bound_audit(g: GeneratedProgram, machine: Machine | None = None) -> Lo
     For every input: the output must equal the naive bit count (including at
     density n/2), and for every input with ``nu != n/2`` the measured
     inc/dec steps must reach ``min(nu, n - nu)``.  Returns the filled
-    :class:`LowerBoundCheck`, tightest step/bound ratio and worst case included.
+    :class:`LowerBoundCheck`, tightest step/bound ratio and worst case
+    included, from :func:`fold_slices`, or from :func:`measure` if given a machine.
     """
     width = g.width
     if not 2 <= width <= AUDIT_WIDTH_MAX:
         raise ValueError(f"audit width must be 2..{AUDIT_WIDTH_MAX}, got {width}")
     check = LowerBoundCheck(g.name, width)
-    for row in measure(g.program, width, range(1 << width), machine):
+    rows = (fold_slices(check, g.program) if machine is None
+            else measure(g.program, width, range(1 << width), machine))
+    for row in rows:
         check.add(row)
     return check

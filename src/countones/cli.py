@@ -25,9 +25,11 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from typing import Callable, Iterable, Sequence
+from contextlib import nullcontext
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .adversary import AUDIT_WIDTH_MAX, LowerBoundCheck, lower_bound_audit, measure
+from .adversary import AUDIT_WIDTH_MAX, LowerBoundCheck, fold_slices, lower_bound_audit, measure
 from .fuzzing import FUZZ_BUDGET, fuzz_divergence, fuzz_invariant
 from .programs import (
     GeneratedProgram,
@@ -55,26 +57,32 @@ SAMPLED_SWEEP_SIZE = 4096  # rows when the width is too wide to enumerate
 EXHAUSTIVE_WIDTH_LIMIT = 20
 
 
-def _emit(lines: list[str], out_path: str | None) -> None:
-    data = "\n".join(lines) + "\n"
-    if out_path is None:
-        sys.stdout.write(data)
-    else:
-        try:
-            with open(out_path, "w", newline="") as fh:
-                fh.write(data)
-        except OSError as exc:
-            raise SystemExit(_usage_error(f"cannot write --out {out_path}: {exc.strerror}"))
+def _emit(blocks: Iterable[list[str]], out_path: str | None) -> None:
+    """Write each block of lines as it comes, ``--out`` opened first."""
+    try:
+        with nullcontext(sys.stdout) if out_path is None else open(out_path, "w", newline="") as fh:
+            for block in blocks:
+                fh.write("\n".join([*block, ""]))  # each line ends in a newline
+    except OSError as exc:
+        if out_path is None:
+            raise
+        raise SystemExit(_usage_error(f"cannot write --out {out_path}: {exc.strerror}"))
 
 
-def _table(header: Sequence[str], rows: Iterable[Sequence[object]], fmt: str) -> list[str]:
-    """The lines of a ``csv`` table (``,`` in a cell becomes ``;``) or of a
-    ``markdown`` one (header, ``---`` row, one line per row)."""
+def _table(header: Sequence[str], blocks: Iterable[Iterable[Sequence[object]]],
+           fmt: str) -> Iterator[list[str]]:
+    """The lines of a ``csv`` table (``,`` in a cell becomes ``;``) or of a ``markdown`` one
+    (header, ``---`` row, one line per row), a list per block; the first block holds the header."""
     if fmt == "csv":
-        return [",".join(header)] + [
-            ",".join(str(cell).replace(",", ";") for cell in row) for row in rows]
-    return ["| " + " | ".join(header) + " |", "|" + "|".join("---" for _ in header) + "|"] + [
-        "| " + " | ".join(str(cell) for cell in row) + " |" for row in rows]
+        head = [",".join(header)]
+        for rows in blocks:
+            yield head + [",".join(str(cell).replace(",", ";") for cell in row) for row in rows]
+            head = []
+    else:
+        head = ["| " + " | ".join(header) + " |", "|" + "|".join("---" for _ in header) + "|"]
+        for rows in blocks:
+            yield head + ["| " + " | ".join(str(cell) for cell in row) + " |" for row in rows]
+            head = []
 
 
 # ---------------------------------------------------------------- verify
@@ -88,8 +96,9 @@ def verify_suite(
     Returns ``(ok, rows)`` with one ``(check, program, width, status,
     detail)`` row per check; failures carry a witness input in the detail.
     Width 1 only admits the single-bit identity check (the input already is
-    the count).  Each (program, input) pair runs once, and its
-    :func:`measure` row feeds every check; ``ok`` is whether all rows pass.
+    the count).  Each (program, input) pair runs once; its row feeds every
+    check, though on the stock machine only failing lanes become rows
+    (:func:`fold_slices`).  ``ok`` is whether all rows pass.
     """
     rows: list[tuple[str, str, int, str, str]] = []
 
@@ -113,7 +122,12 @@ def verify_suite(
             # every non-zero input of twobit costs exactly one inc/dec
             single_step = [] if gen.name == "twobit" else None
             predicted = gen.predicted_incdec
-            for row in measure(gen.program, width, range(1 << width), machine):
+            if machine is None:
+                rows_in = fold_slices(audit, gen.program, lambda nu, incdec: incdec == predicted(nu)
+                                      and (single_step is None or not nu or incdec == 1))
+            else:
+                rows_in = measure(gen.program, width, range(1 << width), machine)
+            for row in rows_in:
                 value, nu, out, incdec, _, halt = row
                 if single_step is not None and value and incdec != 1:
                     single_step.append(f"x={value:02b} incdec {incdec} != 1")
@@ -151,7 +165,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                  f"/{len(rows)} checks passed")
     print("\n".join(lines))
     if args.out:
-        _emit(_table(("check", "program", "width", "status", "detail"), rows, "csv"), args.out)
+        _emit(_table(("check", "program", "width", "status", "detail"), [rows], "csv"), args.out)
     return 0 if ok else 1
 
 
@@ -160,11 +174,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def sweep_rows(
     width: int, algo: str, seed: int = 0, budget: int = DEFAULT_BUDGET
-) -> list[tuple[str, int, int, int, int]]:
-    """(input_bits, nu, output, incdec_steps, total_steps) per input.
+) -> Iterator[tuple[str, int, int, int, int]]:
+    """(input_bits, nu, output, incdec_steps, total_steps) per input, lazily.
 
     Exhaustive up to width 20; wider words get ``SAMPLED_SWEEP_SIZE`` seeded
-    samples.
+    samples.  A width the generator rejects raises ``ValueError`` at the
+    call, before any row is made.
     """
     gen = _ALGOS[algo](width)
     if width <= EXHAUSTIVE_WIDTH_LIMIT:
@@ -172,10 +187,10 @@ def sweep_rows(
     else:
         rng = random.Random(seed)
         values = [rng.randrange(1 << width) for _ in range(SAMPLED_SWEEP_SIZE)]
-    return [
+    return (
         (f"{value:0{width}b}", nu, -1 if out is None else out, incdec, total)
         for value, nu, out, incdec, total, _ in measure(gen.program, width, values, budget=budget)
-    ]
+    )
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -183,11 +198,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rows = sweep_rows(args.width, args.algo, seed=args.seed, budget=args.budget)
     except ValueError as exc:  # a generator's own rule, such as twobit's width
         raise SystemExit(_usage_error(str(exc)))
+    seen = stuck = 0  # rows, and rows that did not halt, counted as they stream
+    def blocks() -> Iterator[list[tuple[str, int, int, int, int]]]:
+        nonlocal seen, stuck
+        while block := list(islice(rows, 1 << AUDIT_WIDTH_MAX)):
+            seen += len(block)
+            stuck += sum(row[2] == -1 for row in block)
+            yield block
+
     header = ("input_bits", "nu", "output", "incdec_steps", "total_steps")
-    _emit(_table(header, rows, args.format), args.out)
-    stuck = sum(row[2] == -1 for row in rows)
+    _emit(_table(header, blocks(), args.format), args.out)
     if stuck:
-        print(f"{stuck} of {len(rows)} runs did not halt within the budget (output=-1)",
+        print(f"{stuck} of {seen} runs did not halt within the budget (output=-1)",
               file=sys.stderr)
         return 1
     return 0
@@ -230,7 +252,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         rows += [("divergence", run_idx, probe.params.n, probe.params.e, probe.params.m,
                   probe.params.d, f"incdec={probe.divergence.incdec_index} bound={probe.bound}")
                  for run_idx, probe in divergence.violating_probes]
-        _emit(_table(("kind", "run", "width", "e", "m", "d", "detail"), rows, "csv"), args.out)
+        _emit(_table(("kind", "run", "width", "e", "m", "d", "detail"), [rows], "csv"), args.out)
     return 0 if invariant.ok and divergence.ok else 1
 
 
@@ -256,7 +278,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
             gen = _ALGOS[args.algo](width)
         except ValueError as exc:
             raise SystemExit(_usage_error(str(exc)))
-    _emit(gen.text.splitlines(), args.out)
+    _emit([gen.text.splitlines()], args.out)
     return 0
 
 
@@ -303,7 +325,7 @@ def table_rows() -> list[tuple[str, str, str, str]]:
 
 def cmd_table(args: argparse.Namespace) -> int:
     header = ("operation_set", "lower_bound", "upper_bound", "measured")
-    _emit(_table(header, table_rows(), args.format), args.out)
+    _emit(_table(header, [table_rows()], args.format), args.out)
     return 0
 
 

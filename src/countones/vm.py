@@ -62,14 +62,16 @@ such a repeat by Brent's cycle detection (Brent, BIT 1980) and adds every
 whole period that fits in the budget at once; the result equals the
 step-by-step one exactly.
 
-Lanes.  :func:`run_lanes` runs one program on many inputs at once,
+Lanes.  :func:`run_slices` runs one program on many inputs at once,
 bit-sliced (Biham, FSE 1997): bit ``j`` of a register's slice ``b`` is its
 bit ``b`` in lane ``j``, the run on ``values[j]``.  Lanes that share a
 ``(pc, incdec_steps)`` form one group under one mask, and each global step
 runs every live group's instruction under its mask; a branch splits it.
 Every lane executes one instruction per global step, so its
 ``total_steps`` is the step at which it halts, and the end of the program
-is tested before the budget, as in the reference loop.
+is tested before the budget, as in the reference loop.  It returns the input
+slices, the OUT slices and the halt groups; its wrapper :func:`run_lanes`
+transposes every lane back into an :class:`ExecResult`.
 """
 
 from __future__ import annotations
@@ -96,6 +98,7 @@ __all__ = [
     "Observer",
     "Machine",
     "execute",
+    "run_slices",
     "run_lanes",
 ]
 
@@ -370,14 +373,14 @@ def execute(program: Program, x: Word, budget: int = DEFAULT_BUDGET) -> ExecResu
     return Machine().run(program, x, budget=budget)
 
 
-def run_lanes(
+def run_slices(
     program: Program, width: int, values: Sequence[int], budget: int = DEFAULT_BUDGET
-) -> list[ExecResult]:
+) -> tuple[list[int], list[int], list[tuple[int, int, int, HaltReason]]]:
     """Run ``program`` on every ``width``-bit input in ``values`` at once, bit-sliced.
 
-    Returns one :class:`ExecResult` per input, in order, equal to what
-    :func:`execute` returns for ``Word(width, value)``; lanes that halt
-    together with one output share one result object.
+    Returns the input slices, the OUT slices (0 in lanes that did not halt
+    with OUT) and the halt groups ``(lanes, total, incdec, reason)``, which
+    partition the lanes; lane ``j`` runs ``values[j]``.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
@@ -385,12 +388,13 @@ def run_lanes(
         raise ValueError(f"width must be 1..{MAX_WIDTH}, got {width}")
     count = len(values)
     if not count:
-        return []
+        return [0] * width, [0] * width, []
     mask = (1 << width) - 1
     # lane count-1 first, each MSB first: slice b is every width-th character from width-1-b
     bits = "".join(format(value & mask, f"0{width}b") for value in reversed(values))
+    x = [int(bits[width - 1 - b::width], 2) for b in range(width)]
     regs = {name: [0] * width for name in program.register_names}
-    regs["x"] = [int(bits[width - 1 - b::width], 2) for b in range(width)]
+    regs["x"] = list(x)  # a copy: INC and DEC update slices in place
     out = [0] * width  # the OUT register of each lane that halted with OUT
     instructions = program.instructions
     size = len(instructions)
@@ -448,7 +452,20 @@ def run_lanes(
                     moved[key] = moved.get(key, 0) | lanes
         live = moved
         step += 1
+    return x, out, halts
 
+
+def run_lanes(
+    program: Program, width: int, values: Sequence[int], budget: int = DEFAULT_BUDGET
+) -> list[ExecResult]:
+    """Run ``program`` on every ``width``-bit input in ``values`` at once, bit-sliced.
+
+    Returns one :class:`ExecResult` per input, in order, equal to what
+    :func:`execute` returns for ``Word(width, value)``; lanes that halt
+    together with one output share one result object.
+    """
+    _, out, halts = run_slices(program, width, values, budget)
+    count = len(values)
     # top slice first: lane j's output is every count-th character from count-1-j
     bits = "".join(format(o, f"0{count}b") for o in reversed(out))
     results: list = [None] * count  # every lane halts in exactly one group

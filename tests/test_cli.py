@@ -1,8 +1,12 @@
+import sys
 from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from countones import (
+    AUDIT_WIDTH_MAX,
     MAX_WIDTH,
     AdversaryParams,
     Divergence,
@@ -14,9 +18,10 @@ from countones import (
     parse_program,
     wegner_program,
 )
+from countones import adversary, words
 from countones.cli import main, verify_suite
 
-from conftest import NonWrappingIncMachine
+from conftest import NonWrappingIncMachine, wrong_programs
 
 
 def run_cli(capsys, *argv):
@@ -116,6 +121,26 @@ def test_sweep_reports_runs_that_do_not_halt(capsys):
     assert "1011,3,-1,2,5" in lines
     assert len(lines) == 17 and sum(",-1," in line for line in lines) == 15
     assert captured.err == "15 of 16 runs did not halt within the budget (output=-1)\n"
+
+
+def test_sweep_streams_its_rows(monkeypatch, tmp_path, capsys):
+    writes = []
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+    assert main(["sweep", "--width", "13", "--algo", "wegner"]) == 0
+    # 8,192 rows written one measure() chunk of 4,096 at a time, the header with the first
+    chunk = 1 << AUDIT_WIDTH_MAX
+    assert [lines.count("\n") for lines in writes] == [1 + chunk, chunk]
+    text = "".join(writes)
+    assert text.startswith("input_bits,nu,output,incdec_steps,total_steps\n0000000000000,0,0,0,2\n")
+    assert text.endswith("\n1111111111111,13,13,26,80\n")
+    # nothing runs before --out is open, and a lazy sweep runs only what is read
+    monkeypatch.setattr(adversary, "run_lanes", lambda *args: pytest.fail("ran a row"))
+    with pytest.raises(SystemExit) as err:
+        main(["sweep", "--width", "4", "--algo", "wegner", "--out", str(tmp_path / "no" / "x")])
+    assert err.value.code == 2 and capsys.readouterr().err.count("\n") == 1
+    rows = cli.sweep_rows(20, "dense")
+    monkeypatch.undo()
+    assert next(rows)[:3] == ("0" * 20, 0, 0)
 
 
 def test_sweep_markdown(capsys):
@@ -268,6 +293,42 @@ def test_verify_fails_on_broken_machine(non_wrapping_machine):
     ]
 
 
+def test_verify_on_slices_equals_the_row_path(monkeypatch):
+    assert verify_suite(range(1, 13)) == verify_suite(range(1, 13), machine=Machine())
+    monkeypatch.setattr(cli, "shipped_programs", wrong_programs)
+    ok, rows = verify_suite(range(2, 6))
+    assert (ok, rows) == verify_suite(range(2, 6), machine=Machine())
+    failed = {(check, program) for check, program, _, status, _ in rows if status == "FAIL"}
+    assert failed == {("oracle-equivalence", "identity"), ("lower-bound-audit", "identity"),
+                      ("step-law", "off-by-one"), ("oracle-equivalence", "falls-off"),
+                      ("lower-bound-audit", "falls-off"), ("oracle-equivalence", "twobit"),
+                      ("lower-bound-audit", "twobit"), ("twobit-single-step", "twobit")}
+    # more than three failures, so the detail keeps the first three
+    assert ("lower-bound-audit", "identity", 5, "FAIL",
+            "x=00001 bound: incdec 0 < bound 1; x=00010 output: expected 1, got 2; "
+            "x=00011 output: expected 2, got 3") in rows
+
+
+def test_passing_verify_turns_no_lane_into_a_word(monkeypatch):
+    counts = {"Word": 0, "popcount_naive": 0}
+
+    def counted(name, real):
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(Word, "__post_init__", counted("Word", Word.__post_init__))
+    for module in (adversary, words):
+        monkeypatch.setattr(module, "popcount_naive",
+                            counted("popcount_naive", words.popcount_naive))
+    assert verify_suite(range(2, 13))[0]
+    assert counts == {"Word": 0, "popcount_naive": 0}
+    # the row path, by contrast, makes both per input
+    assert verify_suite([3], machine=Machine())[0]
+    assert counts["popcount_naive"] == 3 * 8 and counts["Word"] >= 3 * 8
+
+
 class CountingMachine(Machine):
     """The stock machine, counting its runs; a machine passed to
     ``verify_suite`` runs every input on its own reference loop."""
@@ -299,7 +360,9 @@ def test_verify_runs_each_pair_once():
     ["fuzz", "--count", "10"],
 ])
 def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys, argv):
-    for path in (tmp_path / "missing" / "x.csv", tmp_path):  # no such directory; a directory
+    # no such directory; a directory; and, where it exists, a device whose writes fail
+    full = [Path("/dev/full")] if Path("/dev/full").exists() else []
+    for path in (tmp_path / "missing" / "x.csv", tmp_path, *full):
         with pytest.raises(SystemExit) as err:
             main([*argv, "--out", str(path)])
         assert err.value.code == 2

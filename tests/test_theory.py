@@ -1,9 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from countones import (
     AUDIT_WIDTH_MAX,
+    DEFAULT_BUDGET,
     AdversaryParams,
     AuditFailure,
     Divergence,
@@ -26,7 +29,8 @@ from countones import (
     wegner_program,
 )
 
-from conftest import ComplementMovMachine, record_run
+from countones.adversary import _nu_slices, fold_slices
+from conftest import ComplementMovMachine, record_run, wrong_programs
 
 adversary_params = st.integers(1, 24).flatmap(
     lambda n: st.builds(
@@ -253,6 +257,65 @@ def test_audit_verdict_is_the_output_check():
             stock = LowerBoundCheck(gen.name, width)
             assert all(stock.add(row) for row in measure(gen.program, width, inputs))
     assert wrong > 0
+
+
+def _slices(values, width):
+    """Bit ``j`` of slice ``b`` is bit ``b`` of ``values[j]``, built one bit at a time."""
+    return [sum((value >> b & 1) << j for j, value in enumerate(values)) for b in range(width)]
+
+
+def test_nu_slices_equal_the_naive_count():
+    cases = [(width, range(1 << width)) for width in range(1, AUDIT_WIDTH_MAX + 1)]
+    rng = random.Random(64)
+    cases.append((64, [rng.randrange(1 << 64) for _ in range(500)] + [0, (1 << 64) - 1]))
+    for width, values in cases:
+        nu = _nu_slices(_slices(values, width))
+        assert len(nu) == width.bit_length()
+        assert [sum((s >> j & 1) << i for i, s in enumerate(nu)) for j in range(len(values))] == [
+            popcount_naive(Word(width, value)) for value in values], width
+
+
+def test_audit_on_slices_equals_the_row_path():
+    for width in range(2, AUDIT_WIDTH_MAX + 1):
+        for gen in shipped_programs(width):
+            assert lower_bound_audit(gen) == lower_bound_audit(gen, machine=Machine())
+    failing = 0
+    for width in range(2, 6):
+        for gen in wrong_programs(width):
+            report = lower_bound_audit(gen)
+            assert report == lower_bound_audit(gen, machine=Machine()), (gen.name, width)
+            failing += len(report.failures)
+    assert failing > 3
+
+
+def _failing_rows(gen, budget=DEFAULT_BUDGET):
+    """The rows of the row path that add a failure to a fresh audit, in input order."""
+    check, failing = LowerBoundCheck(gen.name, gen.width), []
+    for row in measure(gen.program, gen.width, range(1 << gen.width), budget=budget):
+        before = len(check.failures)
+        check.add(row)
+        if len(check.failures) > before:
+            failing.append(row)
+    return failing
+
+
+def test_fold_expands_exactly_the_failing_lanes():
+    for width in range(2, 6):
+        for gen in wrong_programs(width):
+            check = LowerBoundCheck(gen.name, width)
+            assert fold_slices(check, gen.program) == _failing_rows(gen), (gen.name, width)
+    # the identity: every input but 0 and 1 outputs itself, and 1 misses its bound
+    identity = wrong_programs(5)[0]
+    check = LowerBoundCheck(identity.name, 5)
+    assert len(fold_slices(check, identity.program)) == 31 and check.inputs == 1
+    assert fold_slices(LowerBoundCheck("wegner", 5), wegner_program(5).program) == []
+    # cut by the budget: wegner takes 6*nu + 2 steps, so nu >= 4 is cut at 20
+    wegner = wegner_program(6)
+    check = LowerBoundCheck("wegner", 6)
+    rows = fold_slices(check, wegner.program, budget=20)
+    assert rows == _failing_rows(wegner, budget=20)
+    assert {row[1] for row in rows} == {4, 5, 6} and check.inputs == 64 - len(rows)
+    assert {row[-1] for row in rows} == {HaltReason.BUDGET_EXHAUSTED}
 
 
 def test_measure_rows():
