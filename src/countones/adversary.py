@@ -409,7 +409,6 @@ def fold_slices(
     check: LowerBoundCheck,
     program: Program,
     passes: Callable[[int, int], bool] = lambda nu, incdec: True,
-    budget: int = DEFAULT_BUDGET,
 ) -> list[Row]:
     """Run ``program`` on every ``check.width``-bit input as one batch of lanes,
     fold what passes into ``check`` and return the :data:`Row` of every other
@@ -420,7 +419,7 @@ def fold_slices(
     output that meets ``passes(nu, incdec)`` and the bound is folded in bulk.
     """
     width = check.width
-    x, out, halts = run_slices(program, width, range(1 << width), budget)
+    x, out, halts = run_slices(program, width, range(1 << width))
     nu = _nu_slices(x)
     # per nu class, and where the output equals nu; both are read under a halt group's mask
     classes = [reduce(and_, (s if v >> i & 1 else ~s for i, s in enumerate(nu)), -1)

@@ -54,35 +54,36 @@ _ALGOS: dict[str, Callable[[int], GeneratedProgram]] = {
 }
 
 SAMPLED_SWEEP_SIZE = 4096  # rows when the width is too wide to enumerate
+EMIT_CHUNK = 4096  # lines per write, so a streamed table never sits whole in memory
 EXHAUSTIVE_WIDTH_LIMIT = 20
 
 
-def _emit(blocks: Iterable[list[str]], out_path: str | None) -> None:
-    """Write each block of lines as it comes, ``--out`` opened first."""
+def _emit(lines: Iterable[str], out_path: str | None) -> None:
+    """Write ``lines``, each ending in a newline, ``EMIT_CHUNK`` lines per write;
+    ``--out`` is opened before the first line is made."""
+    lines = iter(lines)
     try:
         with nullcontext(sys.stdout) if out_path is None else open(out_path, "w", newline="") as fh:
-            for block in blocks:
-                fh.write("\n".join([*block, ""]))  # each line ends in a newline
+            while chunk := list(islice(lines, EMIT_CHUNK)):
+                fh.write("\n".join([*chunk, ""]))
     except OSError as exc:
         if out_path is None:
             raise
         raise SystemExit(_usage_error(f"cannot write --out {out_path}: {exc.strerror}"))
 
 
-def _table(header: Sequence[str], blocks: Iterable[Iterable[Sequence[object]]],
-           fmt: str) -> Iterator[list[str]]:
-    """The lines of a ``csv`` table (``,`` in a cell becomes ``;``) or of a ``markdown`` one
-    (header, ``---`` row, one line per row), a list per block; the first block holds the header."""
+def _table(header: Sequence[str], rows: Iterable[Sequence[object]], fmt: str) -> Iterator[str]:
+    """The lines of a ``csv`` table (``,`` in a cell becomes ``;``) or of a
+    ``markdown`` one (header, ``---`` row, one line per row), lazily."""
     if fmt == "csv":
-        head = [",".join(header)]
-        for rows in blocks:
-            yield head + [",".join(str(cell).replace(",", ";") for cell in row) for row in rows]
-            head = []
+        yield ",".join(header)
+        for row in rows:
+            yield ",".join(str(cell).replace(",", ";") for cell in row)
     else:
-        head = ["| " + " | ".join(header) + " |", "|" + "|".join("---" for _ in header) + "|"]
-        for rows in blocks:
-            yield head + ["| " + " | ".join(str(cell) for cell in row) + " |" for row in rows]
-            head = []
+        yield "| " + " | ".join(header) + " |"
+        yield "|" + "|".join("---" for _ in header) + "|"
+        for row in rows:
+            yield "| " + " | ".join(str(cell) for cell in row) + " |"
 
 
 # ---------------------------------------------------------------- verify
@@ -122,22 +123,22 @@ def verify_suite(
             # every non-zero input of twobit costs exactly one inc/dec
             single_step = [] if gen.name == "twobit" else None
             predicted = gen.predicted_incdec
+            law_ok = lambda nu, incdec: incdec == predicted(nu)
+            step_ok = lambda nu, incdec: single_step is None or not nu or incdec == 1
             if machine is None:
-                rows_in = fold_slices(audit, gen.program, lambda nu, incdec: incdec == predicted(nu)
-                                      and (single_step is None or not nu or incdec == 1))
+                rows_in = fold_slices(audit, gen.program,
+                                      lambda nu, incdec: law_ok(nu, incdec) and step_ok(nu, incdec))
             else:
                 rows_in = measure(gen.program, width, range(1 << width), machine)
             for row in rows_in:
                 value, nu, out, incdec, _, halt = row
-                if single_step is not None and value and incdec != 1:
+                if not step_ok(nu, incdec):
                     single_step.append(f"x={value:02b} incdec {incdec} != 1")
                 if not audit.add(row):
                     got = out if out is not None else halt.value
                     oracle_failures.append(f"x={value:0{width}b} expected {nu} got {got}")
-                    continue
-                want = predicted(nu)
-                if incdec != want:
-                    law_failures.append(f"x={value:0{width}b} incdec {incdec} != {want}")
+                elif not law_ok(nu, incdec):
+                    law_failures.append(f"x={value:0{width}b} incdec {incdec} != {predicted(nu)}")
             record("oracle-equivalence", gen.name, width, oracle_failures,
                    f"all {1 << width} inputs match the bit-count oracle")
             record("step-law", gen.name, width, law_failures,
@@ -165,7 +166,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                  f"/{len(rows)} checks passed")
     print("\n".join(lines))
     if args.out:
-        _emit(_table(("check", "program", "width", "status", "detail"), [rows], "csv"), args.out)
+        _emit(_table(("check", "program", "width", "status", "detail"), rows, "csv"), args.out)
     return 0 if ok else 1
 
 
@@ -199,15 +200,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:  # a generator's own rule, such as twobit's width
         raise SystemExit(_usage_error(str(exc)))
     seen = stuck = 0  # rows, and rows that did not halt, counted as they stream
-    def blocks() -> Iterator[list[tuple[str, int, int, int, int]]]:
+    def counted() -> Iterator[tuple[str, int, int, int, int]]:
         nonlocal seen, stuck
-        while block := list(islice(rows, 1 << AUDIT_WIDTH_MAX)):
-            seen += len(block)
-            stuck += sum(row[2] == -1 for row in block)
-            yield block
+        for row in rows:
+            seen += 1
+            stuck += row[2] == -1
+            yield row
 
     header = ("input_bits", "nu", "output", "incdec_steps", "total_steps")
-    _emit(_table(header, blocks(), args.format), args.out)
+    _emit(_table(header, counted(), args.format), args.out)
     if stuck:
         print(f"{stuck} of {seen} runs did not halt within the budget (output=-1)",
               file=sys.stderr)
@@ -252,7 +253,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         rows += [("divergence", run_idx, probe.params.n, probe.params.e, probe.params.m,
                   probe.params.d, f"incdec={probe.divergence.incdec_index} bound={probe.bound}")
                  for run_idx, probe in divergence.violating_probes]
-        _emit(_table(("kind", "run", "width", "e", "m", "d", "detail"), [rows], "csv"), args.out)
+        _emit(_table(("kind", "run", "width", "e", "m", "d", "detail"), rows, "csv"), args.out)
     return 0 if invariant.ok and divergence.ok else 1
 
 
@@ -278,7 +279,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
             gen = _ALGOS[args.algo](width)
         except ValueError as exc:
             raise SystemExit(_usage_error(str(exc)))
-    _emit([gen.text.splitlines()], args.out)
+    _emit(gen.text.splitlines(), args.out)
     return 0
 
 
@@ -325,7 +326,7 @@ def table_rows() -> list[tuple[str, str, str, str]]:
 
 def cmd_table(args: argparse.Namespace) -> int:
     header = ("operation_set", "lower_bound", "upper_bound", "measured")
-    _emit(_table(header, [table_rows()], args.format), args.out)
+    _emit(_table(header, table_rows(), args.format), args.out)
     return 0
 
 

@@ -6,7 +6,6 @@ from types import SimpleNamespace
 import pytest
 
 from countones import (
-    AUDIT_WIDTH_MAX,
     MAX_WIDTH,
     AdversaryParams,
     Divergence,
@@ -127,9 +126,9 @@ def test_sweep_streams_its_rows(monkeypatch, tmp_path, capsys):
     writes = []
     monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
     assert main(["sweep", "--width", "13", "--algo", "wegner"]) == 0
-    # 8,192 rows written one measure() chunk of 4,096 at a time, the header with the first
-    chunk = 1 << AUDIT_WIDTH_MAX
-    assert [lines.count("\n") for lines in writes] == [1 + chunk, chunk]
+    # the header and 8,192 rows, written cli.EMIT_CHUNK lines at a time
+    chunk = cli.EMIT_CHUNK
+    assert [lines.count("\n") for lines in writes] == [chunk, chunk, 1]
     text = "".join(writes)
     assert text.startswith("input_bits,nu,output,incdec_steps,total_steps\n0000000000000,0,0,0,2\n")
     assert text.endswith("\n1111111111111,13,13,26,80\n")

@@ -29,6 +29,7 @@ from countones import (
     wegner_program,
 )
 
+from countones import adversary, vm
 from countones.adversary import _nu_slices, fold_slices
 from conftest import ComplementMovMachine, record_run, wrong_programs
 
@@ -299,7 +300,7 @@ def _failing_rows(gen, budget=DEFAULT_BUDGET):
     return failing
 
 
-def test_fold_expands_exactly_the_failing_lanes():
+def test_fold_expands_exactly_the_failing_lanes(monkeypatch):
     for width in range(2, 6):
         for gen in wrong_programs(width):
             check = LowerBoundCheck(gen.name, width)
@@ -312,7 +313,8 @@ def test_fold_expands_exactly_the_failing_lanes():
     # cut by the budget: wegner takes 6*nu + 2 steps, so nu >= 4 is cut at 20
     wegner = wegner_program(6)
     check = LowerBoundCheck("wegner", 6)
-    rows = fold_slices(check, wegner.program, budget=20)
+    monkeypatch.setattr(adversary, "run_slices", lambda p, w, v: vm.run_slices(p, w, v, 20))
+    rows = fold_slices(check, wegner.program)
     assert rows == _failing_rows(wegner, budget=20)
     assert {row[1] for row in rows} == {4, 5, 6} and check.inputs == 64 - len(rows)
     assert {row[-1] for row in rows} == {HaltReason.BUDGET_EXHAUSTED}
