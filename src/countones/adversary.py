@@ -48,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import islice
+from math import gcd
 from operator import and_, or_, xor
 from typing import Callable, Iterable, Iterator
 
@@ -140,7 +141,8 @@ def _prefix_bits(value: int, k: int) -> str:
 class PrefixInvariantCheck:
     """The prefix invariant, checked online as a :meth:`Machine.run` observer.
 
-    Pass :meth:`observe` as the observer of a run on ``adversary_input(params)``.
+    Pass :meth:`observe` as the observer of a run on ``adversary_input(params)``,
+    which the check keeps as ``x``.
     At each state with inc/dec index ``i <= m``, every register's top ``k_i``
     bits must be one of all-zeros, all-ones, or the input's own prefix.
     Prefixes are compared as integers (``value >> (n - k)``), which
@@ -156,7 +158,8 @@ class PrefixInvariantCheck:
     """
 
     def __init__(self, params: AdversaryParams) -> None:
-        x = adversary_input(params).value
+        self.x = adversary_input(params)
+        x = self.x.value
         schedule = KSchedule(params.n, params.m)
         self.params = params
         self.checked = 0
@@ -239,6 +242,68 @@ class MsbFlipProbe:
         return self.divergence is None or self.divergence.incdec_index >= self.bound
 
 
+class _Lasso:
+    """A run's ``(pc, incdec_index)`` per state, kept by :meth:`observe` up to
+    the first repeated ``(pc, registers)``, found by the save rule of
+    :class:`PrefixInvariantCheck`; it then detaches, and the run fast-forwards.
+    From ``start`` on the path repeats every ``period`` states, ``gain``
+    inc/dec up each time, and :meth:`at` reads any state.
+
+    Given the lasso of another run and that run's ``end`` (total steps), each
+    pc is compared with the other's, and the first difference is kept as
+    ``divergence``.  Comparing stops there, past ``end`` (a prefix is no
+    divergence) or at this run's repeat, after which the tail is compared by
+    arithmetic up to ``end``.  If both runs repeat, with periods ``p`` and
+    ``q``, pcs that agree over ``p + q - gcd(p, q)`` states past both starts
+    agree to the end: that window has both periods, so it has period ``gcd(p,
+    q)`` (Fine and Wilf, Proc. AMS 1965), and each run keeps it.
+    """
+
+    def __init__(self, other: _Lasso | None = None, end: int = 0) -> None:
+        self.path: list[tuple[int | None, int]] = []
+        self.start = self.period = self.gain = 0
+        self.divergence: Divergence | None = None
+        self._other, self._end = other, end
+        self._mark = 1  # the next state index at which to save a state
+        self._saved: tuple = (-1,)  # (pc, state index, register values)
+
+    def at(self, t: int) -> tuple[int | None, int]:
+        if t < len(self.path):
+            return self.path[t]
+        cycles, offset = divmod(t - self.start, self.period)
+        pc, i = self.path[self.start + offset]
+        return pc, i + cycles * self.gain
+
+    def _diverges(self, t: int, pc: int | None) -> bool:
+        if pc == self._other.at(t)[0]:
+            return False
+        self.divergence = Divergence(t - 1, self._other.at(t - 1)[1])
+        return True
+
+    def observe(self, incdec_index: int, pc: int | None, registers: dict[str, int]) -> bool:
+        t = len(self.path)
+        other = self._other
+        if other is not None and (t > self._end or self._diverges(t, pc)):
+            return False
+        if t == self._mark:
+            self._saved = (pc, t, tuple(registers.values()))
+            self._mark *= 2
+        elif pc == self._saved[0] and self._saved[2] == tuple(registers.values()):
+            self.start, self.period = self._saved[1], t - self._saved[1]
+            self.gain = incdec_index - self.path[self.start][1]
+            if other is not None:
+                last = self._end
+                if other.period:  # both runs repeat: see the class docstring
+                    p, q = self.period, other.period
+                    last = min(last, max(t, max(self.start, other.start) + p + q - gcd(p, q) - 1))
+                for u in range(t + 1, last + 1):
+                    if self._diverges(u, self.at(u)[0]):
+                        break
+            return False
+        self.path.append((pc, incdec_index))
+        return True
+
+
 def msb_flip_probe(
     program: Program,
     params: AdversaryParams,
@@ -254,13 +319,13 @@ def msb_flip_probe(
     branch -- so such parameters are rejected.
 
     Returns the first control-flow divergence (if any) and whether it
-    respects ``incdec_index >= min(nu, n - nu)``.  The run on ``x`` records
-    its path of executed instructions through an observer; the run on the
-    flipped word is compared against it online and stops comparing at the
-    first difference or where that path ends.  A path that is a prefix of
-    the other is no divergence, so a last branch that one run takes and the
-    other falls through, off the end, goes unseen (``L0: INC a`` / ``BZ x
-    L0`` on ``0000`` and ``1000`` under budget 50).
+    respects ``incdec_index >= min(nu, n - nu)``.  Each run records its path
+    up to its first repeated state only (:class:`_Lasso`), so both runs
+    fast-forward, and the flipped run is compared against the first run's
+    path and, past its own repeat, by arithmetic.  A path that is a prefix
+    of the other is no divergence, so a last branch that one run takes and
+    the other falls through, off the end, goes unseen (``L0: INC a`` / ``BZ
+    x L0`` on ``0000`` and ``1000`` under budget 50).
     """
     if params.e != params.d:
         raise ValueError(
@@ -270,33 +335,17 @@ def msb_flip_probe(
     x = adversary_input(params)
     nu = popcount_naive(x)
     flipped = Word(params.n, x.value ^ (1 << (params.n - 1)))
-    # (pc, incdec_index) of every state of the run on x, the initial one first
-    path: list[tuple[int | None, int]] = []
-    result_x = Machine().run(
-        program, x, budget=budget, observer=lambda i, pc, regs: path.append((pc, i))
-    )
-
-    divergence: Divergence | None = None
-    step = 0
-
-    def compare(i: int, pc: int | None, regs: dict[str, int]) -> bool:
-        nonlocal divergence, step
-        if step == len(path):
-            return False  # one path is a prefix of the other, which is no divergence
-        if pc != path[step][0]:
-            divergence = Divergence(step - 1, path[step - 1][1])
-            return False
-        step += 1
-        return True
-
-    result_flipped = Machine().run(program, flipped, budget=budget, observer=compare)
+    lasso_x = _Lasso()
+    result_x = Machine().run(program, x, budget=budget, observer=lasso_x.observe)
+    lasso_flipped = _Lasso(lasso_x, result_x.total_steps)
+    result_flipped = Machine().run(program, flipped, budget=budget, observer=lasso_flipped.observe)
     return MsbFlipProbe(
         params=params,
         x=x,
         x_flipped=flipped,
         nu=nu,
         bound=min(nu, params.n - nu),
-        divergence=divergence,
+        divergence=lasso_flipped.divergence,
         result_x=result_x,
         result_flipped=result_flipped,
     )

@@ -9,24 +9,29 @@ count is exactly zero -- any hit means an interpreter bug, which is
 precisely what the deliberately broken machines in the test suite
 demonstrate.
 
-Everything is reproducible from the seed.  Non-terminating programs are cut
-by the per-run budget; their states up to the cut are still checked, except
-where the check has detached at a repeated state with no INC/DEC since,
-whose replays it has already found clean.  After the detach such a run
-fast-forwards to its budget.
+Everything is reproducible from the seed.  Every draw is one
+:func:`_below`, which spells out the rule that ``choice``, ``randint`` and
+``randrange`` all end in, the same in CPython 3.10 to 3.13; so the seeded
+programs are exactly those of that spelling, at a fraction of its cost.
+Instructions without a jump target are shared between programs.
+
+Non-terminating programs are cut by the per-run budget; their states up to
+the cut are still checked, except where the check has detached at a
+repeated state with no INC/DEC since, whose replays it has already found
+clean.  After the detach such a run fast-forwards to its budget.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Callable
 
 from .adversary import (
     AdversaryParams,
     MsbFlipProbe,
     PrefixInvariantCheck,
     Violation,
-    adversary_input,
     msb_flip_probe,
 )
 from .vm import OPCODES, HaltReason, Instruction, Machine, Program
@@ -66,21 +71,48 @@ _OP_DECK = (
 )
 
 
+def _below(getrandbits: Callable[[int], int], n: int) -> int:
+    """``Random.randrange(n)`` for ``n >= 1``, draw for draw: ``getrandbits``
+    of ``n``'s bit length until the draw is below ``n``, as in CPython's
+    ``Random._randbelow``, which ``choice``, ``randint`` and ``randrange``
+    all end in."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+# The deck as (opcode, register operands, takes a label), in deck order.
+_DECK = tuple((op, OPCODES[op].regs, OPCODES[op].label) for op in _OP_DECK)
+
+# The instructions without a target, shared by every program that draws one:
+# at most 224 (ZERO, INC, DEC and OUT over 8 registers, MOV, AND and OR over
+# 8 x 8).  Branches are built afresh, so the memo stays that small.
+_PLAIN: dict[tuple[str, ...], Instruction] = {}
+
+
 def random_program(rng: random.Random, max_len: int = 24) -> Program:
     """A random program of 2..``max_len`` instructions; ``max_len < 2``
     raises ``ValueError`` before anything is drawn from ``rng``."""
     if max_len < 2:
         raise ValueError(f"max_len must be >= 2 (a random program has at least two "
                          f"instructions), got {max_len}")
-    length = rng.randint(2, max_len)
-    regs = _REG_POOL[: rng.randint(2, len(_REG_POOL))]
+    bits = rng.getrandbits
+    length = 2 + _below(bits, max_len - 1)
+    regs = _REG_POOL[: 2 + _below(bits, len(_REG_POOL) - 1)]
+    count = len(regs)
     instructions = []
     for _ in range(length):
-        op = rng.choice(_OP_DECK)
-        spec = OPCODES[op]
-        operands = [rng.choice(regs) for _ in range(spec.regs)]
-        target = rng.randrange(length) if spec.label else None
-        instructions.append(Instruction(op, *operands, target=target))
+        op, nregs, label = _DECK[_below(bits, len(_DECK))]
+        if nregs == 2:
+            key = (op, regs[_below(bits, count)], regs[_below(bits, count)])
+        else:
+            key = (op, regs[_below(bits, count)]) if nregs else (op,)
+        if label:
+            instructions.append(Instruction(*key, target=_below(bits, length)))
+        else:
+            instructions.append(_PLAIN.get(key) or _PLAIN.setdefault(key, Instruction(*key)))
     return Program(tuple(instructions))
 
 
@@ -106,10 +138,13 @@ def random_adversary_params(
 ) -> AdversaryParams:
     """Draw adversary parameters; ``equal_ends`` forces ``e == d``."""
     lo, hi = width_range
-    n = rng.randint(lo, hi)
-    m = rng.randint(0, (n - 1) // 2)
-    e = rng.randint(0, 1)
-    d = e if equal_ends else rng.randint(0, 1)
+    if not 1 <= lo <= hi:
+        raise ValueError(f"width range must satisfy 1 <= lo <= hi, got {width_range}")
+    bits = rng.getrandbits
+    n = lo + _below(bits, hi - lo + 1)
+    m = _below(bits, (n - 1) // 2 + 1)
+    e = _below(bits, 2)
+    d = e if equal_ends else _below(bits, 2)
     return AdversaryParams(e, m, d, n)
 
 
@@ -151,9 +186,7 @@ def fuzz_invariant(
         program = random_program(rng, max_len)
         params = random_adversary_params(rng, width_range)
         check = PrefixInvariantCheck(params)
-        result = machine.run(
-            program, adversary_input(params), budget=budget, observer=check.observe
-        )
+        result = machine.run(program, check.x, budget=budget, observer=check.observe)
         if result.halt_reason is HaltReason.BUDGET_EXHAUSTED:
             exhausted += 1
         if not check.ok:

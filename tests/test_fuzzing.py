@@ -1,17 +1,21 @@
 import random
+from itertools import chain, cycle, islice
 
 import pytest
 
 from countones import (
+    OPCODES,
     AdversaryParams,
     Divergence,
     DivergenceFuzzReport,
     ExecResult,
     HaltReason,
+    Instruction,
     InvariantFuzzReport,
     Machine,
     MsbFlipProbe,
     PrefixInvariantCheck,
+    Program,
     Violation,
     Word,
     adversary_input,
@@ -23,7 +27,14 @@ from countones import (
     random_program,
     random_program_text,
 )
-from countones.fuzzing import FUZZ_BUDGET, random_adversary_params
+from countones.adversary import _Lasso
+from countones.fuzzing import (
+    _OP_DECK,
+    _PLAIN,
+    _REG_POOL,
+    FUZZ_BUDGET,
+    random_adversary_params,
+)
 
 from conftest import ComplementMovMachine, NonWrappingIncMachine, record_run
 
@@ -31,6 +42,30 @@ from conftest import ComplementMovMachine, NonWrappingIncMachine, record_run
 # The campaigns recomputed from the same rng draws the slow way: program
 # text through the parser, runs that record every state, and the checks
 # applied to the recorded states afterwards.
+
+
+def reference_random_program(rng, max_len):
+    """The draws of :func:`random_program`, spelled with ``randint``, ``choice``
+    and ``randrange``."""
+    length = rng.randint(2, max_len)
+    regs = _REG_POOL[: rng.randint(2, len(_REG_POOL))]
+    instructions = []
+    for _ in range(length):
+        op = rng.choice(_OP_DECK)
+        spec = OPCODES[op]
+        operands = [rng.choice(regs) for _ in range(spec.regs)]
+        target = rng.randrange(length) if spec.label else None
+        instructions.append(Instruction(op, *operands, target=target))
+    return Program(tuple(instructions))
+
+
+def reference_adversary_params(rng, width_range, equal_ends=False):
+    lo, hi = width_range
+    n = rng.randint(lo, hi)
+    m = rng.randint(0, (n - 1) // 2)
+    e = rng.randint(0, 1)
+    d = e if equal_ends else rng.randint(0, 1)
+    return AdversaryParams(e, m, d, n)
 
 
 def reference_violations(states, params):
@@ -116,6 +151,30 @@ def test_generated_programs_always_parse():
         for _ in range(300):
             text = random_program_text(text_rng, max_len)
             assert parse_program(text) == random_program(program_rng, max_len)
+
+
+@pytest.mark.parametrize("max_len", [2, 3, 24, 160])
+@pytest.mark.parametrize("equal_ends", [False, True])
+def test_draws_equal_the_randint_choice_spelling(max_len, equal_ends):
+    # the same programs and params, and the rng left in the same state, so
+    # that a caller drawing on from the same rng sees the same numbers too
+    for seed in range(300):
+        rng, ref = random.Random(seed), random.Random(seed)
+        width_range = ((4, 16), (2, 16), (1, 64))[seed % 3]
+        assert random_program(rng, max_len) == reference_random_program(ref, max_len)
+        assert (random_adversary_params(rng, width_range, equal_ends)
+                == reference_adversary_params(ref, width_range, equal_ends))
+        assert rng.getstate() == ref.getstate()
+    # the memo shares only instructions without a target, each under its own key
+    assert _PLAIN and len(_PLAIN) <= 224
+    for key, ins in _PLAIN.items():
+        assert ins.target is None and key == (ins.op, *(r for r in (ins.a, ins.b) if r))
+
+
+def test_empty_width_range_is_rejected():
+    for width_range in ((5, 4), (0, 3)):
+        with pytest.raises(ValueError, match="width range"):
+            random_adversary_params(random.Random(1), width_range)
 
 
 def test_max_len_below_two_is_rejected_before_drawing():
@@ -205,6 +264,111 @@ def test_flip_probe_matches_traced_reference():
     # both verdicts were reached, and runs were cut by the budget
     assert {d for d, _ in outcomes} == {False, True}
     assert any(h is HaltReason.BUDGET_EXHAUSTED for _, h in outcomes)
+
+
+# Hand cases for the probe, as (params, program text).  Every run below
+# fast-forwards: step by step, a budget of 10**9 would take minutes.
+PROBE_CASES = {
+    # on 1111 and its flip 0111, a counts modulo 16 and modulo 8: one path
+    # of pcs, periods 48 and 24, so the comparison ends after a window of
+    # 48 + 24 - gcd(48, 24) = 48 states in which both runs repeat
+    "periods differ": (AdversaryParams(1, 0, 1, 4), "L0: INC a\nAND a x\nJMP L0"),
+    # a counts up from x again after each wrap: 16 rounds of 3 on 0000, then 8
+    # on its flip 1000, which repeats at state 58; the runs part at state 75,
+    # in the tail that the arithmetic settles, with both runs looping
+    "parted in the tail": (AdversaryParams(0, 0, 0, 4),
+                           "L0: OR a a\nINC a\nBNZ a L0\nMOV a x\nBEQ x x L0"),
+    # b = x + 1 is 0 on 1111 and 8 on its flip, so only the run on x leaves
+    # the loop, at a = 0 after 16 rounds, and halts; the flipped run loops
+    "x halts": (AdversaryParams(1, 0, 1, 4),
+                "MOV b x\nINC b\nL2: INC a\nAND a x\nBEQ a b L6\nJMP L2\nL6: OUT a"),
+    # the flip's top bit moves on from b to c to d, one register a round, and
+    # the flipped run halts in round 3; the run on 0000 repeats from round 1,
+    # so the parting and its inc/dec index are read off that run's cycle
+    "flip halts": (AdversaryParams(0, 0, 0, 4),
+                   "L0: INC a\nMOV d c\nMOV c b\nMOV b x\nDEC a\nBZ d L0\nOUT d"),
+}
+
+
+def test_probe_fast_forwards_both_runs():
+    probes = {name: msb_flip_probe(parse_program(text), params, budget=10**9)
+              for name, (params, text) in PROBE_CASES.items()}
+    probe = probes["periods differ"]
+    assert probe.divergence is None
+    assert probe.result_x == probe.result_flipped == ExecResult(
+        None, 10**9, 333_333_334, HaltReason.BUDGET_EXHAUSTED)
+    probe = probes["parted in the tail"]
+    assert probe.divergence == Divergence(74, 24)
+    assert probe.result_x == ExecResult(None, 10**9, 320_000_000, HaltReason.BUDGET_EXHAUSTED)
+    assert probe.result_flipped == ExecResult(None, 10**9, 307_692_309,
+                                              HaltReason.BUDGET_EXHAUSTED)
+    probe = probes["x halts"]
+    assert probe.divergence == Divergence(65, 17)
+    assert probe.result_x == ExecResult(0, 66, 17, HaltReason.OUT)
+    assert probe.result_flipped == ExecResult(None, 10**9, 250_000_001,
+                                              HaltReason.BUDGET_EXHAUSTED)
+    probe = probes["flip halts"]
+    assert probe.divergence == Divergence(18, 6)
+    assert probe.result_x == ExecResult(None, 10**9, 333_333_333, HaltReason.BUDGET_EXHAUSTED)
+    assert probe.result_flipped == ExecResult(8, 19, 6, HaltReason.OUT)
+
+
+@pytest.mark.parametrize("case", PROBE_CASES)
+@pytest.mark.parametrize("budget", [1, 7, 14, 18, 19, 50, 58, 64, 66, 74, 75, 100, 114, 1000])
+def test_probe_hand_cases_match_traced_reference(case, budget):
+    # the budgets cut before, at and after the repeats and the parting, and
+    # 50, 100 and 1000 inside a cycle
+    params, text = PROBE_CASES[case]
+    program = parse_program(text)
+    assert msb_flip_probe(program, params, budget) == reference_probe(program, params, budget)
+
+
+def made_up_run(pcs, tail, metered):
+    """The observer calls of a run that executes ``pcs[:tail]`` once and then
+    ``pcs[tail:]`` over and over, with an INC or DEC where ``metered`` says; a
+    state is (pc, position in ``pcs``), so it first repeats after one cycle."""
+    yield 0, None, {"s": -1}
+    i = 0
+    for pos in chain(range(tail), cycle(range(tail, len(pcs)))):
+        i += metered[pos]
+        yield i, pcs[pos], {"s": pos}
+
+
+def feed(observer, states):
+    """Call ``observer`` on each state until it detaches; return that state's index."""
+    for t, state in enumerate(states):
+        if observer(*state) is False:
+            return t
+
+
+def test_lasso_settles_a_tail_like_a_state_by_state_comparison():
+    # two looping runs, tails under 20 states and periods under 8, whose pcs
+    # agree for a while, fed to the probe's recorders; the reference compares
+    # them state by state past both tails and the lcm of both periods, after
+    # which nothing new can happen
+    rng = random.Random(5)
+    horizon = 1 + 20 + 42
+    settled = 0
+    for _ in range(3000):
+        x_tail, x_period = rng.randrange(20), rng.randrange(1, 8)
+        x_pcs = [rng.randrange(2) for _ in range(x_tail + x_period)]
+        x_metered = [rng.randrange(2) for _ in x_pcs]
+        x_states = list(islice(made_up_run(x_pcs, x_tail, x_metered), horizon))
+        # the flipped run follows x's pcs through its own tail and first cycle
+        f_tail, f_period = rng.randrange(20), rng.randrange(1, 8)
+        f_pcs = [pc for _, pc, _ in x_states[1:1 + f_tail + f_period]]
+        f_metered = [0] * len(f_pcs)
+        f_states = list(islice(made_up_run(f_pcs, f_tail, f_metered), horizon))
+        expected = next((Divergence(t - 1, x_states[t - 1][0]) for t in range(1, horizon)
+                         if x_states[t][1] != f_states[t][1]), None)
+        lasso_x = _Lasso()
+        feed(lasso_x.observe, made_up_run(x_pcs, x_tail, x_metered))
+        assert lasso_x.period == x_period
+        lasso_f = _Lasso(lasso_x, 10**6)
+        detached = feed(lasso_f.observe, made_up_run(f_pcs, f_tail, f_metered))
+        assert lasso_f.divergence == expected, (x_pcs, x_tail, f_pcs, f_tail)
+        settled += expected is not None and expected.step_index >= detached
+    assert settled >= 50  # partings that only the arithmetic of the tail found
 
 
 def test_random_params_respect_the_constraints():

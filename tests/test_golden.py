@@ -49,6 +49,10 @@ GOLDEN = {
         "584a63010bdf3a49e6a77e7d16e0fdc820e85e907a3fa10def04cd72b16f8c98",
     "fuzz --seed 4 --count 500 --out":
         "2ecd519fbb8133e5cf60e0efa3bd4e574020126f7ddf57fbc161ad6c9662f230",
+    # long budgets, so that most runs and both runs of most flip probes
+    # fast-forward over their cycles
+    "fuzz --seed 1 --count 1000 --budget 4096 --out":
+        "a9deece85cd8cbc9401e6f3245cdea5a0bbe766c67081cb0ff9b9269f02fe773",
 }
 
 # sha256 of the ``gen`` text of wegner, dense and combined at widths 1..64
