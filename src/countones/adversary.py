@@ -27,20 +27,18 @@ empirically checkable:
 
 * **measurement** (:func:`measure`): the one loop that yields a row
   ``(value, nu, output, incdec, total, halt)`` per input, ``nu`` from the
-  naive oracle, on the lane executor or on a given machine.  ``sweep``
-  reads it, and so do ``verify`` and the audit when given a machine.
+  naive oracle, on the lanes of :func:`run_slices` (:func:`_lane_rows`) or
+  on a given machine.  ``sweep`` reads it, and so do ``verify`` and the
+  audit when given a machine.
 
 * **the fold on slices** (:func:`fold_slices`): each check of ``verify``
   and the audit is a function of ``(nu, output, incdec, halt)``, so on the
   stock machine it runs once per cell of lanes, ``nu`` being a ripple add
   of the input slices (:func:`_nu_slices`).  Passing cells fold in bulk;
-  only failing lanes become rows, for the row code.
+  only failing lanes become rows, as :func:`measure` makes them.
 
 Each check is its own report: a :class:`PrefixInvariantCheck` or
 :class:`LowerBoundCheck` holds what it has seen so far and says ``ok``.
-
-Audits and fuzzing are embarrassingly parallel across (program, input)
-pairs; every execution is independent.
 """
 
 from __future__ import annotations
@@ -50,10 +48,10 @@ from functools import reduce
 from itertools import islice
 from math import gcd
 from operator import and_, or_, xor
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .programs import GeneratedProgram
-from .vm import DEFAULT_BUDGET, ExecResult, HaltReason, Machine, Program, run_lanes, run_slices
+from .vm import DEFAULT_BUDGET, ExecResult, HaltReason, Machine, Program, _transpose, run_slices
 from .words import MAX_WIDTH, Word, popcount_naive
 
 __all__ = [
@@ -356,6 +354,30 @@ def msb_flip_probe(
 Row = tuple[int, int, int | None, int, int, HaltReason]
 
 
+def _lane_rows(
+    values: Sequence[int], width: int, out: list[int], halts: list, lanes: int = -1
+) -> Iterator[Row]:
+    """The :data:`Row` of each lane in ``lanes`` of a :func:`run_slices` run on
+    ``values``, in lane order and lazily; ``nu`` is from the naive oracle.
+    The outputs are transposed only if some lane is selected."""
+    lanes &= (1 << len(values)) - 1
+    if not lanes:
+        return
+    outputs = _transpose(out, len(values))
+    ends: list = [(0, 0, None)] * len(values)  # a selected lane's group [total, incdec, halt]
+    for group, *end in halts:
+        bits = format(group & lanes, "b")[::-1]  # character j is lane j
+        j = bits.find("1")
+        while j >= 0:
+            ends[j] = end
+            j = bits.find("1", j + 1)
+    for value, output, (total, incdec, halt) in zip(values, outputs, ends):
+        if halt is not None:
+            word = Word(width, value)
+            yield (word.value, popcount_naive(word), output if halt is HaltReason.OUT else None,
+                   incdec, total, halt)
+
+
 def measure(
     program: Program,
     width: int,
@@ -365,24 +387,23 @@ def measure(
 ) -> Iterator[Row]:
     """Run ``program`` once on each ``width``-bit input in ``values``, lazily.
 
-    Yields one :data:`Row` per input, in order: the input value, its naive
-    bit count ``nu``, the output (``None`` if the run did not halt with
-    OUT), both step counters and the halt reason.  The inputs run on
-    :func:`run_lanes` in chunks of ``1 << AUDIT_WIDTH_MAX``, or each on
-    ``machine.run`` if a machine is given.  Rows are produced one chunk at a
-    time as they are consumed, so a caller that folds them keeps at most one
-    chunk of per-input state.
+    Yields one :data:`Row` per input, in order, ``nu`` from the naive
+    oracle.  Each input runs on ``machine.run`` if a machine is given, the
+    reference path; otherwise the inputs run on :func:`run_slices` in chunks
+    of ``1 << AUDIT_WIDTH_MAX``, so a caller that folds the rows keeps at
+    most one chunk of per-input state.
     """
-    values = iter(values)
-    while chunk := list(islice(values, 1 << AUDIT_WIDTH_MAX)):
-        if machine is None:
-            results = run_lanes(program, width, chunk, budget)
-        else:
-            results = [machine.run(program, Word(width, value), budget) for value in chunk]
-        for value, res in zip(chunk, results):
+    if machine is not None:
+        for value in values:
             word = Word(width, value)
+            res = machine.run(program, word, budget)
             yield (word.value, popcount_naive(word), res.output, res.incdec_steps,
                    res.total_steps, res.halt_reason)
+        return
+    values = iter(values)
+    while chunk := list(islice(values, 1 << AUDIT_WIDTH_MAX)):
+        _, out, halts = run_slices(program, width, chunk, budget)
+        yield from _lane_rows(chunk, width, out, halts)
 
 
 @dataclass(frozen=True, slots=True)
@@ -474,20 +495,14 @@ def fold_slices(
     classes = [reduce(and_, (s if v >> i & 1 else ~s for i, s in enumerate(nu)), -1)
                for v in range(width + 1)]
     correct = ~reduce(or_, map(xor, out, nu + [0] * (width - len(nu))))
-    rows: list[Row] = []
-    for group, total, incdec, halt in halts:
+    folded = 0
+    for group, _, incdec, halt in halts:
         if halt is HaltReason.OUT:
             for v, members in enumerate(classes):
                 cell = group & members & correct
                 if cell and passes(v, incdec) and check.add_lanes(v, incdec, cell.bit_count()):
-                    group ^= cell
-        while group:  # the lanes left failed a check, each a row as measure() makes it
-            j = (group & -group).bit_length() - 1
-            group ^= 1 << j
-            output = None if halt is not HaltReason.OUT else sum(
-                (s >> j & 1) << b for b, s in enumerate(out))
-            rows.append((j, popcount_naive(Word(width, j)), output, incdec, total, halt))
-    return sorted(rows)
+                    folded |= cell
+    return list(_lane_rows(range(1 << width), width, out, halts, ~folded))
 
 
 def lower_bound_audit(g: GeneratedProgram, machine: Machine | None = None) -> LowerBoundCheck:

@@ -1,6 +1,6 @@
 """Command-line front end: verify, sweep, fuzz, gen, table.
 
-Exit codes: 0 success, 1 assertion/check failure, 2 usage error.
+Exit codes: 0 success, 1 check failure or a closed stdout, 2 usage error.
 
 CSV schemas (stable, part of the public contract):
 
@@ -23,6 +23,7 @@ byte-identical bytes.
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 from contextlib import nullcontext
@@ -396,7 +397,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     if getattr(args, "width_min", None) is not None:
         if not 1 <= args.width_min <= args.width_max <= MAX_WIDTH:
             return _usage_error("need 1 <= width-min <= width-max <= 64")
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+    except BrokenPipeError:  # as Python's signal docs advise: exit's own flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -70,8 +70,8 @@ runs every live group's instruction under its mask; a branch splits it.
 Every lane executes one instruction per global step, so its
 ``total_steps`` is the step at which it halts, and the end of the program
 is tested before the budget, as in the reference loop.  It returns the input
-slices, the OUT slices and the halt groups; its wrapper :func:`run_lanes`
-transposes every lane back into an :class:`ExecResult`.
+slices, the OUT slices and the halt groups; :func:`countones.adversary.measure`
+turns lanes back into rows.  One transpose, :func:`_transpose`, goes both ways.
 """
 
 from __future__ import annotations
@@ -99,7 +99,6 @@ __all__ = [
     "Machine",
     "execute",
     "run_slices",
-    "run_lanes",
 ]
 
 DEFAULT_BUDGET = 1_000_000
@@ -259,7 +258,7 @@ class Machine:
     unobserved runs that do not halt are fast-forwarded over the repeats of
     their cycle, which holds only if a state determines the rest of the run.
     The stock machine wraps at the word boundary, and its :meth:`run` is the
-    oracle that :func:`run_lanes` must match exactly.
+    oracle that :func:`run_slices` must match exactly.
     """
 
     def _inc(self, value: int, mask: int) -> int:
@@ -386,19 +385,15 @@ def run_slices(
         raise ValueError(f"budget must be >= 1, got {budget}")
     if not 1 <= width <= MAX_WIDTH:
         raise ValueError(f"width must be 1..{MAX_WIDTH}, got {width}")
-    count = len(values)
-    if not count:
+    if not values:
         return [0] * width, [0] * width, []
-    mask = (1 << width) - 1
-    # lane count-1 first, each MSB first: slice b is every width-th character from width-1-b
-    bits = "".join(format(value & mask, f"0{width}b") for value in reversed(values))
-    x = [int(bits[width - 1 - b::width], 2) for b in range(width)]
+    x = _transpose(values, width)
     regs = {name: [0] * width for name in program.register_names}
     regs["x"] = list(x)  # a copy: INC and DEC update slices in place
     out = [0] * width  # the OUT register of each lane that halted with OUT
     instructions = program.instructions
     size = len(instructions)
-    live = {(0, 0): (1 << count) - 1}  # (pc, incdec_steps) -> lane mask
+    live = {(0, 0): (1 << len(values)) - 1}  # (pc, incdec_steps) -> lane mask
     halts: list[tuple[int, int, int, HaltReason]] = []  # (lanes, total, incdec, reason)
     step = 0
     while live:
@@ -455,28 +450,10 @@ def run_slices(
     return x, out, halts
 
 
-def run_lanes(
-    program: Program, width: int, values: Sequence[int], budget: int = DEFAULT_BUDGET
-) -> list[ExecResult]:
-    """Run ``program`` on every ``width``-bit input in ``values`` at once, bit-sliced.
-
-    Returns one :class:`ExecResult` per input, in order, equal to what
-    :func:`execute` returns for ``Word(width, value)``; lanes that halt
-    together with one output share one result object.
-    """
-    _, out, halts = run_slices(program, width, values, budget)
-    count = len(values)
-    # top slice first: lane j's output is every count-th character from count-1-j
-    bits = "".join(format(o, f"0{count}b") for o in reversed(out))
-    results: list = [None] * count  # every lane halts in exactly one group
-    for lanes, total, k, halt in halts:
-        shared: dict[int | None, ExecResult] = {}  # by output
-        lane_bits = format(lanes, "b")[::-1]  # character j is lane j
-        j = lane_bits.find("1")
-        while j >= 0:
-            output = int(bits[count - 1 - j::count], 2) if halt is HaltReason.OUT else None
-            if output not in shared:
-                shared[output] = ExecResult(output, total, k, halt)
-            results[j] = shared[output]
-            j = lane_bits.find("1", j + 1)
-    return results
+def _transpose(words: Sequence[int], width: int) -> list[int]:
+    """Bit ``j`` of item ``b`` is bit ``b`` of ``words[j]``, for ``b < width``: the
+    lanes' one bit transpose, from values to slices and, given the lane count, back."""
+    mask = (1 << width) - 1
+    # the last word first, each MSB first: item b is every width-th character from width-1-b
+    bits = "".join(format(word & mask, f"0{width}b") for word in reversed(words))
+    return [int(bits[width - 1 - b::width], 2) for b in range(width)]

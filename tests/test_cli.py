@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -17,7 +19,7 @@ from countones import (
     parse_program,
     wegner_program,
 )
-from countones import adversary, words
+from countones import adversary, vm, words
 from countones.cli import main, verify_suite
 
 from conftest import NonWrappingIncMachine, wrong_programs
@@ -124,7 +126,7 @@ def test_sweep_reports_runs_that_do_not_halt(capsys):
 
 def test_sweep_streams_its_rows(monkeypatch, tmp_path, capsys):
     writes = []
-    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append, flush=lambda: None))
     assert main(["sweep", "--width", "13", "--algo", "wegner"]) == 0
     # the header and 8,192 rows, written cli.EMIT_CHUNK lines at a time
     chunk = cli.EMIT_CHUNK
@@ -133,13 +135,27 @@ def test_sweep_streams_its_rows(monkeypatch, tmp_path, capsys):
     assert text.startswith("input_bits,nu,output,incdec_steps,total_steps\n0000000000000,0,0,0,2\n")
     assert text.endswith("\n1111111111111,13,13,26,80\n")
     # nothing runs before --out is open, and a lazy sweep runs only what is read
-    monkeypatch.setattr(adversary, "run_lanes", lambda *args: pytest.fail("ran a row"))
+    monkeypatch.setattr(adversary, "run_slices", lambda *args: pytest.fail("ran a row"))
     with pytest.raises(SystemExit) as err:
         main(["sweep", "--width", "4", "--algo", "wegner", "--out", str(tmp_path / "no" / "x")])
     assert err.value.code == 2 and capsys.readouterr().err.count("\n") == 1
     rows = cli.sweep_rows(20, "dense")
     monkeypatch.undo()
     assert next(rows)[:3] == ("0" * 20, 0, 0)
+
+
+def test_a_closed_pipe_ends_without_a_traceback():
+    # as in `countones sweep --width 16 --algo dense | head -1`
+    src = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "countones.cli", "sweep", "--width", "16", "--algo", "dense"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"input_bits,nu,output,incdec_steps,total_steps\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err, err
 
 
 def test_sweep_markdown(capsys):
@@ -309,7 +325,7 @@ def test_verify_on_slices_equals_the_row_path(monkeypatch):
 
 
 def test_passing_verify_turns_no_lane_into_a_word(monkeypatch):
-    counts = {"Word": 0, "popcount_naive": 0}
+    counts = {"Word": 0, "popcount_naive": 0, "_transpose": 0}
 
     def counted(name, real):
         def wrapper(*args):
@@ -321,8 +337,10 @@ def test_passing_verify_turns_no_lane_into_a_word(monkeypatch):
     for module in (adversary, words):
         monkeypatch.setattr(module, "popcount_naive",
                             counted("popcount_naive", words.popcount_naive))
+    # the transpose of the OUT slices back into outputs, not that of the inputs
+    monkeypatch.setattr(adversary, "_transpose", counted("_transpose", vm._transpose))
     assert verify_suite(range(2, 13))[0]
-    assert counts == {"Word": 0, "popcount_naive": 0}
+    assert counts == {"Word": 0, "popcount_naive": 0, "_transpose": 0}
     # the row path, by contrast, makes both per input
     assert verify_suite([3], machine=Machine())[0]
     assert counts["popcount_naive"] == 3 * 8 and counts["Word"] >= 3 * 8

@@ -313,7 +313,8 @@ def test_fold_expands_exactly_the_failing_lanes(monkeypatch):
     # cut by the budget: wegner takes 6*nu + 2 steps, so nu >= 4 is cut at 20
     wegner = wegner_program(6)
     check = LowerBoundCheck("wegner", 6)
-    monkeypatch.setattr(adversary, "run_slices", lambda p, w, v: vm.run_slices(p, w, v, 20))
+    monkeypatch.setattr(adversary, "run_slices",
+                        lambda p, w, v, budget=20: vm.run_slices(p, w, v, budget))
     rows = fold_slices(check, wegner.program)
     assert rows == _failing_rows(wegner, budget=20)
     assert {row[1] for row in rows} == {4, 5, 6} and check.inputs == 64 - len(rows)

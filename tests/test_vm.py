@@ -12,12 +12,14 @@ from countones import (
     ParseError,
     Word,
     execute,
+    measure,
     parse_program,
-    run_lanes,
+    popcount_naive,
+    run_slices,
     shipped_programs,
 )
 from countones.fuzzing import _OP_DECK, random_program
-from countones.vm import OPCODES, Instruction, Program
+from countones.vm import OPCODES, Instruction, Program, _transpose
 
 from conftest import ComplementMovMachine, NonWrappingIncMachine, record_run
 
@@ -268,11 +270,16 @@ def test_fast_forward_after_the_observer_detaches():
 
 
 def lanes_match_reference(program, width, values, budget=DEFAULT_BUDGET):
-    """``run_lanes`` on ``values`` at once, held to one reference run per input."""
-    got = run_lanes(program, width, values, budget)
-    assert got == [execute(program, Word(width, v), budget) for v in values], (
-        program, width, values, budget)
-    return got
+    """``measure()``'s lane rows of ``values``, held to one reference run per
+    input; returns each row's :class:`ExecResult`."""
+    rows = list(measure(program, width, values, budget=budget))
+    want = []
+    for v in values:
+        res = execute(program, Word(width, v), budget)
+        want.append((v, popcount_naive(Word(width, v)), res.output, res.incdec_steps,
+                     res.total_steps, res.halt_reason))
+    assert rows == want, (program, width, values, budget)
+    return [ExecResult(out, total, incdec, halt) for _, _, out, incdec, total, halt in rows]
 
 
 def test_lanes_match_reference_on_random_programs():
@@ -311,12 +318,27 @@ def test_lanes_budget_cut_at_every_step():
     assert cases > 100
 
 
+@pytest.mark.parametrize("width", [1, 2, 63, 64])
+@pytest.mark.parametrize("count", [1, 64, 65, 4096])
+def test_transpose_round_trips(width, count):
+    rng = random.Random(count * 100 + width)
+    words = [rng.getrandbits(width) for _ in range(count)]
+    slices = _transpose(words, width)
+    assert slices == [sum((w >> b & 1) << j for j, w in enumerate(words)) for b in range(width)]
+    assert _transpose(slices, count) == words
+
+
+def test_transpose_masks_bits_above_its_width():
+    assert _transpose([0b1111_0101, -1], 4) == [0b11, 0b10, 0b11, 0b10]
+    assert _transpose([0b110], 1) == [0]
+
+
 def test_lanes_aliasing_and_edge_cases():
     # an instruction whose two registers are one
     for text in ("MOV x x\nOUT x", "AND x x\nOUT x", "BEQ x x yes\nOUT a\nyes: INC a\nOUT a",
                  "BLT x x yes\nOUT a\nyes: INC a\nOUT a"):
         lanes_match_reference(parse_program(text), 4, range(16))
-    assert run_lanes(parse_program("OUT x"), 4, []) == []
+    assert run_slices(parse_program("OUT x"), 4, []) == ([0] * 4, [0] * 4, [])
     assert lanes_match_reference(parse_program(WEGNER_TEXT), 64, [(1 << 64) - 1]) == [
         ExecResult(64, 6 * 64 + 2, 2 * 64, HaltReason.OUT)]
     # the end of the program takes precedence over a budget spent on the last step

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from countones import Word, execute, parse_program, popcount_naive, run_lanes
+from countones import ExecResult, Word, execute, measure, parse_program, popcount_naive
 
 
 def popcount_second_opinion(x: Word) -> int:
@@ -21,7 +21,8 @@ SET_LOWEST_ZERO = parse_program("MOV t x\nINC t\nOR x t\nOUT x")  # x OR (x+1)
 
 
 def run_both(program, x):
-    lanes = run_lanes(program, x.width, [x.value])[0]
+    ((_, _, output, incdec, total, halt),) = measure(program, x.width, [x.value])
+    lanes = ExecResult(output, total, incdec, halt)
     assert lanes == execute(program, x)
     assert lanes.output >> x.width == 0  # the output stayed in its word
     return Word(x.width, lanes.output)
