@@ -28,14 +28,16 @@ empirically checkable:
 * **measurement** (:func:`measure`): the one loop that yields a row
   ``(value, nu, output, incdec, total, halt)`` per input, ``nu`` from the
   naive oracle, on the lanes of :func:`run_slices` (:func:`_lane_rows`) or
-  on a given machine.  ``sweep`` reads it, and so do ``verify`` and the
-  audit when given a machine.
+  on a given machine.  ``verify`` and the audit read it when given a
+  machine, and the tests hold the lanes to its reference branch.
 
-* **the fold on slices** (:func:`fold_slices`): each check of ``verify``
-  and the audit is a function of ``(nu, output, incdec, halt)``, so on the
-  stock machine it runs once per cell of lanes, ``nu`` being a ripple add
-  of the input slices (:func:`_nu_slices`).  Passing cells fold in bulk;
-  only failing lanes become rows, as :func:`measure` makes them.
+* **cells of lanes** (:func:`_cells`): a run's tail ``(nu, output, incdec,
+  total)`` is a function of its halt group and ``nu`` class wherever the
+  output equals ``nu``, ``nu`` being a ripple add of the input slices
+  (:func:`_nu_slices`).  So on the stock machine each check of ``verify``
+  and the audit runs once per such cell (:func:`fold_slices`), and so does
+  ``sweep``'s rendering of a tail (:func:`render_lanes`); only the other
+  lanes become rows, as :func:`measure` makes them.
 
 Each check is its own report: a :class:`PrefixInvariantCheck` or
 :class:`LowerBoundCheck` holds what it has seen so far and says ``ok``.
@@ -45,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import islice
+from itertools import compress, islice
 from math import gcd
 from operator import and_, or_, xor
 from typing import Callable, Iterable, Iterator, Sequence
@@ -65,15 +67,19 @@ __all__ = [
     "msb_flip_probe",
     "Row",
     "measure",
+    "render_lanes",
     "AuditFailure",
     "LowerBoundCheck",
     "fold_slices",
     "lower_bound_audit",
     "AUDIT_WIDTH_MAX",
+    "LANE_CHUNK",
 ]
 
 # The widest word whose every input ``lower_bound_audit`` and ``verify`` run.
 AUDIT_WIDTH_MAX = 12
+# Inputs per run of the lanes in :func:`measure` and :func:`render_lanes`.
+LANE_CHUNK = 4096
 
 
 @dataclass(frozen=True, slots=True)
@@ -354,6 +360,15 @@ def msb_flip_probe(
 Row = tuple[int, int, int | None, int, int, HaltReason]
 
 
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _lanes(mask: int) -> Iterator[int]:
+    """The set bits of ``mask`` (>= 0), lowest first: the lanes it selects."""
+    bits = format(mask, "b")[::-1].encode().translate(_BITS)  # byte j is bit j
+    return compress(range(len(bits)), bits)
+
+
 def _lane_rows(
     values: Sequence[int], width: int, out: list[int], halts: list, lanes: int = -1
 ) -> Iterator[Row]:
@@ -366,16 +381,25 @@ def _lane_rows(
     outputs = _transpose(out, len(values))
     ends: list = [(0, 0, None)] * len(values)  # a selected lane's group [total, incdec, halt]
     for group, *end in halts:
-        bits = format(group & lanes, "b")[::-1]  # character j is lane j
-        j = bits.find("1")
-        while j >= 0:
+        for j in _lanes(group & lanes):
             ends[j] = end
-            j = bits.find("1", j + 1)
     for value, output, (total, incdec, halt) in zip(values, outputs, ends):
         if halt is not None:
             word = Word(width, value)
             yield (word.value, popcount_naive(word), output if halt is HaltReason.OUT else None,
                    incdec, total, halt)
+
+
+def _chunks(values: Iterable[int]) -> Iterator[Sequence[int]]:
+    """``values`` in runs of ``LANE_CHUNK``; a sequence is sliced, so that a
+    ``range`` stays a range for :func:`run_slices`' closed-form input slices."""
+    if isinstance(values, Sequence):
+        for i in range(0, len(values), LANE_CHUNK):
+            yield values[i:i + LANE_CHUNK]
+        return
+    values = iter(values)
+    while chunk := list(islice(values, LANE_CHUNK)):
+        yield chunk
 
 
 def measure(
@@ -390,8 +414,8 @@ def measure(
     Yields one :data:`Row` per input, in order, ``nu`` from the naive
     oracle.  Each input runs on ``machine.run`` if a machine is given, the
     reference path; otherwise the inputs run on :func:`run_slices` in chunks
-    of ``1 << AUDIT_WIDTH_MAX``, so a caller that folds the rows keeps at
-    most one chunk of per-input state.
+    of ``LANE_CHUNK``, so a caller that folds the rows keeps at most one
+    chunk of per-input state.
     """
     if machine is not None:
         for value in values:
@@ -400,10 +424,73 @@ def measure(
             yield (word.value, popcount_naive(word), res.output, res.incdec_steps,
                    res.total_steps, res.halt_reason)
         return
-    values = iter(values)
-    while chunk := list(islice(values, 1 << AUDIT_WIDTH_MAX)):
+    for chunk in _chunks(values):
         _, out, halts = run_slices(program, width, chunk, budget)
         yield from _lane_rows(chunk, width, out, halts)
+
+
+def _nu_slices(x: list[int]) -> list[int]:
+    """Each lane's count of one bits, as slices: a ripple-carry add of the input slices ``x``."""
+    nu = [0] * len(x).bit_length()
+    for carry in x:
+        for i, digit in enumerate(nu):
+            nu[i], carry = digit ^ carry, digit & carry
+            if not carry:
+                break
+    return nu
+
+
+def _cells(x: list[int], out: list[int], halts: list) -> Iterator[tuple[int, int, int, int]]:
+    """The correct cells of a :func:`run_slices` run with input and OUT slices
+    ``x`` and ``out``, as ``(lanes, nu, incdec, total)``, lazily: per halt
+    group that halted with OUT and per ``nu`` class (:func:`_nu_slices`), the
+    lanes whose output equals their ``nu``, if there are any."""
+    width = len(x)
+    nu = _nu_slices(x)
+    # per nu class, and where the output equals nu; both are read under a halt group's mask
+    classes = [reduce(and_, (s if v >> i & 1 else ~s for i, s in enumerate(nu)), -1)
+               for v in range(width + 1)]
+    correct = ~reduce(or_, map(xor, out, nu + [0] * (width - len(nu))))
+    for group, total, incdec, halt in halts:
+        if halt is HaltReason.OUT and (rest := group & correct):
+            for v, members in enumerate(classes):
+                if cell := rest & members:
+                    yield cell, v, incdec, total
+                    if not (rest := rest ^ cell):
+                        break
+
+
+def render_lanes(
+    program: Program,
+    width: int,
+    values: Iterable[int],
+    render: Callable[[int, int | None, int, int], object],
+    budget: int = DEFAULT_BUDGET,
+) -> Iterator[tuple[Sequence[int], list, int]]:
+    """Run ``program`` on each ``width``-bit input in ``values`` on the lanes,
+    ``LANE_CHUNK`` at a time, and yield ``(chunk, tails, stuck)`` per chunk, lazily.
+
+    ``tails[j]`` is ``render(nu, output, incdec, total)`` of the run on
+    ``chunk[j]``, ``output`` being ``None`` unless it halted with OUT, and
+    ``stuck`` counts the chunk's runs that did not.  ``render`` is called once
+    per cell of :func:`_cells`, whose lanes share what it returns, and once
+    per other lane, whose row comes from :func:`_lane_rows`.
+    """
+    for chunk in _chunks(values):
+        x, out, halts = run_slices(program, width, chunk, budget)
+        tails: list = [None] * len(chunk)
+        covered = 0
+        for cell, v, incdec, total in _cells(x, out, halts):
+            tail = render(v, v, incdec, total)
+            for j in _lanes(cell):
+                tails[j] = tail
+            covered |= cell
+        rest = ~covered & (1 << len(chunk)) - 1
+        for j, (_, nu, output, incdec, total, _) in zip(
+                _lanes(rest), _lane_rows(chunk, width, out, halts, rest)):
+            tails[j] = render(nu, output, incdec, total)
+        stuck = sum(group.bit_count() for group, _, _, halt in halts if halt is not HaltReason.OUT)
+        yield chunk, tails, stuck
 
 
 @dataclass(frozen=True, slots=True)
@@ -464,17 +551,6 @@ class LowerBoundCheck:
         return correct
 
 
-def _nu_slices(x: list[int]) -> list[int]:
-    """Each lane's count of one bits, as slices: a ripple-carry add of the input slices ``x``."""
-    nu = [0] * len(x).bit_length()
-    for carry in x:
-        for i, digit in enumerate(nu):
-            nu[i], carry = digit ^ carry, digit & carry
-            if not carry:
-                break
-    return nu
-
-
 def fold_slices(
     check: LowerBoundCheck,
     program: Program,
@@ -484,24 +560,15 @@ def fold_slices(
     fold what passes into ``check`` and return the :data:`Row` of every other
     input, in input order, for the caller's row code.
 
-    A cell is a halt group of :func:`run_slices` times a ``nu`` class times
-    whether the OUT slices equal the ``nu`` slices.  A cell with a correct
-    output that meets ``passes(nu, incdec)`` and the bound is folded in bulk.
+    A cell of correct lanes (:func:`_cells`) that meets ``passes(nu,
+    incdec)`` and the bound is folded in bulk.
     """
     width = check.width
     x, out, halts = run_slices(program, width, range(1 << width))
-    nu = _nu_slices(x)
-    # per nu class, and where the output equals nu; both are read under a halt group's mask
-    classes = [reduce(and_, (s if v >> i & 1 else ~s for i, s in enumerate(nu)), -1)
-               for v in range(width + 1)]
-    correct = ~reduce(or_, map(xor, out, nu + [0] * (width - len(nu))))
     folded = 0
-    for group, _, incdec, halt in halts:
-        if halt is HaltReason.OUT:
-            for v, members in enumerate(classes):
-                cell = group & members & correct
-                if cell and passes(v, incdec) and check.add_lanes(v, incdec, cell.bit_count()):
-                    folded |= cell
+    for cell, v, incdec, _ in _cells(x, out, halts):
+        if passes(v, incdec) and check.add_lanes(v, incdec, cell.bit_count()):
+            folded |= cell
     return list(_lane_rows(range(1 << width), width, out, halts, ~folded))
 
 

@@ -14,7 +14,10 @@ CSV schemas (stable, part of the public contract):
 * ``table --format csv``: ``operation_set,lower_bound,upper_bound,measured``.
 
 One function, ``_table``, writes every CSV and markdown table above; it
-turns a ``,`` inside a cell into ``;`` so that each row keeps its columns.
+turns a ``,`` inside a CSV cell into ``;`` so that each row keeps its
+columns.  ``sweep`` lays out its rows itself, in ``_table``'s layout
+(``_LAYOUT``), one rendered tail per cell of lanes: its cells are ints and
+bit strings, which hold no ``,``.
 
 All output is deterministic for a given seed: identical invocations emit
 byte-identical bytes.
@@ -27,11 +30,18 @@ import os
 import random
 import sys
 from contextlib import nullcontext
-from itertools import islice
+from itertools import chain, islice, starmap
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .adversary import AUDIT_WIDTH_MAX, LowerBoundCheck, fold_slices, lower_bound_audit, measure
-from .fuzzing import FUZZ_BUDGET, fuzz_divergence, fuzz_invariant
+from .adversary import (
+    AUDIT_WIDTH_MAX,
+    LowerBoundCheck,
+    fold_slices,
+    lower_bound_audit,
+    measure,
+    render_lanes,
+)
+from .fuzzing import FUZZ_BUDGET, _below, fuzz_divergence, fuzz_invariant
 from .programs import (
     GeneratedProgram,
     combined_program,
@@ -73,18 +83,20 @@ def _emit(lines: Iterable[str], out_path: str | None) -> None:
         raise SystemExit(_usage_error(f"cannot write --out {out_path}: {exc.strerror}"))
 
 
+# per table format: what opens a line, what parts its cells and what closes it
+_LAYOUT = {"csv": ("", ",", ""), "markdown": ("| ", " | ", " |")}
+
+
 def _table(header: Sequence[str], rows: Iterable[Sequence[object]], fmt: str) -> Iterator[str]:
     """The lines of a ``csv`` table (``,`` in a cell becomes ``;``) or of a
     ``markdown`` one (header, ``---`` row, one line per row), lazily."""
-    if fmt == "csv":
-        yield ",".join(header)
-        for row in rows:
-            yield ",".join(str(cell).replace(",", ";") for cell in row)
-    else:
-        yield "| " + " | ".join(header) + " |"
+    start, sep, end = _LAYOUT[fmt]
+    yield start + sep.join(header) + end
+    if fmt == "markdown":
         yield "|" + "|".join("---" for _ in header) + "|"
-        for row in rows:
-            yield "| " + " | ".join(str(cell) for cell in row) + " |"
+    cell = (lambda c: str(c).replace(",", ";")) if fmt == "csv" else str
+    for row in rows:
+        yield start + sep.join(map(cell, row)) + end
 
 
 # ---------------------------------------------------------------- verify
@@ -174,42 +186,54 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- sweep
 
 
+def _sweep(width: int, algo: str, seed: int, budget: int, render: Callable) -> Iterator:
+    """:func:`render_lanes` over ``sweep``'s inputs, with output -1 for a run
+    that did not halt with OUT.  A width the generator rejects raises
+    ``ValueError`` at the call, before any run."""
+    gen = _ALGOS[algo](width)
+    if width <= EXHAUSTIVE_WIDTH_LIMIT:
+        values = range(1 << width)
+    else:
+        draw = random.Random(seed).getrandbits  # draw for draw rng.randrange(1 << width)
+        values = [_below(draw, 1 << width) for _ in range(SAMPLED_SWEEP_SIZE)]
+    return render_lanes(gen.program, width, values, lambda nu, out, *steps: render(
+        nu, -1 if out is None else out, *steps), budget)
+
+
 def sweep_rows(
     width: int, algo: str, seed: int = 0, budget: int = DEFAULT_BUDGET
 ) -> Iterator[tuple[str, int, int, int, int]]:
-    """(input_bits, nu, output, incdec_steps, total_steps) per input, lazily.
+    """(input_bits, nu, output, incdec_steps, total_steps) per input, lazily:
+    the rows that ``sweep`` writes.
 
     Exhaustive up to width 20; wider words get ``SAMPLED_SWEEP_SIZE`` seeded
     samples.  A width the generator rejects raises ``ValueError`` at the
     call, before any row is made.
     """
-    gen = _ALGOS[algo](width)
-    if width <= EXHAUSTIVE_WIDTH_LIMIT:
-        values = range(1 << width)
-    else:
-        rng = random.Random(seed)
-        values = [rng.randrange(1 << width) for _ in range(SAMPLED_SWEEP_SIZE)]
-    return (
-        (f"{value:0{width}b}", nu, -1 if out is None else out, incdec, total)
-        for value, nu, out, incdec, total, _ in measure(gen.program, width, values, budget=budget)
-    )
+    bits = f"0{width}b"
+    return ((format(value, bits), *tail)
+            for values, tails, _ in _sweep(width, algo, seed, budget, lambda *tail: tail)
+            for value, tail in zip(values, tails))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    start, sep, end = _LAYOUT[args.format]
     try:
-        rows = sweep_rows(args.width, args.algo, seed=args.seed, budget=args.budget)
+        chunks = _sweep(args.width, args.algo, args.seed, args.budget,
+                        lambda *tail: sep + sep.join(map(str, tail)) + end)
     except ValueError as exc:  # a generator's own rule, such as twobit's width
         raise SystemExit(_usage_error(str(exc)))
     seen = stuck = 0  # rows, and rows that did not halt, counted as they stream
-    def counted() -> Iterator[tuple[str, int, int, int, int]]:
+    bits = f"0{args.width}b"
+    def lines(values: Sequence[int], tails: list[str], cut: int) -> list[str]:
         nonlocal seen, stuck
-        for row in rows:
-            seen += 1
-            stuck += row[2] == -1
-            yield row
+        seen += len(values)
+        stuck += cut
+        return [start + format(value, bits) + tail for value, tail in zip(values, tails)]
 
     header = ("input_bits", "nu", "output", "incdec_steps", "total_steps")
-    _emit(_table(header, counted(), args.format), args.out)
+    body = chain.from_iterable(starmap(lines, chunks))
+    _emit(chain(_table(header, (), args.format), body), args.out)
     if stuck:
         print(f"{stuck} of {seen} runs did not halt within the budget (output=-1)",
               file=sys.stderr)

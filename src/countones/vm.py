@@ -71,7 +71,9 @@ Every lane executes one instruction per global step, so its
 ``total_steps`` is the step at which it halts, and the end of the program
 is tested before the budget, as in the reference loop.  It returns the input
 slices, the OUT slices and the halt groups; :func:`countones.adversary.measure`
-turns lanes back into rows.  One transpose, :func:`_transpose`, goes both ways.
+turns lanes back into rows.  One transpose, :func:`_transpose`, goes both ways;
+the input slices of an aligned power-of-two ``range`` skip it, since they have
+a closed form (:func:`_input_slices`).
 """
 
 from __future__ import annotations
@@ -387,7 +389,7 @@ def run_slices(
         raise ValueError(f"width must be 1..{MAX_WIDTH}, got {width}")
     if not values:
         return [0] * width, [0] * width, []
-    x = _transpose(values, width)
+    x = _input_slices(values, width)
     regs = {name: [0] * width for name in program.register_names}
     regs["x"] = list(x)  # a copy: INC and DEC update slices in place
     out = [0] * width  # the OUT register of each lane that halted with OUT
@@ -448,6 +450,27 @@ def run_slices(
         live = moved
         step += 1
     return x, out, halts
+
+
+def _input_slices(values: Sequence[int], width: int) -> list[int]:
+    """``_transpose(values, width)``, in closed form when ``values`` is an aligned
+    ``range(start, start + 2^k)``: there slice ``b < k`` repeats ``2^b`` zeros and
+    ``2^b`` ones, and slice ``b >= k`` is bit ``b`` of ``start`` in every lane."""
+    lanes = len(values)
+    if not (isinstance(values, range) and values.step == 1 and not lanes & lanes - 1
+            and not values.start % lanes):
+        return _transpose(values, width)
+    slices = []
+    for b in range(width):
+        h = 1 << b
+        if h < lanes:  # one period, doubled until it spans the lanes
+            s, span = ((1 << h) - 1) << h, 2 * h
+            while span < lanes:
+                s, span = s | s << span, 2 * span
+        else:
+            s = ((1 << lanes) - 1) * (values.start >> b & 1)
+        slices.append(s)
+    return slices
 
 
 def _transpose(words: Sequence[int], width: int) -> list[int]:

@@ -1,7 +1,9 @@
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -15,12 +17,15 @@ from countones import (
     Word,
     cli,
     execute,
+    measure,
     msb_flip_probe,
     parse_program,
+    render_lanes,
     wegner_program,
 )
 from countones import adversary, vm, words
 from countones.cli import main, verify_suite
+from countones.fuzzing import _below
 
 from conftest import NonWrappingIncMachine, wrong_programs
 
@@ -142,6 +147,84 @@ def test_sweep_streams_its_rows(monkeypatch, tmp_path, capsys):
     rows = cli.sweep_rows(20, "dense")
     monkeypatch.undo()
     assert next(rows)[:3] == ("0" * 20, 0, 0)
+
+
+def sweep_path_rows(program, width, values, budget=vm.DEFAULT_BUDGET):
+    """``sweep``'s rows of ``values`` as the lanes render them, the value
+    first; also the stuck counts and how often a tail was rendered."""
+    calls = []
+    chunks = list(render_lanes(program, width, values,
+                               lambda *tail: calls.append(tail) or tail, budget))
+    rows = [(value, *tail) for chunk, tails, _ in chunks for value, tail in zip(chunk, tails)]
+    return rows, sum(stuck for *_, stuck in chunks), len(calls)
+
+
+def reference_rows(program, width, values, budget=vm.DEFAULT_BUDGET):
+    return [row[:5] for row in measure(program, width, values, Machine(), budget)]
+
+
+def test_sweep_path_equals_the_reference_loop():
+    for algo, make in cli._ALGOS.items():
+        for width in range(1, 11):
+            try:
+                gen = make(width)
+            except ValueError:
+                continue
+            values = range(1 << width)
+            longest = max(total for *_, total in reference_rows(gen.program, width, values))
+            for budget in (vm.DEFAULT_BUDGET, longest, longest - 1, longest // 2, 1):
+                want = reference_rows(gen.program, width, values, budget)
+                rows, stuck, _ = sweep_path_rows(gen.program, width, values, budget)
+                assert rows == want, (algo, width, budget)
+                assert stuck == sum(row[2] is None for row in want)
+    # a wrong output on every lane but 0 and 1, so most lanes leave the cells
+    for width in range(1, 11):
+        identity = parse_program("OUT x")
+        assert sweep_path_rows(identity, width, range(1 << width))[0] == reference_rows(
+            identity, width, range(1 << width))
+
+
+def test_sweep_path_renders_each_cell_once():
+    # wegner spends 2*nu inc/dec and 6*nu + 2 steps: one cell per nu
+    rows, stuck, renders = sweep_path_rows(wegner_program(10).program, 10, range(1 << 10))
+    assert len(rows) == 1024 and stuck == 0 and renders == 11
+    # 01 and 10 share nu and total steps but not inc/dec, so each keeps its own tail
+    program = parse_program("""\
+        BZ x zero
+        MOV t x
+        DEC t
+        AND t x
+        BNZ t two
+        ZERO c
+        INC c
+        BEQ x c low
+        MOV d d
+        MOV d d
+        OUT c
+    low: INC d
+        DEC d
+        OUT c
+    two: ZERO c
+        INC c
+        INC c
+        OUT c
+    zero: OUT x""")
+    rows, _, _ = sweep_path_rows(program, 2, range(4))
+    assert rows == reference_rows(program, 2, range(4))
+    assert rows[1][1:] == (1, 1, 4, 11) and rows[2][1:] == (1, 1, 2, 11)
+
+
+@pytest.mark.parametrize("width", [21, 33, 64])
+def test_sampled_sweep_draws_are_randrange_draws(width):
+    for seed in (0, 1, 3, 9, 2024):
+        fast, slow = random.Random(seed), random.Random(seed)
+        assert ([_below(fast.getrandbits, 1 << width) for _ in range(500)]
+                == [slow.randrange(1 << width) for _ in range(500)])
+        assert fast.getstate() == slow.getstate()
+    rows = cli.sweep_rows(width, "wegner", seed=5)
+    rng = random.Random(5)
+    assert [row[0] for row in islice(rows, 50)] == [
+        f"{rng.randrange(1 << width):0{width}b}" for _ in range(50)]
 
 
 def test_a_closed_pipe_ends_without_a_traceback():

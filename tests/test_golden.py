@@ -26,7 +26,7 @@ GOLDEN = {
         "d05e6be285a3cb9e44d5deb95be1cbd305665d336fd9a7c419b0f4f9521b9272",
     "sweep --width 8 --algo combined --format markdown":
         "cdf4469e5933ff6cbcb90395f1f2f4747e0125df21373c09a2d1f3cfe9f13f7a",
-    # 8,192 inputs: two chunks of measure()'s lanes
+    # 8,192 inputs: two chunks of lanes
     "sweep --width 13 --algo combined":
         "4a5c5275de4c1c865c619af3ebacbbd050d1664d3a55b1047a1fb559ab3e1f71",
     "sweep --width 21 --algo dense --seed 3":
@@ -35,6 +35,12 @@ GOLDEN = {
         "e5b3bacf0ff1ab1a4d0438e2f66ca4fb7f34c1ffa839492495da2726e61bb32c",
     "sweep --width 4 --algo wegner --budget 5":
         "b21f0b561e4a7c0e2cfed841379c718953bc65ccfe207ca78faa099a7c7c4c22",
+    # the sweep-wide benchmark command: 4,096 seeded 64-bit inputs
+    "sweep --width 64 --algo combined --seed 1":
+        "6722d5285f27793a08d923283a809a01c8655bf6d30f20fdd97179bc13973cf7",
+    # 1,116 of 4,096 lanes cut by the budget, beside lanes that count
+    "sweep --width 24 --algo wegner --budget 80 --seed 2":
+        "1ef11a11482fa806bebd0fa80c4e7b187f4d414b5156faa830570a136c565cba",
     "gen --algo wegner":
         "ad865013df52d01c95869bf894477d49bcb5c1a596eeb8a169e9146c3e5b955e",
     "gen --algo dense":

@@ -18,8 +18,9 @@ from countones import (
     run_slices,
     shipped_programs,
 )
+from countones import vm
 from countones.fuzzing import _OP_DECK, random_program
-from countones.vm import OPCODES, Instruction, Program, _transpose
+from countones.vm import OPCODES, Instruction, Program, _input_slices, _transpose
 
 from conftest import ComplementMovMachine, NonWrappingIncMachine, record_run
 
@@ -326,6 +327,34 @@ def test_transpose_round_trips(width, count):
     slices = _transpose(words, width)
     assert slices == [sum((w >> b & 1) << j for j, w in enumerate(words)) for b in range(width)]
     assert _transpose(slices, count) == words
+
+
+def test_closed_form_input_slices_equal_the_transpose(monkeypatch):
+    # whole ranges, and aligned chunks of 4,096 as measure() and sweep hand them over
+    for width in range(1, 21):
+        cases = [range(1 << width)] if width <= 16 else []
+        for start in {0, 4096, 0b1010 << 12, (1 << width) - 4096} if width > 12 else ():
+            cases.append(range(start, start + 4096))
+        for values in cases:
+            assert _input_slices(values, width) == _transpose(values, width), (width, values)
+    # wider than 16 bits, a whole range is its chunks side by side
+    for width in range(17, 21):
+        whole = _input_slices(range(1 << width), width)
+        chunks = [_input_slices(range(start, start + 4096), width)
+                  for start in range(0, 1 << width, 4096)]
+        assert whole == [sum(chunk[b] << 4096 * i for i, chunk in enumerate(chunks))
+                         for b in range(width)], width
+    # anything else goes through the transpose
+    calls = []
+    monkeypatch.setattr(vm, "_transpose", lambda words, width: calls.append(words) or
+                        _transpose(words, width))
+    others = [list(range(8)), range(4, 12), range(1, 9), range(0, 6), range(0, 16, 2),
+              range(8, 0, -1)]
+    for values in others:
+        assert _input_slices(values, 5) == _transpose(values, 5)
+    assert calls == others
+    x, _, _ = run_slices(parse_program("OUT x"), 5, range(8, 16))
+    assert calls == others and x == _transpose(range(8, 16), 5)
 
 
 def test_transpose_masks_bits_above_its_width():
