@@ -30,6 +30,7 @@ import os
 import random
 import sys
 from contextlib import nullcontext
+from functools import cache
 from itertools import chain, islice, starmap
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -411,8 +412,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process: parsing leaves it as it was, and building one costs milliseconds."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     # a random program has at least two instructions
     for attr, least in (("count", 1), ("budget", 1), ("max_len", 2)):
         value = getattr(args, attr, None)

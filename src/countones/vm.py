@@ -67,6 +67,11 @@ bit-sliced (Biham, FSE 1997): bit ``j`` of a register's slice ``b`` is its
 bit ``b`` in lane ``j``, the run on ``values[j]``.  Lanes that share a
 ``(pc, incdec_steps)`` form one group under one mask, and each global step
 runs every live group's instruction under its mask; a branch splits it.
+A lane that has halted is never read again, so its registers are dead: an
+instruction keeps only the lanes of the other live groups, and a group that
+holds every live lane runs on its own, unmasked and without regrouping,
+until a branch splits it or it halts.  :func:`_lane_step` is the one
+bit-sliced spelling of each instruction but OUT, for both cases.
 Every lane executes one instruction per global step, so its
 ``total_steps`` is the step at which it halts, and the end of the program
 is tested before the budget, as in the reference loop.  It returns the input
@@ -381,7 +386,10 @@ def run_slices(
 
     Returns the input slices, the OUT slices (0 in lanes that did not halt
     with OUT) and the halt groups ``(lanes, total, incdec, reason)``, which
-    partition the lanes; lane ``j`` runs ``values[j]``.
+    partition the lanes; lane ``j`` runs ``values[j]``.  A halted lane's
+    registers are dead, so an instruction keeps only the lanes of the other
+    live groups, and a group that holds every live lane runs unmasked until
+    a branch splits it or it halts.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
@@ -399,6 +407,20 @@ def run_slices(
     halts: list[tuple[int, int, int, HaltReason]] = []  # (lanes, total, incdec, reason)
     step = 0
     while live:
+        if len(live) == 1:
+            # the lone live group: nothing to keep, and no regrouping until it splits
+            [((pc, k), m)] = live.items()
+            while pc < size and step < budget and (ins := instructions[pc]).op != "OUT":
+                taken = _lane_step(ins, regs, width, m, 0)
+                k += OPCODES[ins.op].metered
+                step += 1
+                if taken and taken != m and ins.target != pc + 1:
+                    live = {(ins.target, k): taken, (pc + 1, k): m ^ taken}
+                    break
+                pc = ins.target if taken else pc + 1
+            else:
+                live = {(pc, k): m}  # it halts on the general step below
+        alive = reduce(or_, live.values())
         moved: dict[tuple[int, int], int] = {}
         for (pc, k), m in live.items():
             if pc >= size:
@@ -408,41 +430,11 @@ def run_slices(
                 halts.append((m, step, k, HaltReason.BUDGET_EXHAUSTED))
                 continue
             ins = instructions[pc]
-            taken = 0  # the lanes of m that jump to ins.target
-            keep = ~m  # the lanes this group leaves alone
-            match ins.op:
-                case "INC" | "DEC":
-                    # a carry ripples on through 1 bits, a borrow through 0 bits (~r = r ^ -1)
-                    r, carry, flip = regs[ins.a], m, -1 if ins.op == "DEC" else 0
-                    for b in range(width):
-                        carry, r[b] = carry & (r[b] ^ flip), r[b] ^ carry
-                        if not carry:
-                            break
-                case "AND":
-                    regs[ins.a] = [a & (s | keep) for a, s in zip(regs[ins.a], regs[ins.b])]
-                case "OR":
-                    regs[ins.a] = [a | s & m for a, s in zip(regs[ins.a], regs[ins.b])]
-                case "MOV":
-                    regs[ins.a] = [a & keep | s & m for a, s in zip(regs[ins.a], regs[ins.b])]
-                case "ZERO":
-                    regs[ins.a] = [a & keep for a in regs[ins.a]]
-                case "BZ" | "BNZ":
-                    nonzero = m & reduce(or_, regs[ins.a])
-                    taken = m ^ nonzero if ins.op == "BZ" else nonzero
-                case "BEQ":
-                    taken = m & ~reduce(or_, map(xor, regs[ins.a], regs[ins.b]))
-                case "BLT":
-                    # from the MSB down: lanes still equal, and lanes where a < s
-                    equal = m
-                    for a, s in zip(reversed(regs[ins.a]), reversed(regs[ins.b])):
-                        taken |= equal & s & ~a
-                        equal &= ~(a ^ s)
-                case "JMP":
-                    taken = m
-                case "OUT":
-                    out = [o | a & m for o, a in zip(out, regs[ins.a])]
-                    halts.append((m, step + 1, k, HaltReason.OUT))
-                    continue
+            if ins.op == "OUT":
+                out = [o | a & m for o, a in zip(out, regs[ins.a])]
+                halts.append((m, step + 1, k, HaltReason.OUT))
+                continue
+            taken = _lane_step(ins, regs, width, m, alive ^ m)
             k += OPCODES[ins.op].metered
             for lanes, key in ((taken, (ins.target, k)), (m ^ taken, (pc + 1, k))):
                 if lanes:
@@ -450,6 +442,46 @@ def run_slices(
         live = moved
         step += 1
     return x, out, halts
+
+
+def _lane_step(ins: Instruction, regs: dict[str, list[int]], width: int, m: int, keep: int) -> int:
+    """Run ``ins`` (any opcode but OUT) in the lanes of ``m``, leaving the lanes of
+    ``keep`` alone; every other lane is dead.  Returns the lanes of ``m`` that jump
+    to ``ins.target``."""
+    taken = 0
+    match ins.op:
+        case "INC" | "DEC":
+            # a carry ripples on through 1 bits, a borrow through 0 bits (~r = r ^ -1)
+            r, carry, flip = regs[ins.a], m, -1 if ins.op == "DEC" else 0
+            for b in range(width):
+                carry, r[b] = carry & (r[b] ^ flip), r[b] ^ carry
+                if not carry:
+                    break
+        case "AND":
+            regs[ins.a] = ([a & (s | keep) for a, s in zip(regs[ins.a], regs[ins.b])] if keep
+                           else [a & s for a, s in zip(regs[ins.a], regs[ins.b])])
+        case "OR":
+            regs[ins.a] = ([a | s & m for a, s in zip(regs[ins.a], regs[ins.b])] if keep
+                           else [a | s for a, s in zip(regs[ins.a], regs[ins.b])])
+        case "MOV":
+            regs[ins.a] = ([a & keep | s & m for a, s in zip(regs[ins.a], regs[ins.b])] if keep
+                           else regs[ins.b][:])
+        case "ZERO":
+            regs[ins.a] = [a & keep for a in regs[ins.a]] if keep else [0] * width
+        case "BZ" | "BNZ":
+            nonzero = m & reduce(or_, regs[ins.a])
+            taken = m ^ nonzero if ins.op == "BZ" else nonzero
+        case "BEQ":
+            taken = m & ~reduce(or_, map(xor, regs[ins.a], regs[ins.b]))
+        case "BLT":
+            # from the MSB down: lanes still equal, and lanes where a < s
+            equal = m
+            for a, s in zip(reversed(regs[ins.a]), reversed(regs[ins.b])):
+                taken |= equal & s & ~a
+                equal &= ~(a ^ s)
+        case "JMP":
+            taken = m
+    return taken
 
 
 def _input_slices(values: Sequence[int], width: int) -> list[int]:

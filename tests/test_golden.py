@@ -12,12 +12,14 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from countones.cli import main
+from countones.cli import build_parser, main
 
 # command line -> sha256; a trailing ``--out`` gets a scratch path
 GOLDEN = {
     "verify --out":
         "cc71823937b8724d51ce6e7fe5e527fec68bc5e355a615f7a6f370c8e767a5d1",
+    "verify --width 3":
+        "6747b8590ff735bff15d214a32870a1ebb8c952791ba760e81e6068d591fdf48",
     "table":
         "39dcd5c0614836aa18aaef63b860e9c672f1d64247f5979852c70d7481f031e0",
     "table --format csv":
@@ -97,3 +99,14 @@ def test_output_is_byte_identical(command, tmp_path):
 
 def test_gen_text_at_every_width():
     assert gen_all_widths_digest() == GEN_ALL_WIDTHS
+
+
+def test_a_rejected_call_leaves_the_next_one_as_recorded(tmp_path):
+    # main parses with one parser per process; argparse's exit must not change it
+    for _ in range(2):
+        stderr = io.StringIO()
+        with redirect_stderr(stderr), pytest.raises(SystemExit) as err:
+            main(["sweep", "--width", "4", "--algo", "nope"])
+        assert err.value.code == 2 and "invalid choice: 'nope'" in stderr.getvalue()
+        assert run_digest("verify --width 3", tmp_path / "out.csv") == GOLDEN["verify --width 3"]
+    assert build_parser() is not build_parser()

@@ -375,6 +375,97 @@ def test_lanes_aliasing_and_edge_cases():
     assert {r.halt_reason for r in fell} == {HaltReason.FELL_OFF_END}
 
 
+# ------------------------------------------ halted lanes are dead lanes
+
+# Splits the lanes on the low bit of x: odd inputs fall through, even inputs
+# jump to `even`.  `b` is 1 on odd lanes and 0 on even ones.
+_LOW_BIT = """\
+ZERO one
+INC one
+MOV r x
+MOV b x
+AND b one
+BZ b even
+"""
+
+
+def _lanes_where(values, pred):
+    return sum(1 << j for j, v in enumerate(values) if pred(v))
+
+
+def _partition(halts):
+    """The lanes of ``halts``, checked to be disjoint: a carry in their sum would lose a bit."""
+    lanes = sum(group for group, *_ in halts)
+    assert sum(group.bit_count() for group, *_ in halts) == lanes.bit_count()
+    return lanes
+
+
+def test_a_lone_survivor_overwrites_the_registers_of_halted_lanes(monkeypatch):
+    # odd lanes halt with r = x while the even lanes step past them; the even
+    # lanes then run alone, with nothing to keep, on the same r
+    text = _LOW_BIT + "OUT r\neven: INC c\nMOV r one\nOR r x\nAND r x\nZERO r\nOR r x\nINC r\nOUT r"
+    program = parse_program(text)
+    seen = []
+    real = vm._lane_step
+    monkeypatch.setattr(vm, "_lane_step", lambda ins, regs, width, m, keep:
+                        seen.append((ins.op, keep)) or real(ins, regs, width, m, keep))
+    values = range(16)
+    outputs = [v + 1 if v % 2 == 0 else v for v in values]
+    assert [r.output for r in lanes_match_reference(program, 4, values)] == outputs
+    odd, even = _lanes_where(values, lambda v: v % 2), _lanes_where(values, lambda v: v % 2 == 0)
+    assert seen[6:] == [("INC", odd)] + [(op, 0) for op in ("MOV", "OR", "AND", "ZERO", "OR", "INC")]
+    x, out, halts = run_slices(program, 4, values)
+    assert x == _transpose(values, 4)
+    assert out == _transpose(outputs, 4)
+    assert halts == [(odd, 7, 1, HaltReason.OUT), (even, 14, 3, HaltReason.OUT)]
+
+
+@pytest.mark.parametrize("write", ["ZERO r", "MOV r one", "AND r one", "OR r one", "INC r"])
+def test_a_live_group_keeps_what_another_group_writes_around_it(write):
+    # on the step after the split, the odd lanes write r while the even lanes
+    # step past it; the even lanes then read r, which must still be x
+    text = _LOW_BIT + f"{write}\nOUT r\neven: INC c\nOUT r"
+    rows = lanes_match_reference(parse_program(text), 4, range(16))
+    assert [r.output for r in rows][::2] == list(range(0, 16, 2))
+
+
+@pytest.mark.parametrize("branch", ["BZ x next", "BNZ x next", "BEQ x one next", "BLT one x next"])
+def test_a_branch_to_its_own_fall_through_keeps_one_group(branch):
+    values = range(16)
+    alone = parse_program(f"ZERO one\nINC one\n{branch}\nnext: INC c\nOUT c")
+    _, _, halts = run_slices(alone, 4, values)
+    assert halts == [((1 << 16) - 1, 5, 2, HaltReason.OUT)]
+    lanes_match_reference(alone, 4, values)
+    # the same branch with a second group live beside it
+    beside = parse_program(_LOW_BIT + f"INC c\n{branch}\nnext: INC c\nOUT c\neven: JMP next")
+    assert _partition(run_slices(beside, 4, values)[2]) == (1 << 16) - 1
+    lanes_match_reference(beside, 4, values)
+
+
+def test_a_budget_cut_inside_a_lone_stretch_and_on_a_split():
+    program = parse_program("INC a\nINC a\nINC a\nBZ x zero\nOUT a\nzero: OUT x")
+    values = range(16)
+    for budget in range(1, 8):
+        lanes_match_reference(program, 4, values, budget)
+    # three INCs run alone, then the cut: the BZ never runs
+    assert run_slices(program, 4, values, 3)[2] == [((1 << 16) - 1, 3, 3, HaltReason.BUDGET_EXHAUSTED)]
+    # the BZ splits the lanes on the last step the budget allows: both halves are cut
+    assert run_slices(program, 4, values, 4)[2] == [
+        (1, 4, 3, HaltReason.BUDGET_EXHAUSTED), ((1 << 16) - 2, 4, 3, HaltReason.BUDGET_EXHAUSTED)]
+
+
+def test_out_slices_are_zero_outside_the_lanes_that_halted_with_out():
+    rng = random.Random(19)
+    for _ in range(500):
+        program = random_program(rng, max_len=rng.choice((4, 24)))
+        width = rng.randint(1, 12)
+        values = [rng.randrange(1 << width) for _ in range(rng.randint(1, 32))]
+        _, out, halts = run_slices(program, width, values, rng.randint(1, 200))
+        assert _partition(halts) == (1 << len(values)) - 1
+        with_out = sum(lanes for lanes, _, _, reason in halts if reason is HaltReason.OUT)
+        assert all(s & ~with_out == 0 for s in out), program
+
+
 @pytest.mark.parametrize("instructions", [
     (Instruction("JMP"),),  # jump without a target
     (Instruction("JMP", target=-2), Instruction("OUT", "x")),  # negative target
