@@ -64,21 +64,22 @@ step-by-step one exactly.
 
 Lanes.  :func:`run_slices` runs one program on many inputs at once,
 bit-sliced (Biham, FSE 1997): bit ``j`` of a register's slice ``b`` is its
-bit ``b`` in lane ``j``, the run on ``values[j]``.  Lanes that share a
-``(pc, incdec_steps)`` form one group under one mask, and each global step
-runs every live group's instruction under its mask; a branch splits it.
-A lane that has halted is never read again, so its registers are dead: an
-instruction keeps only the lanes of the other live groups, and a group that
-holds every live lane runs on its own, unmasked and without regrouping,
-until a branch splits it or it halts.  :func:`_lane_step` is the one
-bit-sliced spelling of each instruction but OUT, for both cases.
-Every lane executes one instruction per global step, so its
-``total_steps`` is the step at which it halts, and the end of the program
-is tested before the budget, as in the reference loop.  It returns the input
-slices, the OUT slices and the halt groups; :func:`countones.adversary.measure`
-turns lanes back into rows.  One transpose, :func:`_transpose`, goes both ways;
-the input slices of an aligned power-of-two ``range`` skip it, since they have
-a closed form (:func:`_input_slices`).
+bit ``b`` in lane ``j``, the run on ``values[j]``.  Lanes that share a path
+form one group under one mask, with its own ``(pc, incdec_steps, step)``
+and its own register dict.  One loop takes a group off a stack and runs it
+alone, unmasked, until it halts or a branch splits it; then the taken lanes
+run on and the fall-through lanes wait on the stack with a shallow copy of
+the registers.  That copy suffices because :func:`_lane_step`, the one
+bit-sliced spelling of each instruction but OUT, writes a fresh list for
+every op but INC and DEC, whose carry starts at the group's mask, so a
+group never changes another group's lanes.  Groups that meet again are not
+merged.  A group's ``step`` is the ``total_steps`` of its lanes, and the
+end of the program is tested before the budget, as in the reference loop.
+It returns the input slices, the OUT slices and the halt groups;
+:func:`countones.adversary.measure` turns lanes back into rows.  One
+transpose, :func:`_transpose`, goes both ways; the input slices of an
+aligned power-of-two ``range`` skip it, since they have a closed form
+(:func:`_input_slices`).
 """
 
 from __future__ import annotations
@@ -386,10 +387,9 @@ def run_slices(
 
     Returns the input slices, the OUT slices (0 in lanes that did not halt
     with OUT) and the halt groups ``(lanes, total, incdec, reason)``, which
-    partition the lanes; lane ``j`` runs ``values[j]``.  A halted lane's
-    registers are dead, so an instruction keeps only the lanes of the other
-    live groups, and a group that holds every live lane runs unmasked until
-    a branch splits it or it halts.
+    partition the lanes in no promised order; lane ``j`` runs ``values[j]``.
+    Each group runs alone until it halts, and a branch that splits it runs
+    on with the taken lanes while the fall-through lanes wait on a stack.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
@@ -403,51 +403,36 @@ def run_slices(
     out = [0] * width  # the OUT register of each lane that halted with OUT
     instructions = program.instructions
     size = len(instructions)
-    live = {(0, 0): (1 << len(values)) - 1}  # (pc, incdec_steps) -> lane mask
+    groups = [(0, 0, 0, (1 << len(values)) - 1, regs)]  # (pc, incdec_steps, step, lanes, registers)
     halts: list[tuple[int, int, int, HaltReason]] = []  # (lanes, total, incdec, reason)
-    step = 0
-    while live:
-        if len(live) == 1:
-            # the lone live group: nothing to keep, and no regrouping until it splits
-            [((pc, k), m)] = live.items()
-            while pc < size and step < budget and (ins := instructions[pc]).op != "OUT":
-                taken = _lane_step(ins, regs, width, m, 0)
-                k += OPCODES[ins.op].metered
-                step += 1
-                if taken and taken != m and ins.target != pc + 1:
-                    live = {(ins.target, k): taken, (pc + 1, k): m ^ taken}
-                    break
-                pc = ins.target if taken else pc + 1
-            else:
-                live = {(pc, k): m}  # it halts on the general step below
-        alive = reduce(or_, live.values())
-        moved: dict[tuple[int, int], int] = {}
-        for (pc, k), m in live.items():
-            if pc >= size:
-                halts.append((m, step, k, HaltReason.FELL_OFF_END))
-                continue
-            if step >= budget:
-                halts.append((m, step, k, HaltReason.BUDGET_EXHAUSTED))
-                continue
-            ins = instructions[pc]
-            if ins.op == "OUT":
-                out = [o | a & m for o, a in zip(out, regs[ins.a])]
-                halts.append((m, step + 1, k, HaltReason.OUT))
-                continue
-            taken = _lane_step(ins, regs, width, m, alive ^ m)
+    while groups:
+        pc, k, step, m, regs = groups.pop()
+        while pc < size and step < budget and (ins := instructions[pc]).op != "OUT":
+            taken = _lane_step(ins, regs, width, m)
             k += OPCODES[ins.op].metered
-            for lanes, key in ((taken, (ins.target, k)), (m ^ taken, (pc + 1, k))):
-                if lanes:
-                    moved[key] = moved.get(key, 0) | lanes
-        live = moved
-        step += 1
+            step += 1
+            if taken and taken != m and ins.target != pc + 1:
+                # a shallow copy, as only INC and DEC write a slice in place, and only
+                # in their own lanes; the taken lanes go first, so a loop's exit runs
+                # to OUT at once rather than waiting with its copy until the loop ends
+                groups.append((pc + 1, k, step, m ^ taken, dict(regs)))
+                m = taken
+            pc = ins.target if taken else pc + 1
+        if pc >= size:
+            halts.append((m, step, k, HaltReason.FELL_OFF_END))
+        elif step >= budget:
+            halts.append((m, step, k, HaltReason.BUDGET_EXHAUSTED))
+        else:
+            out = [o | a & m for o, a in zip(out, regs[ins.a])]
+            halts.append((m, step + 1, k, HaltReason.OUT))
     return x, out, halts
 
 
-def _lane_step(ins: Instruction, regs: dict[str, list[int]], width: int, m: int, keep: int) -> int:
-    """Run ``ins`` (any opcode but OUT) in the lanes of ``m``, leaving the lanes of
-    ``keep`` alone; every other lane is dead.  Returns the lanes of ``m`` that jump
-    to ``ins.target``."""
+def _lane_step(ins: Instruction, regs: dict[str, list[int]], width: int, m: int) -> int:
+    """Run ``ins`` (any opcode but OUT) in the lanes of ``m``.  INC and DEC change
+    their slices in place, in those lanes only; every other write is a fresh list,
+    whose lanes outside ``m`` may hold anything.  Returns the lanes of ``m`` that
+    jump to ``ins.target``."""
     taken = 0
     match ins.op:
         case "INC" | "DEC":
@@ -458,16 +443,13 @@ def _lane_step(ins: Instruction, regs: dict[str, list[int]], width: int, m: int,
                 if not carry:
                     break
         case "AND":
-            regs[ins.a] = ([a & (s | keep) for a, s in zip(regs[ins.a], regs[ins.b])] if keep
-                           else [a & s for a, s in zip(regs[ins.a], regs[ins.b])])
+            regs[ins.a] = [a & s for a, s in zip(regs[ins.a], regs[ins.b])]
         case "OR":
-            regs[ins.a] = ([a | s & m for a, s in zip(regs[ins.a], regs[ins.b])] if keep
-                           else [a | s for a, s in zip(regs[ins.a], regs[ins.b])])
+            regs[ins.a] = [a | s for a, s in zip(regs[ins.a], regs[ins.b])]
         case "MOV":
-            regs[ins.a] = ([a & keep | s & m for a, s in zip(regs[ins.a], regs[ins.b])] if keep
-                           else regs[ins.b][:])
+            regs[ins.a] = regs[ins.b][:]
         case "ZERO":
-            regs[ins.a] = [a & keep for a in regs[ins.a]] if keep else [0] * width
+            regs[ins.a] = [0] * width
         case "BZ" | "BNZ":
             nonzero = m & reduce(or_, regs[ins.a])
             taken = m ^ nonzero if ins.op == "BZ" else nonzero

@@ -375,7 +375,7 @@ def test_lanes_aliasing_and_edge_cases():
     assert {r.halt_reason for r in fell} == {HaltReason.FELL_OFF_END}
 
 
-# ------------------------------------------ halted lanes are dead lanes
+# ------------------------------------- each group runs on its own registers
 
 # Splits the lanes on the low bit of x: odd inputs fall through, even inputs
 # jump to `even`.  `b` is 1 on odd lanes and 0 on even ones.
@@ -401,32 +401,54 @@ def _partition(halts):
 
 
 def test_a_lone_survivor_overwrites_the_registers_of_halted_lanes(monkeypatch):
-    # odd lanes halt with r = x while the even lanes step past them; the even
-    # lanes then run alone, with nothing to keep, on the same r
+    # the taken even lanes run first, alone and unmasked, and write r in every
+    # lane of their own registers; the odd lanes wait with theirs and then
+    # halt with r = x
     text = _LOW_BIT + "OUT r\neven: INC c\nMOV r one\nOR r x\nAND r x\nZERO r\nOR r x\nINC r\nOUT r"
     program = parse_program(text)
     seen = []
     real = vm._lane_step
-    monkeypatch.setattr(vm, "_lane_step", lambda ins, regs, width, m, keep:
-                        seen.append((ins.op, keep)) or real(ins, regs, width, m, keep))
+    monkeypatch.setattr(vm, "_lane_step", lambda ins, regs, width, m:
+                        seen.append((ins.op, m)) or real(ins, regs, width, m))
     values = range(16)
     outputs = [v + 1 if v % 2 == 0 else v for v in values]
     assert [r.output for r in lanes_match_reference(program, 4, values)] == outputs
     odd, even = _lanes_where(values, lambda v: v % 2), _lanes_where(values, lambda v: v % 2 == 0)
-    assert seen[6:] == [("INC", odd)] + [(op, 0) for op in ("MOV", "OR", "AND", "ZERO", "OR", "INC")]
+    assert seen[6:] == [(op, even) for op in ("INC", "MOV", "OR", "AND", "ZERO", "OR", "INC")]
     x, out, halts = run_slices(program, 4, values)
     assert x == _transpose(values, 4)
     assert out == _transpose(outputs, 4)
-    assert halts == [(odd, 7, 1, HaltReason.OUT), (even, 14, 3, HaltReason.OUT)]
+    assert halts == [(even, 14, 3, HaltReason.OUT), (odd, 7, 1, HaltReason.OUT)]
 
 
 @pytest.mark.parametrize("write", ["ZERO r", "MOV r one", "AND r one", "OR r one", "INC r"])
 def test_a_live_group_keeps_what_another_group_writes_around_it(write):
-    # on the step after the split, the odd lanes write r while the even lanes
-    # step past it; the even lanes then read r, which must still be x
+    # the taken even lanes read r and halt; only then do the waiting odd lanes
+    # write it, so each group reads r as its own path left it
     text = _LOW_BIT + f"{write}\nOUT r\neven: INC c\nOUT r"
     rows = lanes_match_reference(parse_program(text), 4, range(16))
     assert [r.output for r in rows][::2] == list(range(0, 16, 2))
+
+
+@pytest.mark.parametrize("write", ["ZERO r", "MOV r one", "AND r one", "OR r one", "INC r", "DEC r"])
+def test_a_waiting_group_keeps_what_the_taken_group_writes_before_it(write):
+    # the taken even lanes write r and halt before the odd lanes, which wait
+    # on the split, read r; it must still be x
+    text = _LOW_BIT + f"OUT r\neven: {write}\nOUT r"
+    rows = lanes_match_reference(parse_program(text), 4, range(16))
+    assert [r.output for r in rows][1::2] == list(range(1, 16, 2))
+
+
+def test_a_diamond_that_rejoins_keeps_its_two_groups():
+    # both arms reach `j` on the same step with the same inc/dec count, and
+    # halt as two groups: groups that meet again are not merged
+    text = ("ZERO one\nINC one\nMOV b x\nAND b one\nBZ b l\nMOV a x\nJMP j\n"
+            "l: MOV a one\nJMP j\nj: INC a\nOUT a")
+    program = parse_program(text)
+    values = range(16)
+    lanes_match_reference(program, 4, values)
+    _, _, halts = run_slices(program, 4, values)
+    assert sorted(halts) == [(0x5555, 9, 2, HaltReason.OUT), (0xaaaa, 9, 2, HaltReason.OUT)]
 
 
 @pytest.mark.parametrize("branch", ["BZ x next", "BNZ x next", "BEQ x one next", "BLT one x next"])
