@@ -11,7 +11,6 @@ prefix.  A broken interpreter, on the other hand, gets caught immediately.
 
 from countones import (
     AdversaryParams,
-    KSchedule,
     Machine,
     PrefixInvariantCheck,
     adversary_input,
@@ -22,10 +21,11 @@ from countones import (
 
 params = AdversaryParams(e=0, m=2, d=0, n=6)
 x = adversary_input(params)
-sched = KSchedule(params.n, params.m)
 print(f"adversary input: {x.to_bits()}  (e={params.e}, m={params.m}, d={params.d})")
+# past i = m the schedule runs out and the invariant is vacuous
 print("protected prefix lengths:",
-      {i: sched.k_value(i) for i in range(params.m + 2)})
+      {i: None if i > params.m else 2 * (params.m - i) + 1 if i else params.n
+       for i in range(params.m + 2)})
 
 # the checker watches the run as an observer and lets go once i > m
 check = PrefixInvariantCheck(params)

@@ -59,7 +59,6 @@ from .words import MAX_WIDTH, Word, popcount_naive
 __all__ = [
     "AdversaryParams",
     "adversary_input",
-    "KSchedule",
     "Violation",
     "PrefixInvariantCheck",
     "Divergence",
@@ -107,27 +106,6 @@ def adversary_input(p: AdversaryParams) -> Word:
 
 
 @dataclass(frozen=True, slots=True)
-class KSchedule:
-    """Protected-prefix lengths: ``k_0 = n`` and ``k_i = 2*(m - i) + 1``.
-
-    Beyond ``i = m`` the schedule runs out (the would-be length is no longer
-    positive) and the invariant is vacuous; ``k_value`` returns ``None``
-    there.
-    """
-
-    n: int
-    m: int
-
-    def k_value(self, i: int) -> int | None:
-        if i < 0:
-            raise ValueError(f"index must be >= 0, got {i}")
-        if i == 0:
-            return self.n
-        k = 2 * (self.m - i) + 1
-        return k if k >= 1 else None
-
-
-@dataclass(frozen=True, slots=True)
 class Violation:
     snapshot_index: int
     incdec_index: int
@@ -164,16 +142,15 @@ class PrefixInvariantCheck:
     def __init__(self, params: AdversaryParams) -> None:
         self.x = adversary_input(params)
         x = self.x.value
-        schedule = KSchedule(params.n, params.m)
         self.params = params
         self.checked = 0
         self.violations: list[Violation] = []
         self._mark = 1  # the next ``checked`` at which to save a state
         self._saved: tuple = (-1,)  # (pc, incdec_index, register values)
-        # per index i <= m: (shift, all-zeros, all-ones, input prefix)
+        # per index i <= m: (shift, all-zeros, all-ones, input prefix) of its k_i bits
         self._allowed: list[tuple[int, int, int, int]] = []
         for i in range(params.m + 1):
-            k = schedule.k_value(i)
+            k = 2 * (params.m - i) + 1 if i else params.n
             shift = params.n - k
             self._allowed.append((shift, 0, (1 << k) - 1, x >> shift))
 

@@ -55,7 +55,7 @@ from .programs import (
 from .vm import DEFAULT_BUDGET, Machine, parse_program
 from .words import MAX_WIDTH
 
-__all__ = ["main", "build_parser", "verify_suite", "sweep_rows", "table_rows"]
+__all__ = ["main", "build_parser", "verify_suite"]
 
 
 _ALGOS: dict[str, Callable[[int], GeneratedProgram]] = {
@@ -187,45 +187,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- sweep
 
 
-def _sweep(width: int, algo: str, seed: int, budget: int, render: Callable) -> Iterator:
-    """:func:`render_lanes` over ``sweep``'s inputs, with output -1 for a run
-    that did not halt with OUT.  A width the generator rejects raises
-    ``ValueError`` at the call, before any run."""
-    gen = _ALGOS[algo](width)
+def cmd_sweep(args: argparse.Namespace) -> int:
+    """One row per input, or per seeded sample past width 20; output -1 for a
+    run that did not halt with OUT."""
+    start, sep, end = _LAYOUT[args.format]
+    width = args.width
+    try:
+        gen = _ALGOS[args.algo](width)
+    except ValueError as exc:  # a generator's own rule, such as twobit's width
+        raise SystemExit(_usage_error(str(exc)))
     if width <= EXHAUSTIVE_WIDTH_LIMIT:
         values = range(1 << width)
     else:
-        draw = random.Random(seed).getrandbits  # draw for draw rng.randrange(1 << width)
+        draw = random.Random(args.seed).getrandbits  # draw for draw rng.randrange(1 << width)
         values = [_below(draw, 1 << width) for _ in range(SAMPLED_SWEEP_SIZE)]
-    return render_lanes(gen.program, width, values, lambda nu, out, *steps: render(
-        nu, -1 if out is None else out, *steps), budget)
-
-
-def sweep_rows(
-    width: int, algo: str, seed: int = 0, budget: int = DEFAULT_BUDGET
-) -> Iterator[tuple[str, int, int, int, int]]:
-    """(input_bits, nu, output, incdec_steps, total_steps) per input, lazily:
-    the rows that ``sweep`` writes.
-
-    Exhaustive up to width 20; wider words get ``SAMPLED_SWEEP_SIZE`` seeded
-    samples.  A width the generator rejects raises ``ValueError`` at the
-    call, before any row is made.
-    """
-    bits = f"0{width}b"
-    return ((format(value, bits), *tail)
-            for values, tails, _ in _sweep(width, algo, seed, budget, lambda *tail: tail)
-            for value, tail in zip(values, tails))
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
-    start, sep, end = _LAYOUT[args.format]
-    try:
-        chunks = _sweep(args.width, args.algo, args.seed, args.budget,
-                        lambda *tail: sep + sep.join(map(str, tail)) + end)
-    except ValueError as exc:  # a generator's own rule, such as twobit's width
-        raise SystemExit(_usage_error(str(exc)))
+    chunks = render_lanes(gen.program, width, values, lambda nu, out, *steps: (
+        sep + sep.join(map(str, (nu, -1 if out is None else out, *steps))) + end), args.budget)
     seen = stuck = 0  # rows, and rows that did not halt, counted as they stream
-    bits = f"0{args.width}b"
+    bits = f"0{width}b"
     def lines(values: Sequence[int], tails: list[str], cut: int) -> list[str]:
         nonlocal seen, stuck
         seen += len(values)
@@ -318,15 +297,14 @@ _HAKMEM_OPS = 10
 _TABLE_WIDTHS = (8, 12)
 
 
-def table_rows() -> list[tuple[str, str, str, str]]:
-    """Bounds-vs-measurement table rows for the operation-set comparison."""
+def cmd_table(args: argparse.Namespace) -> int:
     restricted = "; ".join(
         f"{algo} worst inc/dec " + ", ".join(
             f"n={width}: {lower_bound_audit(_ALGOS[algo](width)).max_incdec}"
             for width in _TABLE_WIDTHS)
         for algo in ("wegner", "dense", "combined")
     )
-    return [
+    rows = [
         (
             "increment, decrement, AND, OR, constant 0",
             "min(nu, n-nu)",
@@ -348,11 +326,8 @@ def table_rows() -> list[tuple[str, str, str, str]]:
             f"octal/mod-63 routine: {_HAKMEM_OPS} word ops at width 32",
         ),
     ]
-
-
-def cmd_table(args: argparse.Namespace) -> int:
     header = ("operation_set", "lower_bound", "upper_bound", "measured")
-    _emit(_table(header, table_rows(), args.format), args.out)
+    _emit(_table(header, rows, args.format), args.out)
     return 0
 
 

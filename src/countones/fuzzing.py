@@ -39,7 +39,6 @@ from .vm import OPCODES, HaltReason, Instruction, Machine, Program
 __all__ = [
     "FUZZ_BUDGET",
     "random_program",
-    "random_program_text",
     "random_adversary_params",
     "InvariantFuzzReport",
     "fuzz_invariant",
@@ -114,21 +113,6 @@ def random_program(rng: random.Random, max_len: int = 24) -> Program:
         else:
             instructions.append(_PLAIN.get(key) or _PLAIN.setdefault(key, Instruction(*key)))
     return Program(tuple(instructions))
-
-
-def random_program_text(rng: random.Random, max_len: int = 24) -> str:
-    """Source text of :func:`random_program` on the same draws; jump targets
-    are labelled ``L<index>``, and ``parse_program`` gives the program back."""
-    instructions = random_program(rng, max_len).instructions
-    targets = {ins.target for ins in instructions if ins.target is not None}
-    lines = []
-    for idx, ins in enumerate(instructions):
-        parts = [ins.op, *(reg for reg in (ins.a, ins.b) if reg is not None)]
-        if ins.target is not None:
-            parts.append(f"L{ins.target}")
-        prefix = f"L{idx}: " if idx in targets else ""
-        lines.append(prefix + " ".join(parts))
-    return "\n".join(lines)
 
 
 def random_adversary_params(

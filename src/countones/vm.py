@@ -101,6 +101,7 @@ __all__ = [
     "Instruction",
     "Program",
     "parse_program",
+    "format_program",
     "HaltReason",
     "ExecResult",
     "Observer",
@@ -233,6 +234,19 @@ def parse_program(text: str) -> Program:
             target = labels[label]
         instructions.append(Instruction(op, *regs, target=target))
     return Program(tuple(instructions))
+
+
+def format_program(program: Program) -> str:
+    """The source text of ``program``, which :func:`parse_program` gives back:
+    one line per instruction, each jump target labelled ``L<index>``."""
+    targets = {ins.target for ins in program.instructions}
+    lines = []
+    for idx, ins in enumerate(program.instructions):
+        parts = [ins.op, *(reg for reg in (ins.a, ins.b) if reg is not None)]
+        if ins.target is not None:
+            parts.append(f"L{ins.target}")
+        lines.append((f"L{idx}: " if idx in targets else "") + " ".join(parts))
+    return "\n".join(lines)
 
 
 class HaltReason(enum.Enum):

@@ -3,7 +3,6 @@ import random
 import subprocess
 import sys
 from dataclasses import replace
-from itertools import islice
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -16,11 +15,13 @@ from countones import (
     Machine,
     Word,
     cli,
+    dense_program,
     execute,
     measure,
     msb_flip_probe,
     parse_program,
     render_lanes,
+    twobit_program,
     wegner_program,
 )
 from countones import adversary, vm, words
@@ -80,19 +81,20 @@ def test_gen_twobit_width_guard(capsys):
 @pytest.mark.parametrize("width", [1, 3, 20])
 def test_twobit_width_rule_is_stated_once(capsys, width):
     with pytest.raises(ValueError, match="twobit is defined for width 2 only"):
-        cli.sweep_rows(width, "twobit")
+        twobit_program(width)
     for argv in (["sweep", "--width", str(width), "--algo", "twobit"],
                  ["gen", "--algo", "twobit", "--width", str(width)]):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
         assert capsys.readouterr() == ("", "error: twobit is defined for width 2 only\n")
-    assert [row[:3] for row in cli.sweep_rows(2, "twobit")] == [
-        ("00", 0, 0), ("01", 1, 1), ("10", 1, 1), ("11", 2, 2)]
+    code, out = run_cli(capsys, "sweep", "--width", "2", "--algo", "twobit")
+    assert code == 0 and [line.split(",")[:3] for line in out.splitlines()[1:]] == [
+        ["00", "0", "0"], ["01", "1", "1"], ["10", "1", "1"], ["11", "2", "2"]]
 
 
 def test_every_generator_builds_the_width_it_was_asked_for():
-    # sweep_rows and measure take the requested width on trust; a generator
+    # sweep and measure take the requested width on trust; a generator
     # that cannot build a width must raise, not return another width's program
     for algo, make in cli._ALGOS.items():
         for width in range(1, MAX_WIDTH + 1):
@@ -144,9 +146,10 @@ def test_sweep_streams_its_rows(monkeypatch, tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         main(["sweep", "--width", "4", "--algo", "wegner", "--out", str(tmp_path / "no" / "x")])
     assert err.value.code == 2 and capsys.readouterr().err.count("\n") == 1
-    rows = cli.sweep_rows(20, "dense")
+    chunks = render_lanes(dense_program(20).program, 20, range(1 << 20), lambda *tail: tail)
     monkeypatch.undo()
-    assert next(rows)[:3] == ("0" * 20, 0, 0)
+    values, tails, stuck = next(chunks)
+    assert (values[0], *tails[0][:2]) == (0, 0, 0) and stuck == 0
 
 
 def sweep_path_rows(program, width, values, budget=vm.DEFAULT_BUDGET):
@@ -215,15 +218,15 @@ def test_sweep_path_renders_each_cell_once():
 
 
 @pytest.mark.parametrize("width", [21, 33, 64])
-def test_sampled_sweep_draws_are_randrange_draws(width):
+def test_sampled_sweep_draws_are_randrange_draws(capsys, width):
     for seed in (0, 1, 3, 9, 2024):
         fast, slow = random.Random(seed), random.Random(seed)
         assert ([_below(fast.getrandbits, 1 << width) for _ in range(500)]
                 == [slow.randrange(1 << width) for _ in range(500)])
         assert fast.getstate() == slow.getstate()
-    rows = cli.sweep_rows(width, "wegner", seed=5)
+    code, out = run_cli(capsys, "sweep", "--width", str(width), "--algo", "wegner", "--seed", "5")
     rng = random.Random(5)
-    assert [row[0] for row in islice(rows, 50)] == [
+    assert code == 0 and [line.split(",")[0] for line in out.splitlines()[1:51]] == [
         f"{rng.randrange(1 << width):0{width}b}" for _ in range(50)]
 
 

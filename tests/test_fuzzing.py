@@ -19,13 +19,14 @@ from countones import (
     Violation,
     Word,
     adversary_input,
+    format_program,
     fuzz_divergence,
     fuzz_invariant,
     msb_flip_probe,
     parse_program,
     popcount_naive,
     random_program,
-    random_program_text,
+    shipped_programs,
 )
 from countones.adversary import _Lasso
 from countones.fuzzing import (
@@ -112,7 +113,7 @@ def reference_invariant(seed, count, budget=FUZZ_BUDGET, machine=None):
     exhausted = violation_count = cut_in_window = 0
     violating = []
     for run_idx in range(count):
-        program = parse_program(random_program_text(rng))
+        program = parse_program(format_program(random_program(rng)))
         params = random_adversary_params(rng, (4, 16))
         result, states = record_run(program, adversary_input(params), budget, machine)
         if result.halt_reason is HaltReason.BUDGET_EXHAUSTED:
@@ -132,7 +133,7 @@ def reference_divergence(seed, count, budget=FUZZ_BUDGET):
     diverged = 0
     violating = []
     for run_idx in range(count):
-        program = parse_program(random_program_text(rng))
+        program = parse_program(format_program(random_program(rng)))
         params = random_adversary_params(rng, (2, 16), equal_ends=True)
         probe = reference_probe(program, params, budget)
         diverged += probe.divergence is not None
@@ -145,12 +146,16 @@ def reference_divergence(seed, count, budget=FUZZ_BUDGET):
 
 
 def test_generated_programs_always_parse():
-    # the text is a rendering of the directly built program, and parses back to it
+    # the text of a random or shipped program parses back to that program
     for max_len in (2, 24, 60):
-        text_rng, program_rng = random.Random(99), random.Random(99)
+        rng = random.Random(99)
         for _ in range(300):
-            text = random_program_text(text_rng, max_len)
-            assert parse_program(text) == random_program(program_rng, max_len)
+            program = random_program(rng, max_len)
+            assert parse_program(format_program(program)) == program
+    for gen in chain.from_iterable(map(shipped_programs, range(1, 65))):  # twobit at 2
+        assert parse_program(format_program(gen.program)) == gen.program, (gen.name, gen.width)
+    # each jump target is labelled by its index
+    assert format_program(parse_program("L: BZ x L\nOUT x")) == "L0: BZ x L0\nOUT x"
 
 
 @pytest.mark.parametrize("max_len", [2, 3, 24, 160])

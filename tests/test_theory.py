@@ -11,7 +11,6 @@ from countones import (
     AuditFailure,
     Divergence,
     HaltReason,
-    KSchedule,
     LowerBoundCheck,
     Machine,
     PrefixInvariantCheck,
@@ -71,18 +70,6 @@ def test_adversary_population_formula(p):
     assert popcount_naive(word) == p.e + p.m + p.d * (p.n - 2 * p.m - 1)
     if p.e == p.d:  # nu is m or n - m with 2m < n, so msb_flip_probe never meets nu = n/2
         assert 2 * popcount_naive(word) != p.n
-
-
-# -------------------------------------------------------------- k schedule
-
-
-def test_k_schedule_values():
-    sched = KSchedule(6, 2)
-    assert [sched.k_value(i) for i in range(4)] == [6, 3, 1, None]
-    assert KSchedule(4, 0).k_value(0) == 4
-    assert KSchedule(4, 0).k_value(1) is None
-    with pytest.raises(ValueError):
-        sched.k_value(-1)
 
 
 # --------------------------------------------------------- prefix invariant
