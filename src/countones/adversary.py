@@ -229,22 +229,11 @@ class _Lasso:
     :class:`PrefixInvariantCheck`; it then detaches, and the run fast-forwards.
     From ``start`` on the path repeats every ``period`` states, ``gain``
     inc/dec up each time, and :meth:`at` reads any state.
-
-    Given the lasso of another run and that run's ``end`` (total steps), each
-    pc is compared with the other's, and the first difference is kept as
-    ``divergence``.  Comparing stops there, past ``end`` (a prefix is no
-    divergence) or at this run's repeat, after which the tail is compared by
-    arithmetic up to ``end``.  If both runs repeat, with periods ``p`` and
-    ``q``, pcs that agree over ``p + q - gcd(p, q)`` states past both starts
-    agree to the end: that window has both periods, so it has period ``gcd(p,
-    q)`` (Fine and Wilf, Proc. AMS 1965), and each run keeps it.
     """
 
-    def __init__(self, other: _Lasso | None = None, end: int = 0) -> None:
+    def __init__(self) -> None:
         self.path: list[tuple[int | None, int]] = []
         self.start = self.period = self.gain = 0
-        self.divergence: Divergence | None = None
-        self._other, self._end = other, end
         self._mark = 1  # the next state index at which to save a state
         self._saved: tuple = (-1,)  # (pc, state index, register values)
 
@@ -255,34 +244,38 @@ class _Lasso:
         pc, i = self.path[self.start + offset]
         return pc, i + cycles * self.gain
 
-    def _diverges(self, t: int, pc: int | None) -> bool:
-        if pc == self._other.at(t)[0]:
-            return False
-        self.divergence = Divergence(t - 1, self._other.at(t - 1)[1])
-        return True
-
     def observe(self, incdec_index: int, pc: int | None, registers: dict[str, int]) -> bool:
         t = len(self.path)
-        other = self._other
-        if other is not None and (t > self._end or self._diverges(t, pc)):
-            return False
         if t == self._mark:
             self._saved = (pc, t, tuple(registers.values()))
             self._mark *= 2
         elif pc == self._saved[0] and self._saved[2] == tuple(registers.values()):
             self.start, self.period = self._saved[1], t - self._saved[1]
             self.gain = incdec_index - self.path[self.start][1]
-            if other is not None:
-                last = self._end
-                if other.period:  # both runs repeat: see the class docstring
-                    p, q = self.period, other.period
-                    last = min(last, max(t, max(self.start, other.start) + p + q - gcd(p, q) - 1))
-                for u in range(t + 1, last + 1):
-                    if self._diverges(u, self.at(u)[0]):
-                        break
             return False
         self.path.append((pc, incdec_index))
         return True
+
+
+def _divergence(a: _Lasso, b: _Lasso, end: int) -> Divergence | None:
+    """The first state ``t`` in ``1..end`` at which the recorded runs ``a``
+    and ``b`` executed different pcs, as ``Divergence(t - 1, a.at(t - 1)[1])``,
+    or ``None``.  ``end`` is the shorter run's total steps, so a path that is
+    a prefix of the other is no divergence.
+
+    If both runs repeat, with periods ``p`` and ``q``, pcs that agree over the
+    ``p + q - gcd(p, q)`` states from ``max(a.start, b.start)`` on agree to
+    the end: that window has both periods, so it has period ``gcd(p, q)``
+    (Fine and Wilf, Proc. AMS 1965), and each run keeps it.  So the
+    comparison stops after that window.
+    """
+    if a.period and b.period:
+        p, q = a.period, b.period
+        end = min(end, max(a.start, b.start) + p + q - gcd(p, q) - 1)
+    for t in range(1, end + 1):
+        if a.at(t)[0] != b.at(t)[0]:
+            return Divergence(t - 1, a.at(t - 1)[1])
+    return None
 
 
 def msb_flip_probe(
@@ -300,13 +293,13 @@ def msb_flip_probe(
     branch -- so such parameters are rejected.
 
     Returns the first control-flow divergence (if any) and whether it
-    respects ``incdec_index >= min(nu, n - nu)``.  Each run records its path
-    up to its first repeated state only (:class:`_Lasso`), so both runs
-    fast-forward, and the flipped run is compared against the first run's
-    path and, past its own repeat, by arithmetic.  A path that is a prefix
-    of the other is no divergence, so a last branch that one run takes and
-    the other falls through, off the end, goes unseen (``L0: INC a`` / ``BZ
-    x L0`` on ``0000`` and ``1000`` under budget 50).
+    respects ``incdec_index >= min(nu, n - nu)``.  Each run is recorded on
+    its own, up to its first repeated state only (:class:`_Lasso`), so both
+    runs fast-forward; the two recordings are then compared once, up to the
+    shorter run's end (:func:`_divergence`).  A path that is a prefix of the
+    other is no divergence, so a last branch that one run takes and the
+    other falls through, off the end, goes unseen (``L0: INC a`` / ``BZ x
+    L0`` on ``0000`` and ``1000`` under budget 50).
     """
     if params.e != params.d:
         raise ValueError(
@@ -316,17 +309,17 @@ def msb_flip_probe(
     x = adversary_input(params)
     nu = popcount_naive(x)
     flipped = Word(params.n, x.value ^ (1 << (params.n - 1)))
-    lasso_x = _Lasso()
+    lasso_x, lasso_flipped = _Lasso(), _Lasso()
     result_x = Machine().run(program, x, budget=budget, observer=lasso_x.observe)
-    lasso_flipped = _Lasso(lasso_x, result_x.total_steps)
     result_flipped = Machine().run(program, flipped, budget=budget, observer=lasso_flipped.observe)
+    end = min(result_x.total_steps, result_flipped.total_steps)
     return MsbFlipProbe(
         params=params,
         x=x,
         x_flipped=flipped,
         nu=nu,
         bound=min(nu, params.n - nu),
-        divergence=lasso_flipped.divergence,
+        divergence=_divergence(lasso_x, lasso_flipped, end),
         result_x=result_x,
         result_flipped=result_flipped,
     )

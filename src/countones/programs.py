@@ -28,7 +28,10 @@ is parsed once per process; :func:`constant_program` is not, since
 callers build many one-shot constants.
 
 The module also houses two classic host-level popcounts (broadword fold,
-HAKMEM-style octal trick) used purely as reference oracles for wider words.
+HAKMEM-style octal trick).  Nothing in the package calls them: the tests
+check them against :func:`~countones.words.popcount_naive`, and ``table``
+quotes their hand counts of word ops.  ROADMAP item 14 measures the fold
+as a machine program over opt-in ops and then deletes both.
 """
 
 from __future__ import annotations

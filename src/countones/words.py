@@ -4,9 +4,9 @@ The value domain everything else in this package builds on: unsigned
 integers of an explicit bit width between 1 and 64, reduced modulo
 ``2**width``.  The machine's operations on them (wrapping INC and DEC, AND,
 OR) are defined once, in :data:`countones.vm.OPCODES`; shifts, complement
-and wider arithmetic are deliberately absent from the model (the reference
-popcounts in :mod:`countones.programs` use them, but only as host-level
-oracles).
+and wider arithmetic are deliberately absent from the model (the host-level
+popcounts in :mod:`countones.programs` use them; nothing in the package
+calls those, see ROADMAP item 14).
 
 Words are immutable, so they can be shared freely between concurrent
 executions.

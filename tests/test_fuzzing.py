@@ -28,7 +28,7 @@ from countones import (
     random_program,
     shipped_programs,
 )
-from countones.adversary import _Lasso
+from countones.adversary import _divergence, _Lasso
 from countones.fuzzing import (
     _OP_DECK,
     _PLAIN,
@@ -348,9 +348,9 @@ def feed(observer, states):
 
 def test_lasso_settles_a_tail_like_a_state_by_state_comparison():
     # two looping runs, tails under 20 states and periods under 8, whose pcs
-    # agree for a while, fed to the probe's recorders; the reference compares
-    # them state by state past both tails and the lcm of both periods, after
-    # which nothing new can happen
+    # agree for a while, each fed to a recorder of its own; the reference
+    # compares them state by state past both tails and the lcm of both
+    # periods, after which nothing new can happen
     rng = random.Random(5)
     horizon = 1 + 20 + 42
     settled = 0
@@ -366,14 +366,53 @@ def test_lasso_settles_a_tail_like_a_state_by_state_comparison():
         f_states = list(islice(made_up_run(f_pcs, f_tail, f_metered), horizon))
         expected = next((Divergence(t - 1, x_states[t - 1][0]) for t in range(1, horizon)
                          if x_states[t][1] != f_states[t][1]), None)
-        lasso_x = _Lasso()
+        lasso_x, lasso_f = _Lasso(), _Lasso()
         feed(lasso_x.observe, made_up_run(x_pcs, x_tail, x_metered))
         assert lasso_x.period == x_period
-        lasso_f = _Lasso(lasso_x, 10**6)
         detached = feed(lasso_f.observe, made_up_run(f_pcs, f_tail, f_metered))
-        assert lasso_f.divergence == expected, (x_pcs, x_tail, f_pcs, f_tail)
+        assert _divergence(lasso_x, lasso_f, 10**6) == expected, (x_pcs, x_tail, f_pcs, f_tail)
         settled += expected is not None and expected.step_index >= detached
-    assert settled >= 50  # partings that only the arithmetic of the tail found
+    assert settled >= 50  # partings past the flipped run's recording, read off its cycle
+
+
+def recorded(states):
+    """A recorder fed the observer calls ``states`` until it detaches."""
+    lasso = _Lasso()
+    feed(lasso.observe, states)
+    return lasso
+
+
+def test_divergence_compares_the_whole_fine_wilf_window():
+    # pcs 1 2 1 2 ... with period 2, and 1 2 1 | 2 1 2 ... with period 3;
+    # both recorders repeat from state 4, so the window is the 2 + 3 -
+    # gcd(2, 3) = 4 states 4..7: they agree on 4, 5 and 6 and part at 7
+    a = recorded(made_up_run([1, 2], 0, [1, 0]))
+    b = recorded(made_up_run([1, 2, 1, 2, 1, 2], 3, [0] * 6))
+    assert (a.start, a.period, b.start, b.period) == (4, 2, 4, 3)
+    assert [a.at(t)[0] for t in range(1, 8)] == [1, 2, 1, 2, 1, 2, 1]
+    assert [b.at(t)[0] for t in range(1, 8)] == [1, 2, 1, 2, 1, 2, 2]
+    # the parting is at the window's last state, read off a's cycle
+    assert _divergence(a, b, 10**6) == _divergence(a, b, 7) == Divergence(6, 3)
+    # a parting past end is none
+    assert _divergence(a, b, 6) is None
+
+
+def test_divergence_stops_at_the_end_it_is_given():
+    # two runs that never repeat, with pcs 1..6 and 1 2 3 4 9 9: they part at state 5
+    a = recorded(made_up_run([1, 2, 3, 4, 5, 6], 6, [1] * 6))
+    b = recorded(made_up_run([1, 2, 3, 4, 9, 9], 6, [1] * 6))
+    assert not a.period and not b.period
+    assert _divergence(a, b, 6) == _divergence(a, b, 5) == Divergence(4, 4)
+    assert _divergence(a, b, 4) is None
+
+
+def test_a_run_that_ends_first_is_no_divergence():
+    # b follows a for 3 steps and ends there while a loops on: the prefix
+    # rule reads no divergence (ROADMAP item 4 would make it one at state 3)
+    a = recorded(made_up_run([1, 2], 0, [1, 0]))
+    b = recorded(islice(made_up_run([1, 2, 1], 3, [1, 0, 1]), 4))
+    assert not b.period and len(b.path) == 4
+    assert _divergence(a, b, 3) is None
 
 
 def test_random_params_respect_the_constraints():
