@@ -25,7 +25,9 @@ program = parse_program(SOURCE)
 print(f"parsed {len(program)} instructions, registers {program.register_names}")
 
 x = Word.from_bits("1011")
-# an observer is shown every state of the run; this one keeps a copy of each
+# an observer is shown each state of the run up to and including the first
+# repeat the machine finds (this run halts, so every state); this one keeps a
+# copy of each
 states = []
 result = Machine().run(program, x, observer=lambda i, pc, regs: states.append((i, pc, dict(regs))))
 print(f"input {x.to_bits()} -> output {result.output}")

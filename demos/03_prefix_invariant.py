@@ -27,7 +27,8 @@ print("protected prefix lengths:",
       {i: None if i > params.m else 2 * (params.m - i) + 1 if i else params.n
        for i in range(params.m + 2)})
 
-# the checker watches the run as an observer and lets go once i > m
+# the checker watches the run as an observer and lets go once i > m; on a
+# looping run the machine also detaches it at the first repeat it finds
 check = PrefixInvariantCheck(params)
 result = Machine().run(wegner_program(params.n).program, x, observer=check.observe)
 print(f"\nwegner run: {result.total_steps + 1} states, "

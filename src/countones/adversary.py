@@ -130,13 +130,13 @@ class PrefixInvariantCheck:
     Prefixes are compared as integers (``value >> (n - k)``), which
     additionally flags any register whose value escaped the word width.  The
     first state past ``i = m`` detaches the check: the inc/dec index only
-    grows, so the rest of the run is vacuous.  So does, while nothing is
-    violated, the first state whose ``(pc, i, registers)`` equals one saved
-    by Brent's cycle detection (saves at ``checked`` = 1, 2, 4, ...): with no
-    INC/DEC since, the run replays states already found clean from there
-    on.  ``checked`` counts the states checked up to the detach and
-    ``violations`` lists what they broke; a violation's ``snapshot_index``
-    counts the initial state as 0.
+    grows, so the rest of the run is vacuous.  So does the machine's first
+    repeat (``ExecResult.cycle``), after which the run replays states shown,
+    at the same or a higher ``i``.  Replays pass where their first showing
+    did: ``k_i`` only shrinks as ``i`` grows, and top bits all zeros, all
+    ones or the input's stay so when cut to fewer.  ``checked`` counts the
+    states checked up to the detach and ``violations`` lists what they
+    broke; a violation's ``snapshot_index`` counts the initial state as 0.
     """
 
     def __init__(self, params: AdversaryParams) -> None:
@@ -145,8 +145,6 @@ class PrefixInvariantCheck:
         self.params = params
         self.checked = 0
         self.violations: list[Violation] = []
-        self._mark = 1  # the next ``checked`` at which to save a state
-        self._saved: tuple = (-1,)  # (pc, incdec_index, register values)
         # per index i <= m: (shift, all-zeros, all-ones, input prefix) of its k_i bits
         self._allowed: list[tuple[int, int, int, int]] = []
         for i in range(params.m + 1):
@@ -156,12 +154,6 @@ class PrefixInvariantCheck:
 
     def observe(self, incdec_index: int, pc: int | None, registers: dict[str, int]) -> bool:
         if incdec_index > self.params.m:
-            return False
-        if self.checked == self._mark:
-            self._saved = (pc, incdec_index, tuple(registers.values()))
-            self._mark *= 2
-        elif (pc == self._saved[0] and not self.violations
-              and self._saved == (pc, incdec_index, tuple(registers.values()))):
             return False
         shift, zeros, ones, xpref = self._allowed[incdec_index]
         for name, value in registers.items():
@@ -224,18 +216,21 @@ class MsbFlipProbe:
 
 
 class _Lasso:
-    """A run's ``(pc, incdec_index)`` per state, kept by :meth:`observe` up to
-    the first repeated ``(pc, registers)``, found by the save rule of
-    :class:`PrefixInvariantCheck`; it then detaches, and the run fast-forwards.
-    From ``start`` on the path repeats every ``period`` states, ``gain``
-    inc/dec up each time, and :meth:`at` reads any state.
+    """A recorded run: ``path`` is its ``(pc, incdec_index)`` per state, as an
+    observer is shown them, up to and including the repeat the machine found
+    at ``cycle`` (``ExecResult.cycle``), if any.  Executed pcs repeat one
+    state after the machine's saved state, so from ``start`` on the path
+    repeats every ``period`` states, ``gain`` inc/dec up each time, and
+    :meth:`at` reads any state.
     """
 
-    def __init__(self) -> None:
-        self.path: list[tuple[int | None, int]] = []
+    def __init__(self, path: list[tuple[int | None, int]], cycle: tuple[int, int] | None) -> None:
+        self.path = path
         self.start = self.period = self.gain = 0
-        self._mark = 1  # the next state index at which to save a state
-        self._saved: tuple = (-1,)  # (pc, state index, register values)
+        if cycle:
+            saved, self.period = cycle
+            self.start = saved + 1
+            self.gain = path[saved + self.period][1] - path[saved][1]
 
     def at(self, t: int) -> tuple[int | None, int]:
         if t < len(self.path):
@@ -243,18 +238,6 @@ class _Lasso:
         cycles, offset = divmod(t - self.start, self.period)
         pc, i = self.path[self.start + offset]
         return pc, i + cycles * self.gain
-
-    def observe(self, incdec_index: int, pc: int | None, registers: dict[str, int]) -> bool:
-        t = len(self.path)
-        if t == self._mark:
-            self._saved = (pc, t, tuple(registers.values()))
-            self._mark *= 2
-        elif pc == self._saved[0] and self._saved[2] == tuple(registers.values()):
-            self.start, self.period = self._saved[1], t - self._saved[1]
-            self.gain = incdec_index - self.path[self.start][1]
-            return False
-        self.path.append((pc, incdec_index))
-        return True
 
 
 def _divergence(a: _Lasso, b: _Lasso, end: int) -> Divergence | None:
@@ -294,8 +277,8 @@ def msb_flip_probe(
 
     Returns the first control-flow divergence (if any) and whether it
     respects ``incdec_index >= min(nu, n - nu)``.  Each run is recorded on
-    its own, up to its first repeated state only (:class:`_Lasso`), so both
-    runs fast-forward; the two recordings are then compared once, up to the
+    its own, up to the first repeat its machine finds (:class:`_Lasso`), so
+    both runs fast-forward; the two recordings are then compared once, up to the
     shorter run's end (:func:`_divergence`).  A path that is a prefix of the
     other is no divergence, so a last branch that one run takes and the
     other falls through, off the end, goes unseen (``L0: INC a`` / ``BZ x
@@ -309,9 +292,13 @@ def msb_flip_probe(
     x = adversary_input(params)
     nu = popcount_naive(x)
     flipped = Word(params.n, x.value ^ (1 << (params.n - 1)))
-    lasso_x, lasso_flipped = _Lasso(), _Lasso()
-    result_x = Machine().run(program, x, budget=budget, observer=lasso_x.observe)
-    result_flipped = Machine().run(program, flipped, budget=budget, observer=lasso_flipped.observe)
+
+    def record(word: Word) -> tuple[ExecResult, _Lasso]:
+        path: list[tuple[int | None, int]] = []
+        result = Machine().run(program, word, budget, lambda i, pc, regs: path.append((pc, i)))
+        return result, _Lasso(path, result.cycle)
+
+    (result_x, lasso_x), (result_flipped, lasso_flipped) = record(x), record(flipped)
     end = min(result_x.total_steps, result_flipped.total_steps)
     return MsbFlipProbe(
         params=params,

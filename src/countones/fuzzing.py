@@ -15,10 +15,12 @@ Everything is reproducible from the seed.  Every draw is one
 programs are exactly those of that spelling, at a fraction of its cost.
 Instructions without a jump target are shared between programs.
 
-Non-terminating programs are cut by the per-run budget; their states up to
-the cut are still checked, except where the check has detached at a
-repeated state with no INC/DEC since, whose replays it has already found
-clean.  After the detach such a run fast-forwards to its budget.
+Non-terminating programs are cut by the per-run budget.  Each check is
+shown every state up to and including the first repeat the machine finds
+(``ExecResult.cycle``); then the run fast-forwards to its budget.  The
+states after the repeat replay those shown, at the same or a higher
+inc/dec index, and the invariant is closed under replays, so the verdict
+is that of the whole run.
 """
 
 from __future__ import annotations

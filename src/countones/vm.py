@@ -46,21 +46,23 @@ observer keeps belongs to the caller of each execution.
 Observers.  :meth:`Machine.run` takes one optional ``observer`` callback,
 called as ``observer(incdec_index, pc, registers)`` on the initial state
 (``pc`` is ``None``, ``incdec_index`` 0) and again after every executed
-instruction, with ``pc`` the index of that instruction.  The observer stays
-attached until it returns ``False`` (any other value, ``None`` included,
-keeps it attached); once detached it is never called again, and the run
-goes on to its normal halt with the same counters as an unobserved run.
-``registers`` is the interpreter's live register dict: read it during the
-call, copy what must outlive it, and never mutate it.  An observer is the
-one way to watch a run: to record one, append a copy of each state, as in
+instruction, with ``pc`` the index of that instruction.  It is shown each
+state up to and including the first repeat the machine finds
+(``ExecResult.cycle`` says where that repeat is), or until it returns
+``False`` (any other value, ``None`` included, keeps it attached); then it
+detaches and is never called again, and the run goes on to the result of
+an unobserved run.  ``registers`` is the interpreter's live register dict:
+read it during the call, copy what must outlive it, and never mutate it.
+An observer is the one way to watch a run: to record one, append a copy of
+each state, as in
 ``observer=lambda i, pc, regs: states.append((i, pc, dict(regs)))``.
 
 Fast-forward.  The machine is deterministic: its next state depends only on
 ``(pc, registers)``, so a run that comes back to a state loops until its
-budget runs out.  While no observer is attached, :meth:`Machine.run` finds
-such a repeat by Brent's cycle detection (Brent, BIT 1980) and adds every
-whole period that fits in the budget at once; the result equals the
-step-by-step one exactly.
+budget runs out.  :meth:`Machine.run` finds such a repeat by Brent's cycle
+detection (Brent, BIT 1980), observed or not, and adds every whole period
+that fits in the budget at once; the result equals the step-by-step one
+exactly.
 
 Lanes.  :func:`run_slices` runs one program on many inputs at once,
 bit-sliced (Biham, FSE 1997): bit ``j`` of a register's slice ``b`` is its
@@ -262,12 +264,14 @@ Observer = Callable[[int, int | None, dict[str, int]], bool | None]
 @dataclass(frozen=True, slots=True)
 class ExecResult:
     """One run.  ``output`` is the OUT register as the machine left it, even
-    out of its width (``None`` unless the run halted with OUT)."""
+    out of its width (``None`` unless the run halted with OUT); ``cycle`` is
+    the first repeat found, as ``(saved_total, period)``, if there is one."""
 
     output: int | None
     total_steps: int
     incdec_steps: int
     halt_reason: HaltReason
+    cycle: tuple[int, int] | None = None
 
 
 class Machine:
@@ -276,8 +280,8 @@ class Machine:
     Subclasses may override :meth:`_inc`, :meth:`_dec` or :meth:`_mov` to
     build deliberately broken variants (the test suite uses a non-wrapping
     INC and a complementing MOV to prove the invariant checker actually
-    bites).  An override must be a pure function of ``(value, mask)``:
-    unobserved runs that do not halt are fast-forwarded over the repeats of
+    bites).  An override must be a pure function of ``(value, mask)``: runs
+    that do not halt, observed or not, are fast-forwarded over the repeats of
     their cycle, which holds only if a state determines the rest of the run.
     The stock machine wraps at the word boundary, and its :meth:`run` is the
     oracle that :func:`run_slices` must match exactly.
@@ -302,9 +306,9 @@ class Machine:
         """Run ``program`` on ``x`` until OUT, the end of the program or ``budget`` steps.
 
         ``observer`` is called with ``(incdec_index, pc, registers)`` on the
-        initial state and after each executed instruction, until it returns
-        ``False``; the run itself is unaffected either way.  ``registers`` is
-        the live register dict: do not keep or mutate it.
+        initial state and after each executed instruction, up to the first
+        repeat or until it returns ``False``; the run is unaffected either
+        way.  ``registers`` is the live register dict: do not keep or mutate it.
         """
         if budget < 1:
             raise ValueError(f"budget must be >= 1, got {budget}")
@@ -316,14 +320,15 @@ class Machine:
         pc = total = incdec = 0
         output: int | None = None
         halt: HaltReason | None = None
-        # Brent's cycle detection, while no observer is attached: the state
-        # (pc, registers) is saved at total = mark, mark doubling up to the
-        # budget, and each later state whose pc matches is compared with it.
-        # saved_pc -1 means nothing is saved.
-        mark = budget
+        cycle: tuple[int, int] | None = None
+        # Brent's cycle detection, observed or not: the state (pc, registers)
+        # is saved at total = mark, mark doubling up to the budget, and each
+        # later state whose pc matches is compared with it.  saved_pc -1 means
+        # nothing is saved.
+        mark = 1
         saved_pc, saved_regs, saved_total, saved_incdec = -1, (), 0, 0
-        if observer is None or observer(0, None, regs) is False:
-            observer, mark = None, 1
+        if observer is not None and observer(0, None, regs) is False:
+            observer = None
 
         while True:
             if pc >= size:
@@ -336,13 +341,14 @@ class Machine:
                 saved_pc, saved_regs, saved_total, saved_incdec = pc, tuple(regs.values()), total, incdec
                 mark = min(2 * total, budget)
             elif pc == saved_pc and tuple(regs.values()) == saved_regs:
-                # A repeated state loops forever: add every whole period that
-                # fits in the budget, then run out the rest step by step.
+                # A repeated state loops forever: detach the observer, add every
+                # whole period that fits in the budget, then run out the rest.
                 period = total - saved_total
+                cycle = saved_total, period
                 cycles = (budget - total) // period
                 total += cycles * period
                 incdec += cycles * (incdec - saved_incdec)
-                saved_pc, mark = -1, budget
+                saved_pc, mark, observer = -1, budget, None
                 continue
             ins = instructions[pc]
             op = ins.op
@@ -381,12 +387,12 @@ class Machine:
                     output = regs[ins.a]
                     halt = HaltReason.OUT
             if observer is not None and observer(incdec, pc, regs) is False:
-                observer, mark = None, min(total + 1, budget)
+                observer = None
             if halt is not None:
                 break
             pc = next_pc
 
-        return ExecResult(output, total, incdec, halt)
+        return ExecResult(output, total, incdec, halt, cycle)
 
 
 def execute(program: Program, x: Word, budget: int = DEFAULT_BUDGET) -> ExecResult:

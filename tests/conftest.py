@@ -1,15 +1,42 @@
 import pytest
 
-from countones import DEFAULT_BUDGET, Machine
+from countones import DEFAULT_BUDGET, ExecResult, HaltReason, Machine
 
 
 def record_run(program, x, budget=DEFAULT_BUDGET, machine=None):
-    """A run's result and a copy of every state its observer was shown, as
-    ``(incdec_index, pc, registers)``, the initial state first."""
-    states = []
-    result = (machine or Machine()).run(
-        program, x, budget=budget, observer=lambda i, pc, regs: states.append((i, pc, dict(regs))))
-    return result, states
+    """A run of ``machine`` (the stock one by default), stepped one instruction
+    at a time through its ``_inc``, ``_dec`` and ``_mov``, with no cycle search
+    and none of ``Machine.run``: its result, whose ``cycle`` is ``None``, and
+    every state, as ``(incdec_index, pc, registers)`` in the form an observer
+    is shown it, the initial state first."""
+    machine = machine or Machine()
+    mask = (1 << x.width) - 1
+    regs = dict.fromkeys(program.register_names, 0)
+    regs["x"] = x.value
+    states = [(0, None, dict(regs))]
+    pc = incdec = 0
+    while pc < len(program) and len(states) <= budget:
+        ins = program.instructions[pc]
+        op, a, b = ins.op, ins.a, ins.b
+        if op == "INC" or op == "DEC":
+            regs[a] = (machine._inc if op == "INC" else machine._dec)(regs[a], mask)
+            incdec += 1
+        elif op == "MOV":
+            regs[a] = machine._mov(regs[b], mask)
+        elif op == "AND":
+            regs[a] &= regs[b]
+        elif op == "OR":
+            regs[a] |= regs[b]
+        elif op == "ZERO":
+            regs[a] = 0
+        states.append((incdec, pc, dict(regs)))
+        if op == "OUT":
+            return ExecResult(regs[a], len(states) - 1, incdec, HaltReason.OUT), states
+        taken = (op == "JMP" or op == "BZ" and regs[a] == 0 or op == "BNZ" and regs[a] != 0
+                 or op == "BEQ" and regs[a] == regs[b] or op == "BLT" and regs[a] < regs[b])
+        pc = ins.target if taken else pc + 1
+    halt = HaltReason.FELL_OFF_END if pc >= len(program) else HaltReason.BUDGET_EXHAUSTED
+    return ExecResult(None, len(states) - 1, incdec, halt), states
 
 
 class NonWrappingIncMachine(Machine):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import chain, cycle, islice
 
 import pytest
@@ -41,8 +42,8 @@ from conftest import ComplementMovMachine, NonWrappingIncMachine, record_run
 
 # ----------------------------------------------------------------- reference
 # The campaigns recomputed from the same rng draws the slow way: program
-# text through the parser, runs that record every state, and the checks
-# applied to the recorded states afterwards.
+# text through the parser, runs stepped one state at a time by conftest's
+# ``record_run``, and the checks applied to the recorded states afterwards.
 
 
 def reference_random_program(rng, max_len):
@@ -95,6 +96,18 @@ def first_divergence(a, b):
     return None
 
 
+def uncycled(probe):
+    """``probe`` with each run's ``cycle`` left out, which the stepped reference has not."""
+    return replace(probe, result_x=replace(probe.result_x, cycle=None),
+                   result_flipped=replace(probe.result_flipped, cycle=None))
+
+
+def shown(states, result):
+    """The recorded ``states`` that ``Machine.run`` shows an observer: each one up
+    to and including the first repeat it finds, ``result.cycle``."""
+    return states[:sum(result.cycle) + 1] if result.cycle else states
+
+
 def reference_probe(program, params, budget):
     x = adversary_input(params)
     flipped = Word(params.n, x.value ^ (1 << (params.n - 1)))
@@ -119,7 +132,9 @@ def reference_invariant(seed, count, budget=FUZZ_BUDGET, machine=None):
         if result.halt_reason is HaltReason.BUDGET_EXHAUSTED:
             exhausted += 1
             cut_in_window += states[-1][0] <= params.m
-        violations = reference_violations(states, params)
+        # the check sees no replay after the repeat the machine finds
+        repeat = machine.run(program, adversary_input(params), budget)
+        violations = reference_violations(shown(states, repeat), params)
         if violations:
             violation_count += len(violations)
             violating.append((run_idx, params, violations))
@@ -219,36 +234,62 @@ def test_budget_cut_inside_the_window_matches_traced_reference(machine):
 
 
 def test_check_detaches_from_a_clean_loop():
-    # a loop with no INC/DEC replays states already found clean, so the
-    # check detaches and the run fast-forwards to its budget
+    # the machine detaches the check at the first repeat it finds, and the
+    # run fast-forwards to its budget
     params = AdversaryParams(0, 0, 0, 6)  # the zero word
     check = PrefixInvariantCheck(params)
     res = Machine().run(parse_program("L0: BZ x L0"), adversary_input(params), 10**9,
                         observer=check.observe)
-    assert res == ExecResult(None, 10**9, 0, HaltReason.BUDGET_EXHAUSTED)
+    assert res == ExecResult(None, 10**9, 0, HaltReason.BUDGET_EXHAUSTED, cycle=(2, 1))
     assert check.ok
-    assert check.checked < 10
-    # a loop with INC/DEC repeats its registers at a higher i, which is no
-    # replay: the check stays attached until the window i <= m closes
-    params = AdversaryParams(1, 5, 1, 12)
+    assert check.checked == 4
+    # a loop with INC/DEC repeats its registers at a higher i; the window
+    # i <= m is still open there, but the replays would pass where their
+    # first showing did, so the check sees 8 of the run's 11 states in it
+    params = AdversaryParams(1, 7, 1, 16)
     program = parse_program("L0: INC a\nDEC a\nJMP L0")
     check = PrefixInvariantCheck(params)
-    Machine().run(program, adversary_input(params), 10**9, observer=check.observe)
+    res = Machine().run(program, adversary_input(params), 10**9, observer=check.observe)
     _, states = record_run(program, adversary_input(params), 100)
-    assert check.ok
-    assert check.checked == sum(i <= params.m for i, _, _ in states) == 8
+    assert check.ok and res.cycle == (4, 3)
+    assert check.checked == 8 < sum(i <= params.m for i, _, _ in states) == 11
 
 
-def test_check_stays_attached_to_a_violating_loop():
+def test_check_detaches_from_a_violating_loop_at_its_repeat():
     # the complementing MOV breaks the invariant on every state after the
-    # first, and every one of them is reported
+    # first; each state shown is reported once, and the 44 replays after the
+    # repeat at 4 + 2 steps are not shown
     params = AdversaryParams(1, 1, 0, 6)
     program = parse_program("L0: MOV a x\nJMP L0")
     check = PrefixInvariantCheck(params)
-    ComplementMovMachine().run(program, adversary_input(params), 50, observer=check.observe)
+    res = ComplementMovMachine().run(program, adversary_input(params), 50, observer=check.observe)
     _, states = record_run(program, adversary_input(params), 50, ComplementMovMachine())
-    assert tuple(check.violations) == reference_violations(states, params)
-    assert len(check.violations) == 50 and check.checked == 51
+    assert res.cycle == (4, 2)
+    assert tuple(check.violations) == reference_violations(states[:7], params)
+    assert len(check.violations) == 6 and check.checked == 7
+    assert len(reference_violations(states, params)) == 50
+
+
+@pytest.mark.parametrize("machine", [Machine, NonWrappingIncMachine, ComplementMovMachine])
+def test_the_invariant_is_closed_under_replays(machine):
+    # the check is shown no state after the repeat; the replays after it
+    # come at the same or a higher i, and pass wherever their first showing
+    # passed, so the verdict equals that of the whole run
+    machine = machine()
+    rng = random.Random(29)
+    replays_in_window = violating = 0
+    for _ in range(400):
+        program = random_program(rng)
+        params = random_adversary_params(rng, (4, 16))
+        check = PrefixInvariantCheck(params)
+        result = machine.run(program, check.x, FUZZ_BUDGET, observer=check.observe)
+        _, states = record_run(program, check.x, FUZZ_BUDGET, machine)
+        assert tuple(check.violations) == reference_violations(shown(states, result), params)
+        assert check.ok == (not reference_violations(states, params))
+        replays_in_window += bool(result.cycle) and states[sum(result.cycle) + 1][0] <= params.m
+        violating += not check.ok
+    assert replays_in_window >= 20
+    assert bool(violating) == (type(machine) is not Machine)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 42])
@@ -264,7 +305,7 @@ def test_flip_probe_matches_traced_reference():
         params = random_adversary_params(rng, (2, 16), equal_ends=True)
         budget = rng.choice((1, 2, 7, 30, FUZZ_BUDGET))
         probe = msb_flip_probe(program, params, budget=budget)
-        assert probe == reference_probe(program, params, budget)
+        assert uncycled(probe) == reference_probe(program, params, budget)
         outcomes.add((probe.divergence is not None, probe.result_x.halt_reason))
     # both verdicts were reached, and runs were cut by the budget
     assert {d for d, _ in outcomes} == {False, True}
@@ -300,21 +341,24 @@ def test_probe_fast_forwards_both_runs():
               for name, (params, text) in PROBE_CASES.items()}
     probe = probes["periods differ"]
     assert probe.divergence is None
-    assert probe.result_x == probe.result_flipped == ExecResult(
-        None, 10**9, 333_333_334, HaltReason.BUDGET_EXHAUSTED)
+    assert probe.result_x == ExecResult(None, 10**9, 333_333_334, HaltReason.BUDGET_EXHAUSTED,
+                                        cycle=(64, 48))
+    assert probe.result_flipped == replace(probe.result_x, cycle=(32, 24))
     probe = probes["parted in the tail"]
     assert probe.divergence == Divergence(74, 24)
-    assert probe.result_x == ExecResult(None, 10**9, 320_000_000, HaltReason.BUDGET_EXHAUSTED)
+    assert probe.result_x == ExecResult(None, 10**9, 320_000_000, HaltReason.BUDGET_EXHAUSTED,
+                                        cycle=(64, 50))
     assert probe.result_flipped == ExecResult(None, 10**9, 307_692_309,
-                                              HaltReason.BUDGET_EXHAUSTED)
+                                              HaltReason.BUDGET_EXHAUSTED, cycle=(32, 26))
     probe = probes["x halts"]
     assert probe.divergence == Divergence(65, 17)
     assert probe.result_x == ExecResult(0, 66, 17, HaltReason.OUT)
     assert probe.result_flipped == ExecResult(None, 10**9, 250_000_001,
-                                              HaltReason.BUDGET_EXHAUSTED)
+                                              HaltReason.BUDGET_EXHAUSTED, cycle=(64, 32))
     probe = probes["flip halts"]
     assert probe.divergence == Divergence(18, 6)
-    assert probe.result_x == ExecResult(None, 10**9, 333_333_333, HaltReason.BUDGET_EXHAUSTED)
+    assert probe.result_x == ExecResult(None, 10**9, 333_333_333, HaltReason.BUDGET_EXHAUSTED,
+                                        cycle=(8, 6))
     assert probe.result_flipped == ExecResult(8, 19, 6, HaltReason.OUT)
 
 
@@ -325,13 +369,15 @@ def test_probe_hand_cases_match_traced_reference(case, budget):
     # 50, 100 and 1000 inside a cycle
     params, text = PROBE_CASES[case]
     program = parse_program(text)
-    assert msb_flip_probe(program, params, budget) == reference_probe(program, params, budget)
+    assert uncycled(msb_flip_probe(program, params, budget)) == reference_probe(
+        program, params, budget)
 
 
 def made_up_run(pcs, tail, metered):
     """The observer calls of a run that executes ``pcs[:tail]`` once and then
     ``pcs[tail:]`` over and over, with an INC or DEC where ``metered`` says; a
-    state is (pc, position in ``pcs``), so it first repeats after one cycle."""
+    state is (pc, position in ``pcs``), so the state after ``tail`` steps
+    first comes back one cycle later.  With ``tail == len(pcs)`` it ends."""
     yield 0, None, {"s": -1}
     i = 0
     for pos in chain(range(tail), cycle(range(tail, len(pcs)))):
@@ -339,18 +385,22 @@ def made_up_run(pcs, tail, metered):
         yield i, pcs[pos], {"s": pos}
 
 
-def feed(observer, states):
-    """Call ``observer`` on each state until it detaches; return that state's index."""
-    for t, state in enumerate(states):
-        if observer(*state) is False:
-            return t
+def recorded(pcs, tail, metered, saved=None):
+    """The recorder of a :func:`made_up_run`, as the machine leaves it: its path
+    up to and including the repeat of the state after ``saved`` steps (``tail``
+    by default) one cycle later, and that ``cycle``; or its whole path, if it ends."""
+    period = len(pcs) - tail
+    saved = tail if saved is None else saved
+    cut = saved + period + 1 if period else len(pcs) + 1
+    path = [(pc, i) for i, pc, _ in islice(made_up_run(pcs, tail, metered), cut)]
+    return _Lasso(path, (saved, period) if period else None)
 
 
 def test_lasso_settles_a_tail_like_a_state_by_state_comparison():
     # two looping runs, tails under 20 states and periods under 8, whose pcs
-    # agree for a while, each fed to a recorder of its own; the reference
-    # compares them state by state past both tails and the lcm of both
-    # periods, after which nothing new can happen
+    # agree for a while, each recorded up to a repeat found at a state of its
+    # cycle; the reference compares them state by state past both tails and
+    # the lcm of both periods, after which nothing new can happen
     rng = random.Random(5)
     horizon = 1 + 20 + 42
     settled = 0
@@ -366,32 +416,25 @@ def test_lasso_settles_a_tail_like_a_state_by_state_comparison():
         f_states = list(islice(made_up_run(f_pcs, f_tail, f_metered), horizon))
         expected = next((Divergence(t - 1, x_states[t - 1][0]) for t in range(1, horizon)
                          if x_states[t][1] != f_states[t][1]), None)
-        lasso_x, lasso_f = _Lasso(), _Lasso()
-        feed(lasso_x.observe, made_up_run(x_pcs, x_tail, x_metered))
-        assert lasso_x.period == x_period
-        detached = feed(lasso_f.observe, made_up_run(f_pcs, f_tail, f_metered))
+        lasso_x = recorded(x_pcs, x_tail, x_metered, x_tail + rng.randrange(3))
+        lasso_f = recorded(f_pcs, f_tail, f_metered, f_tail + rng.randrange(3))
         assert _divergence(lasso_x, lasso_f, 10**6) == expected, (x_pcs, x_tail, f_pcs, f_tail)
-        settled += expected is not None and expected.step_index >= detached
+        settled += expected is not None and expected.step_index >= len(lasso_f.path)
     assert settled >= 50  # partings past the flipped run's recording, read off its cycle
-
-
-def recorded(states):
-    """A recorder fed the observer calls ``states`` until it detaches."""
-    lasso = _Lasso()
-    feed(lasso.observe, states)
-    return lasso
 
 
 def test_divergence_compares_the_whole_fine_wilf_window():
     # pcs 1 2 1 2 ... with period 2, and 1 2 1 | 2 1 2 ... with period 3;
-    # both recorders repeat from state 4, so the window is the 2 + 3 -
-    # gcd(2, 3) = 4 states 4..7: they agree on 4, 5 and 6 and part at 7
-    a = recorded(made_up_run([1, 2], 0, [1, 0]))
-    b = recorded(made_up_run([1, 2, 1, 2, 1, 2], 3, [0] * 6))
+    # both repeats are found from the state after 3 steps, so both paths
+    # repeat from state 4, and the window is the 2 + 3 - gcd(2, 3) = 4
+    # states 4..7: they agree on 4, 5 and 6 and part at 7
+    a = recorded([1, 2], 0, [1, 0], saved=3)
+    b = recorded([1, 2, 1, 2, 1, 2], 3, [0] * 6, saved=3)
     assert (a.start, a.period, b.start, b.period) == (4, 2, 4, 3)
     assert [a.at(t)[0] for t in range(1, 8)] == [1, 2, 1, 2, 1, 2, 1]
     assert [b.at(t)[0] for t in range(1, 8)] == [1, 2, 1, 2, 1, 2, 2]
-    # the parting is at the window's last state, read off a's cycle
+    # the parting is at the window's last state, past both recordings
+    assert len(a.path) == 6 and len(b.path) == 7
     assert _divergence(a, b, 10**6) == _divergence(a, b, 7) == Divergence(6, 3)
     # a parting past end is none
     assert _divergence(a, b, 6) is None
@@ -399,8 +442,8 @@ def test_divergence_compares_the_whole_fine_wilf_window():
 
 def test_divergence_stops_at_the_end_it_is_given():
     # two runs that never repeat, with pcs 1..6 and 1 2 3 4 9 9: they part at state 5
-    a = recorded(made_up_run([1, 2, 3, 4, 5, 6], 6, [1] * 6))
-    b = recorded(made_up_run([1, 2, 3, 4, 9, 9], 6, [1] * 6))
+    a = recorded([1, 2, 3, 4, 5, 6], 6, [1] * 6)
+    b = recorded([1, 2, 3, 4, 9, 9], 6, [1] * 6)
     assert not a.period and not b.period
     assert _divergence(a, b, 6) == _divergence(a, b, 5) == Divergence(4, 4)
     assert _divergence(a, b, 4) is None
@@ -409,8 +452,8 @@ def test_divergence_stops_at_the_end_it_is_given():
 def test_a_run_that_ends_first_is_no_divergence():
     # b follows a for 3 steps and ends there while a loops on: the prefix
     # rule reads no divergence (ROADMAP item 4 would make it one at state 3)
-    a = recorded(made_up_run([1, 2], 0, [1, 0]))
-    b = recorded(islice(made_up_run([1, 2, 1], 3, [1, 0, 1]), 4))
+    a = recorded([1, 2], 0, [1, 0])
+    b = recorded([1, 2, 1], 3, [1, 0, 1])
     assert not b.period and len(b.path) == 4
     assert _divergence(a, b, 3) is None
 

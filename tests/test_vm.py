@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,14 @@ INC c
 JMP loop
 done: OUT c
 """
+
+
+def observed_run(program, x, budget=DEFAULT_BUDGET, machine=None):
+    """A run of ``Machine.run`` and a copy of every state it showed its observer."""
+    states = []
+    result = (machine or Machine()).run(
+        program, x, budget, observer=lambda i, pc, regs: states.append((i, pc, dict(regs))))
+    return result, states
 
 
 def test_parse_two_instruction_program():
@@ -163,14 +172,14 @@ def test_bnz_branch():
 
 def test_determinism():
     program = parse_program(WEGNER_TEXT)
-    a = record_run(program, Word(6, 0b110101))
-    b = record_run(program, Word(6, 0b110101))
-    assert a == b
+    a = observed_run(program, Word(6, 0b110101))
+    b = observed_run(program, Word(6, 0b110101))
+    assert a == b == record_run(program, Word(6, 0b110101))
 
 
 def test_trace_contract():
     program = parse_program(WEGNER_TEXT)
-    res, trace = record_run(program, Word(4, 0b1011))
+    res, trace = observed_run(program, Word(4, 0b1011))
     # initial state plus one per executed instruction
     assert len(trace) == res.total_steps + 1
     assert trace[0] == (0, None, {"x": 0b1011, "t": 0, "c": 0})
@@ -187,8 +196,9 @@ def test_trace_contract():
 def test_observer_sees_every_traced_state():
     # hand trace: the initial state, then the state after each instruction
     program = parse_program("INC a\nMOV b a\nOUT b")
-    observed, seen = record_run(program, Word(4, 5))
+    observed, seen = observed_run(program, Word(4, 5))
     assert observed == execute(program, Word(4, 5))
+    assert (observed, seen) == record_run(program, Word(4, 5))
     assert seen == [
         (0, None, {"x": 5, "a": 0, "b": 0}),
         (1, 0, {"x": 5, "a": 1, "b": 0}),
@@ -225,7 +235,8 @@ def test_observer_cut_by_the_budget():
 @pytest.mark.parametrize("machine", [Machine, NonWrappingIncMachine, ComplementMovMachine])
 @pytest.mark.parametrize("seed", [3, 14, 15])
 def test_fast_forward_matches_step_by_step(seed, machine):
-    # an observer that never detaches keeps a run step by step
+    # conftest's stepper runs every step, with no cycle search; an observed
+    # run fast-forwards too, to the same result
     machine = machine()
     rng = random.Random(seed)
     halts = set()
@@ -235,36 +246,79 @@ def test_fast_forward_matches_step_by_step(seed, machine):
         x = Word(width, rng.randrange(1 << width))
         for budget in (1, 2, 3, 7, 512, 10_000):
             res = machine.run(program, x, budget)
-            assert res == machine.run(program, x, budget, observer=lambda *a: None), (
+            assert replace(res, cycle=None) == record_run(program, x, budget, machine)[0], (
                 program, x, budget)
+            assert res == machine.run(program, x, budget, observer=lambda *a: None)
             halts.add(res.halt_reason)
     assert halts == set(HaltReason)
 
 
-# B // 3 whole periods of INC, DEC, JMP, then the first B % 3 steps of one more
+@pytest.mark.parametrize("machine", [Machine, NonWrappingIncMachine, ComplementMovMachine])
+def test_the_cycle_is_exact(machine):
+    # the state after `saved` steps comes back `period` steps later, and not
+    # before; an observer is shown each state up to and including that repeat
+    machine = machine()
+    rng = random.Random(8)
+    found = halted = 0
+    for _ in range(300):
+        program = random_program(rng, max_len=rng.choice((4, 24)))
+        width = rng.randint(1, 12)
+        x = Word(width, rng.randrange(1 << width))
+        budget = rng.choice((7, 60, 512))
+        res, shown = observed_run(program, x, budget, machine)
+        assert res == machine.run(program, x, budget)
+        _, states = record_run(program, x, budget, machine)
+        if res.cycle is None:
+            assert shown == states
+            halted += res.halt_reason is not HaltReason.BUDGET_EXHAUSTED
+            continue
+        found += 1
+        saved, period = res.cycle
+        assert res.halt_reason is HaltReason.BUDGET_EXHAUSTED and saved + period < budget
+
+        def state(t):  # (pc, registers) after t steps: the pc is the next one executed
+            return states[t + 1][1], states[t][2]
+
+        assert state(saved + period) == state(saved)
+        assert all(state(t) != state(saved) for t in range(saved + 1, saved + period))
+        assert shown == states[:saved + period + 1]
+    assert found >= 50 and halted >= 50
+
+
+# B // 3 whole periods of INC, DEC, JMP, then the first B % 3 steps of one more;
+# the state after 4 steps, saved at a power of two, is the first to come back
 @pytest.mark.parametrize("budget", [10**12 - 1, 10**12, 10**12 + 1])
 def test_fast_forward_exact_counts(budget):
     res = execute(parse_program("L0: INC a\nDEC a\nJMP L0"), Word(8, 5), budget)
     assert res == ExecResult(None, budget, 2 * (budget // 3) + min(budget % 3, 2),
-                             HaltReason.BUDGET_EXHAUSTED)
+                             HaltReason.BUDGET_EXHAUSTED, cycle=(4, 3))
 
 
 def test_fast_forward_after_a_prefix_and_a_long_period():
     # one INC b before a loop without INC/DEC
     res = execute(parse_program("INC b\nL1: ZERO a\nJMP L1"), Word(4, 0), 10**12 + 1)
-    assert res == ExecResult(None, 10**12 + 1, 1, HaltReason.BUDGET_EXHAUSTED)
-    # a wraps after 2**10 INCs: a period of 2,048 steps, half of them INC
+    assert res == ExecResult(None, 10**12 + 1, 1, HaltReason.BUDGET_EXHAUSTED, cycle=(4, 2))
+    # a wraps after 2**10 INCs: a period of 2,048 steps, half of them INC, found
+    # from the first save past it
     res = execute(parse_program("L0: INC a\nJMP L0"), Word(10, 0), 10**12 + 1)
-    assert res == ExecResult(None, 10**12 + 1, 10**12 // 2 + 1, HaltReason.BUDGET_EXHAUSTED)
+    assert res == ExecResult(None, 10**12 + 1, 10**12 // 2 + 1, HaltReason.BUDGET_EXHAUSTED,
+                             cycle=(4096, 2048))
 
 
 def test_fast_forward_after_the_observer_detaches():
+    # the search runs from the first state, whether or not an observer is
+    # attached: one that detaches itself early leaves the cycle as it is
     program = parse_program("L0: INC a\nDEC a\nJMP L0")
     seen = []
     res = Machine().run(program, Word(8, 5), 10**12,
-                        observer=lambda i, pc, regs: seen.append(pc) or len(seen) < 10)
-    assert seen == [None, 0, 1, 2, 0, 1, 2, 0, 1, 2]
+                        observer=lambda i, pc, regs: seen.append(pc) or len(seen) < 5)
+    assert seen == [None, 0, 1, 2, 0]
     assert res == execute(program, Word(8, 5), 10**12)
+    # one that never detaches is detached at the repeat, after 4 + 3 steps
+    seen.clear()
+    assert Machine().run(program, Word(8, 5), 10**12,
+                         observer=lambda i, pc, regs: seen.append(pc)) == res
+    assert seen == [None, 0, 1, 2, 0, 1, 2, 0] and res.cycle == (4, 3)
 
 
 # ------------------------------------------------- lanes vs the reference
