@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import compress, islice
+from itertools import islice
 from math import gcd
 from operator import and_, or_, xor
 from typing import Callable, Iterable, Iterator, Sequence
@@ -317,13 +317,16 @@ def msb_flip_probe(
 Row = tuple[int, int, int | None, int, int, HaltReason]
 
 
-_BITS = bytes.maketrans(b"01", b"\0\1")
-
-
 def _lanes(mask: int) -> Iterator[int]:
-    """The set bits of ``mask`` (>= 0), lowest first: the lanes it selects."""
-    bits = format(mask, "b")[::-1].encode().translate(_BITS)  # byte j is bit j
-    return compress(range(len(bits)), bits)
+    """The set bits of ``mask`` (>= 0), lowest first: the lanes it selects.  The
+    mask is formatted once and scanned in C from one set bit to the next, so it
+    costs one Python step per set bit, not one per lane below its highest."""
+    bits = format(mask, "b")[::-1]  # character j is bit j
+    find = bits.find
+    j = find("1")
+    while j >= 0:
+        yield j
+        j = find("1", j + 1)
 
 
 def _lane_rows(

@@ -79,8 +79,10 @@ merged.  A group's ``step`` is the ``total_steps`` of its lanes, and the
 end of the program is tested before the budget, as in the reference loop.
 It returns the input slices, the OUT slices and the halt groups;
 :func:`countones.adversary.measure` turns lanes back into rows.  One
-transpose, :func:`_transpose`, goes both ways; the input slices of an
-aligned power-of-two ``range`` skip it, since they have a closed form
+transpose, :func:`_transpose`, goes both ways: it packs the words, each
+padded to whole bytes, into one int, formats that int once and reads each
+slice as one strided slice of that string.  The input slices of an aligned
+power-of-two ``range`` skip it, since they have a closed form
 (:func:`_input_slices`).
 """
 
@@ -511,6 +513,11 @@ def _transpose(words: Sequence[int], width: int) -> list[int]:
     """Bit ``j`` of item ``b`` is bit ``b`` of ``words[j]``, for ``b < width``: the
     lanes' one bit transpose, from values to slices and, given the lane count, back."""
     mask = (1 << width) - 1
-    # the last word first, each MSB first: item b is every width-th character from width-1-b
-    bits = "".join(format(word & mask, f"0{width}b") for word in reversed(words))
-    return [int(bits[width - 1 - b::width], 2) for b in range(width)]
+    size = (width + 7) // 8
+    stride = 8 * size
+    # word j padded to whole bytes at bits stride*j.., all packed into one int and
+    # formatted once, MSB first: item b is every stride-th character from stride-1-b
+    packed = int.from_bytes(b"".join([(word & mask).to_bytes(size, "little") for word in words]),
+                            "little")
+    bits = format(packed, f"0{stride * len(words)}b")
+    return [int(bits[stride - 1 - b::stride], 2) for b in range(width)]

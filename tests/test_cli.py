@@ -167,13 +167,18 @@ def reference_rows(program, width, values, budget=vm.DEFAULT_BUDGET):
 
 
 def test_sweep_path_equals_the_reference_loop():
+    # whole ranges take the closed-form input slices; seeded inputs, as a wide
+    # sweep draws them, go through the transpose both ways
+    cases = [(width, range(1 << width)) for width in range(1, 11)]
+    for width in (21, 33, 57, 64):
+        rng = random.Random(width)
+        cases.append((width, [0, (1 << width) - 1] + [rng.getrandbits(width) for _ in range(198)]))
     for algo, make in cli._ALGOS.items():
-        for width in range(1, 11):
+        for width, values in cases:
             try:
                 gen = make(width)
             except ValueError:
                 continue
-            values = range(1 << width)
             longest = max(total for *_, total in reference_rows(gen.program, width, values))
             for budget in (vm.DEFAULT_BUDGET, longest, longest - 1, longest // 2, 1):
                 want = reference_rows(gen.program, width, values, budget)

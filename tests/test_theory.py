@@ -29,7 +29,7 @@ from countones import (
 )
 
 from countones import adversary, vm
-from countones.adversary import _nu_slices, fold_slices
+from countones.adversary import _lanes, _nu_slices, fold_slices
 from conftest import ComplementMovMachine, record_run, wrong_programs
 
 adversary_params = st.integers(1, 24).flatmap(
@@ -261,6 +261,16 @@ def test_nu_slices_equal_the_naive_count():
         assert len(nu) == width.bit_length()
         assert [sum((s >> j & 1) << i for i, s in enumerate(nu)) for j in range(len(values))] == [
             popcount_naive(Word(width, value)) for value in values], width
+
+
+def test_lanes_are_the_set_bits_lowest_first():
+    full = (1 << 4096) - 1
+    rng = random.Random(4096)
+    masks = [0, 1, 1 << 4095, full, full // 3, full // 3 << 1]  # // 3: alternating bits
+    masks += [rng.getrandbits(4096) & rng.getrandbits(4096) for _ in range(20)]
+    masks += [rng.getrandbits(rng.randrange(1, 4097)) for _ in range(20)]
+    for mask in masks:
+        assert list(_lanes(mask)) == [j for j in range(mask.bit_length()) if mask >> j & 1]
 
 
 def test_audit_on_slices_equals_the_row_path():

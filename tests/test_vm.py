@@ -373,8 +373,9 @@ def test_lanes_budget_cut_at_every_step():
     assert cases > 100
 
 
-@pytest.mark.parametrize("width", [1, 2, 63, 64])
-@pytest.mark.parametrize("count", [1, 64, 65, 4096])
+# widths and counts on and off whole bytes: each word is padded to whole bytes
+@pytest.mark.parametrize("width", [1, 2, 7, 8, 9, 17, 33, 63, 64])
+@pytest.mark.parametrize("count", [1, 64, 65, 4095, 4096])
 def test_transpose_round_trips(width, count):
     rng = random.Random(count * 100 + width)
     words = [rng.getrandbits(width) for _ in range(count)]
