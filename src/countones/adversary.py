@@ -46,7 +46,7 @@ Each check is its own report: a :class:`PrefixInvariantCheck` or
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, reduce
 from itertools import islice
 from math import gcd
 from operator import and_, or_, xor
@@ -100,9 +100,24 @@ class AdversaryParams:
 
 
 def adversary_input(p: AdversaryParams) -> Word:
-    """The word ``e (01)^m d^(n-2m-1)``, MSB first."""
-    bits = f"{p.e}" + "01" * p.m + str(p.d) * (p.n - 2 * p.m - 1)
-    return Word.from_bits(bits)
+    """The word ``e (01)^m d^(n-2m-1)``, MSB first, in closed form: ``(01)^m``
+    is ``4**m // 3``, shifted above the ``low = n-1-2m`` copies of ``d``."""
+    low = p.n - 1 - 2 * p.m
+    return Word(p.n, p.e << (p.n - 1) | (4**p.m // 3) << low | (-p.d & ((1 << low) - 1)))
+
+
+@cache
+def _schedule(params: AdversaryParams) -> tuple[Word, tuple[tuple[int, int, int, int], ...]]:
+    """``adversary_input(params)`` and, per inc/dec index ``i <= m``, the
+    ``(shift, all-zeros, all-ones, input prefix)`` of its top ``k_i`` bits;
+    built once per params in the process and shared, so it is immutable."""
+    x = adversary_input(params)
+    allowed = []
+    for i in range(params.m + 1):
+        k = 2 * (params.m - i) + 1 if i else params.n
+        shift = params.n - k
+        allowed.append((shift, 0, (1 << k) - 1, x.value >> shift))
+    return x, tuple(allowed)
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,7 +139,10 @@ class PrefixInvariantCheck:
     """The prefix invariant, checked online as a :meth:`Machine.run` observer.
 
     Pass :meth:`observe` as the observer of a run on ``adversary_input(params)``,
-    which the check keeps as ``x``.
+    which the check keeps as ``x``.  The word and the ``k_i`` schedule are
+    built once per params in the process and shared by every check and flip
+    probe on those params; each check keeps its own ``checked`` and
+    ``violations``.
     At each state with inc/dec index ``i <= m``, every register's top ``k_i``
     bits must be one of all-zeros, all-ones, or the input's own prefix.
     Prefixes are compared as integers (``value >> (n - k)``), which
@@ -140,17 +158,10 @@ class PrefixInvariantCheck:
     """
 
     def __init__(self, params: AdversaryParams) -> None:
-        self.x = adversary_input(params)
-        x = self.x.value
+        self.x, self._allowed = _schedule(params)
         self.params = params
         self.checked = 0
         self.violations: list[Violation] = []
-        # per index i <= m: (shift, all-zeros, all-ones, input prefix) of its k_i bits
-        self._allowed: list[tuple[int, int, int, int]] = []
-        for i in range(params.m + 1):
-            k = 2 * (params.m - i) + 1 if i else params.n
-            shift = params.n - k
-            self._allowed.append((shift, 0, (1 << k) - 1, x >> shift))
 
     def observe(self, incdec_index: int, pc: int | None, registers: dict[str, int]) -> bool:
         if incdec_index > self.params.m:
@@ -289,7 +300,7 @@ def msb_flip_probe(
             "msb_flip_probe needs e == d; the flip argument does not hold "
             "for mixed leading/trailing bits"
         )
-    x = adversary_input(params)
+    x = _schedule(params)[0]
     nu = popcount_naive(x)
     flipped = Word(params.n, x.value ^ (1 << (params.n - 1)))
 

@@ -9,11 +9,12 @@ count is exactly zero -- any hit means an interpreter bug, which is
 precisely what the deliberately broken machines in the test suite
 demonstrate.
 
-Everything is reproducible from the seed.  Every draw is one
+Everything is reproducible from the seed.  Every draw follows
 :func:`_below`, which spells out the rule that ``choice``, ``randint`` and
 ``randrange`` all end in, the same in CPython 3.10 to 3.13; so the seeded
 programs are exactly those of that spelling, at a fraction of its cost.
-Instructions without a jump target are shared between programs.
+Each instruction is built once per process and shared by every program
+that draws it, jump targets included.
 
 Non-terminating programs are cut by the per-run budget.  Each check is
 shown every state up to and including the first repeat the machine finds
@@ -87,10 +88,13 @@ def _below(getrandbits: Callable[[int], int], n: int) -> int:
 # The deck as (opcode, register operands, takes a label), in deck order.
 _DECK = tuple((op, OPCODES[op].regs, OPCODES[op].label) for op in _OP_DECK)
 
-# The instructions without a target, shared by every program that draws one:
-# at most 224 (ZERO, INC, DEC and OUT over 8 registers, MOV, AND and OR over
-# 8 x 8).  Branches are built afresh, so the memo stays that small.
-_PLAIN: dict[tuple[str, ...], Instruction] = {}
+# Every instruction drawn, under its fields (op, a, b, target), shared by every
+# program that draws it: at most 224 without a target (ZERO, INC, DEC and OUT
+# over 8 registers, MOV, AND and OR over 8 x 8) and 145 per target (BZ and BNZ
+# over 8 registers, BEQ and BLT over 8 x 8, JMP).  A target is below max_len,
+# so the memo holds at most 224 + 145 * max_len for the largest max_len drawn
+# in the process, and never more instructions than were drawn.
+_MEMO: dict[tuple[str, str | None, str | None, int | None], Instruction] = {}
 
 
 def random_program(rng: random.Random, max_len: int = 24) -> Program:
@@ -102,18 +106,33 @@ def random_program(rng: random.Random, max_len: int = 24) -> Program:
     bits = rng.getrandbits
     length = 2 + _below(bits, max_len - 1)
     regs = _REG_POOL[: 2 + _below(bits, len(_REG_POOL) - 1)]
-    count = len(regs)
+    # each instruction's draws (deck, registers, target) spell _below's rule
+    # inline: getrandbits of the bound's bit length until the draw is below it
+    count, deck = len(regs), len(_DECK)
+    kreg, kdeck, ktarget = count.bit_length(), deck.bit_length(), length.bit_length()
     instructions = []
     for _ in range(length):
-        op, nregs, label = _DECK[_below(bits, len(_DECK))]
-        if nregs == 2:
-            key = (op, regs[_below(bits, count)], regs[_below(bits, count)])
-        else:
-            key = (op, regs[_below(bits, count)]) if nregs else (op,)
+        d = bits(kdeck)
+        while d >= deck:
+            d = bits(kdeck)
+        op, nregs, label = _DECK[d]
+        a = b = target = None
+        if nregs:
+            r = bits(kreg)
+            while r >= count:
+                r = bits(kreg)
+            a = regs[r]
+            if nregs == 2:
+                r = bits(kreg)
+                while r >= count:
+                    r = bits(kreg)
+                b = regs[r]
         if label:
-            instructions.append(Instruction(*key, target=_below(bits, length)))
-        else:
-            instructions.append(_PLAIN.get(key) or _PLAIN.setdefault(key, Instruction(*key)))
+            target = bits(ktarget)
+            while target >= length:
+                target = bits(ktarget)
+        key = (op, a, b, target)
+        instructions.append(_MEMO.get(key) or _MEMO.setdefault(key, Instruction(*key)))
     return Program(tuple(instructions))
 
 

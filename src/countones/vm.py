@@ -324,11 +324,12 @@ class Machine:
         halt: HaltReason | None = None
         cycle: tuple[int, int] | None = None
         # Brent's cycle detection, observed or not: the state (pc, registers)
-        # is saved at total = mark, mark doubling up to the budget, and each
-        # later state whose pc matches is compared with it.  saved_pc -1 means
+        # is saved at total = mark, mark doubling up to the budget, as the pc
+        # and a copy of the register dict, and each later state whose pc
+        # matches compares its live dict with that copy.  saved_pc -1 means
         # nothing is saved.
         mark = 1
-        saved_pc, saved_regs, saved_total, saved_incdec = -1, (), 0, 0
+        saved_pc, saved_regs, saved_total, saved_incdec = -1, {}, 0, 0
         if observer is not None and observer(0, None, regs) is False:
             observer = None
 
@@ -340,9 +341,9 @@ class Machine:
                 if total >= budget:
                     halt = HaltReason.BUDGET_EXHAUSTED
                     break
-                saved_pc, saved_regs, saved_total, saved_incdec = pc, tuple(regs.values()), total, incdec
+                saved_pc, saved_regs, saved_total, saved_incdec = pc, dict(regs), total, incdec
                 mark = min(2 * total, budget)
-            elif pc == saved_pc and tuple(regs.values()) == saved_regs:
+            elif pc == saved_pc and regs == saved_regs:
                 # A repeated state loops forever: detach the observer, add every
                 # whole period that fits in the budget, then run out the rest.
                 period = total - saved_total

@@ -31,8 +31,8 @@ from countones import (
 )
 from countones.adversary import _divergence, _Lasso
 from countones.fuzzing import (
+    _MEMO,
     _OP_DECK,
-    _PLAIN,
     _REG_POOL,
     FUZZ_BUDGET,
     random_adversary_params,
@@ -185,10 +185,17 @@ def test_draws_equal_the_randint_choice_spelling(max_len, equal_ends):
         assert (random_adversary_params(rng, width_range, equal_ends)
                 == reference_adversary_params(ref, width_range, equal_ends))
         assert rng.getstate() == ref.getstate()
-    # the memo shares only instructions without a target, each under its own key
-    assert _PLAIN and len(_PLAIN) <= 224
-    for key, ins in _PLAIN.items():
-        assert ins.target is None and key == (ins.op, *(r for r in (ins.a, ins.b) if r))
+    # the memo holds each instruction drawn under its own fields, at most 224
+    # without a target and 145 per target; a target is below the largest
+    # max_len drawn in the process, so there are at most 224 + 145 * L
+    assert _MEMO
+    for key, ins in _MEMO.items():
+        assert key == (ins.op, ins.a, ins.b, ins.target)
+    largest = max(max_len, 1 + max(ins.target for ins in _MEMO.values() if ins.target is not None))
+    assert len(_MEMO) <= 224 + 145 * largest
+    # two programs that draw the same instruction share one object
+    first, again = (random_program(random.Random(7), max_len) for _ in range(2))
+    assert all(a is b for a, b in zip(first.instructions, again.instructions, strict=True))
 
 
 def test_empty_width_range_is_rejected():
@@ -268,6 +275,25 @@ def test_check_detaches_from_a_violating_loop_at_its_repeat():
     assert tuple(check.violations) == reference_violations(states[:7], params)
     assert len(check.violations) == 6 and check.checked == 7
     assert len(reference_violations(states, params)) == 50
+
+
+def test_checks_on_equal_params_share_the_schedule_and_keep_their_own_reports():
+    # the word and the k_i schedule are built once per params and shared; the
+    # complementing MOV leaves b != x, so that run halts at once, while the
+    # non-wrapping INC lets a escape its width at i = 2 on the longer path
+    program = parse_program("MOV b x\nBEQ b x L3\nOUT b\nL3: ZERO a\nDEC a\nINC a\nOUT a")
+    first = PrefixInvariantCheck(AdversaryParams(1, 2, 1, 8))
+    second = PrefixInvariantCheck(AdversaryParams(1, 2, 1, 8))  # equal params, another object
+    assert first.x is second.x and first._allowed is second._allowed
+    assert isinstance(first._allowed, tuple)
+    assert all(isinstance(level, tuple) for level in first._allowed)
+    cases = ((first, NonWrappingIncMachine(), 7, 2), (second, ComplementMovMachine(), 4, 3))
+    for check, machine, _, _ in cases:
+        machine.run(program, check.x, FUZZ_BUDGET, observer=check.observe)
+    for check, machine, checked, violations in cases:
+        _, states = record_run(program, check.x, FUZZ_BUDGET, machine)
+        assert tuple(check.violations) == reference_violations(states, check.params)
+        assert (check.checked, len(check.violations)) == (checked, violations)
 
 
 @pytest.mark.parametrize("machine", [Machine, NonWrappingIncMachine, ComplementMovMachine])

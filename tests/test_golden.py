@@ -101,6 +101,15 @@ def test_gen_text_at_every_width():
     assert gen_all_widths_digest() == GEN_ALL_WIDTHS
 
 
+def test_fuzz_campaigns_in_one_process_leave_each_other_as_recorded(tmp_path):
+    # the instruction memo and the adversary schedules live as long as the
+    # process, as the benchmark's passes do: A, B, A, B must all read as recorded
+    fuzz = [command for command in GOLDEN if command.startswith("fuzz ")]
+    assert len(fuzz) == 2
+    for command in fuzz * 2:
+        assert run_digest(command, tmp_path / "out.csv") == GOLDEN[command], command
+
+
 def test_a_rejected_call_leaves_the_next_one_as_recorded(tmp_path):
     # main parses with one parser per process; argparse's exit must not change it
     for _ in range(2):

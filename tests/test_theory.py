@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -52,6 +53,14 @@ def test_adversary_input_examples():
     assert word == Word.from_bits("001010")
     assert popcount_naive(word) == 2
     assert adversary_input(AdversaryParams(0, 0, 0, 4)) == Word.from_bits("0000")
+
+
+def test_adversary_input_equals_its_bit_string_spelling():
+    # the closed form against the word spelled out bit by bit, at every width
+    for n in range(1, 65):
+        for m, e, d in product(range((n - 1) // 2 + 1), (0, 1), (0, 1)):
+            bits = f"{e}" + "01" * m + str(d) * (n - 2 * m - 1)
+            assert adversary_input(AdversaryParams(e, m, d, n)) == Word.from_bits(bits), bits
 
 
 def test_adversary_params_validation():
