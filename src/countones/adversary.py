@@ -45,16 +45,15 @@ Each check is its own report: a :class:`PrefixInvariantCheck` or
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache, reduce
 from itertools import islice
 from math import gcd
 from operator import and_, or_, xor
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .programs import GeneratedProgram
 from .vm import DEFAULT_BUDGET, ExecResult, HaltReason, Machine, Program, _transpose, run_slices
-from .words import MAX_WIDTH, Word, popcount_naive
+from .words import MAX_WIDTH, Word, _Frozen, popcount_naive
 
 __all__ = [
     "AdversaryParams",
@@ -81,22 +80,26 @@ AUDIT_WIDTH_MAX = 12
 LANE_CHUNK = 4096
 
 
-@dataclass(frozen=True, slots=True)
-class AdversaryParams:
+class AdversaryParams(_Frozen):
     """Parameters (e, m, d, n) of the word ``e (01)^m d^(n-2m-1)``."""
 
+    __slots__ = ("e", "m", "d", "n")
     e: int
     m: int
     d: int
     n: int
 
-    def __post_init__(self) -> None:
-        if self.e not in (0, 1) or self.d not in (0, 1):
+    def __init__(self, e: int, m: int, d: int, n: int) -> None:
+        if e not in (0, 1) or d not in (0, 1):
             raise ValueError("e and d must be single bits")
-        if not 1 <= self.n <= MAX_WIDTH:
-            raise ValueError(f"n must be 1..{MAX_WIDTH}, got {self.n}")
-        if not 0 <= 2 * self.m < self.n:
-            raise ValueError(f"m must satisfy 0 <= m < n/2, got m={self.m}, n={self.n}")
+        if not 1 <= n <= MAX_WIDTH:
+            raise ValueError(f"n must be 1..{MAX_WIDTH}, got {n}")
+        if not 0 <= 2 * m < n:
+            raise ValueError(f"m must satisfy 0 <= m < n/2, got m={m}, n={n}")
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "n", n)
 
 
 def adversary_input(p: AdversaryParams) -> Word:
@@ -120,8 +123,7 @@ def _schedule(params: AdversaryParams) -> tuple[Word, tuple[tuple[int, int, int,
     return x, tuple(allowed)
 
 
-@dataclass(frozen=True, slots=True)
-class Violation:
+class Violation(NamedTuple):
     snapshot_index: int
     incdec_index: int
     register: str
@@ -192,8 +194,7 @@ class PrefixInvariantCheck:
         return not self.violations
 
 
-@dataclass(frozen=True, slots=True)
-class Divergence:
+class Divergence(NamedTuple):
     """First point where two executions of the same program took different paths.
 
     ``step_index`` is the 0-based position in the executed-instruction
@@ -205,8 +206,7 @@ class Divergence:
     incdec_index: int
 
 
-@dataclass(frozen=True)
-class MsbFlipProbe:
+class MsbFlipProbe(NamedTuple):
     """Outcome of running a program on an adversary word and its MSB flip.
 
     ``result_x`` and ``result_flipped`` are the complete results of both runs.
@@ -218,8 +218,8 @@ class MsbFlipProbe:
     nu: int
     bound: int
     divergence: Divergence | None
-    result_x: ExecResult = field(repr=False)
-    result_flipped: ExecResult = field(repr=False)
+    result_x: ExecResult
+    result_flipped: ExecResult
 
     @property
     def bound_holds(self) -> bool:
@@ -464,15 +464,13 @@ def render_lanes(
         yield chunk, tails, stuck
 
 
-@dataclass(frozen=True, slots=True)
-class AuditFailure:
+class AuditFailure(NamedTuple):
     input_bits: str
     nu: int
     kind: str  # "output" or "bound"
     detail: str
 
 
-@dataclass
 class LowerBoundCheck:
     """The lower-bound audit of one program at one width, fed row by row.
 
@@ -483,15 +481,25 @@ class LowerBoundCheck:
     :meth:`add_lanes` is its bulk form.  The fields summarize the inputs added
     so far: ``inputs`` counted, the ``failures``, the tightest incdec/bound
     ratio over inputs with bound >= 1 (``min_ratio``) and the worst-case
-    inc/dec steps (``max_incdec``).
+    inc/dec steps (``max_incdec``).  A check built without ``failures`` gets
+    a list of its own.
     """
 
-    program: str
-    width: int
-    inputs: int = 0
-    failures: list[AuditFailure] = field(default_factory=list)
-    min_ratio: float | None = None
-    max_incdec: int = 0
+    def __init__(self, program: str, width: int, inputs: int = 0,
+                 failures: list[AuditFailure] | None = None, min_ratio: float | None = None,
+                 max_incdec: int = 0) -> None:
+        self.program = program
+        self.width = width
+        self.inputs = inputs
+        self.failures = [] if failures is None else failures
+        self.min_ratio = min_ratio
+        self.max_incdec = max_incdec
+
+    def __eq__(self, other: object) -> bool:
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"LowerBoundCheck({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     @property
     def ok(self) -> bool:

@@ -27,8 +27,7 @@ is that of the whole run.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .adversary import (
     AdversaryParams,
@@ -153,8 +152,7 @@ def random_adversary_params(
     return AdversaryParams(e, m, d, n)
 
 
-@dataclass(frozen=True)
-class InvariantFuzzReport:
+class InvariantFuzzReport(NamedTuple):
     seed: int
     runs: int
     budget_exhausted: int
@@ -199,8 +197,7 @@ def fuzz_invariant(
     return InvariantFuzzReport(seed, program_count, exhausted, tuple(violating))
 
 
-@dataclass(frozen=True)
-class DivergenceFuzzReport:
+class DivergenceFuzzReport(NamedTuple):
     seed: int
     runs: int
     diverged: int

@@ -36,12 +36,11 @@ as a machine program over opt-in ops and then deletes both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable
 
 from .vm import Program, parse_program
-from .words import MAX_WIDTH, Word
+from .words import MAX_WIDTH, Word, _Frozen
 
 __all__ = [
     "GeneratedProgram",
@@ -63,8 +62,7 @@ __all__ = [
 CONSTANT_STEP_FACTOR = 8
 
 
-@dataclass(frozen=True)
-class GeneratedProgram:
+class GeneratedProgram(_Frozen):
     """A program for ``width``-bit words plus its exact inc/dec step law.
 
     ``program`` is derived: it is parsed from ``text`` when built, so a text
@@ -73,14 +71,20 @@ class GeneratedProgram:
     every input with ``nu`` one bits -- exhaustively testable for small widths.
     """
 
+    __slots__ = ("name", "width", "text", "predicted_incdec", "program")
     name: str
     width: int
     text: str
     predicted_incdec: Callable[[int], int]
-    program: Program = field(init=False)
+    program: Program
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "program", parse_program(self.text))
+    def __init__(self, name: str, width: int, text: str,
+                 predicted_incdec: Callable[[int], int]) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "predicted_incdec", predicted_incdec)
+        object.__setattr__(self, "program", parse_program(text))
 
 
 def _check_width(width: int) -> None:

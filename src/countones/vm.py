@@ -89,13 +89,12 @@ power-of-two ``range`` skip it, since they have a closed form
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_, xor
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .words import MAX_WIDTH, Word
+from .words import MAX_WIDTH, Word, _Frozen
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -154,32 +153,44 @@ class ParseError(ValueError):
         self.lineno = lineno
 
 
-@dataclass(frozen=True, slots=True)
-class Instruction:
+class Instruction(_Frozen):
+    """One instruction: ``op`` with the operands that :data:`OPCODES` gives it,
+    ``None`` for the others.  Slots rather than a ``NamedTuple``, since both
+    executors read its fields at every step, and a slot reads faster."""
+
+    __slots__ = ("op", "a", "b", "target")
     op: str
-    a: str | None = None
-    b: str | None = None
-    target: int | None = None
+    a: str | None
+    b: str | None
+    target: int | None
+
+    def __init__(self, op: str, a: str | None = None, b: str | None = None,
+                 target: int | None = None) -> None:
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "target", target)
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(_Frozen):
     """A well-formed program (see the module docstring); ``register_names`` is
     derived: ``x`` first, then the other register operands in first-use order."""
 
+    __slots__ = ("instructions", "register_names")
     instructions: tuple[Instruction, ...]
-    register_names: tuple[str, ...] = field(init=False)
+    register_names: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        targets = range(len(self.instructions))
+    def __init__(self, instructions: tuple[Instruction, ...]) -> None:
+        targets = range(len(instructions))
         names: dict[str | None, None] = {"x": None}
-        for pc, ins in enumerate(self.instructions):
+        for pc, ins in enumerate(instructions):
             if _OPERANDS.get(ins.op) != (ins.a is not None, ins.b is not None, ins.target is not None):
                 raise ValueError(f"instruction {pc}: {ins} does not fit its opcode in OPCODES")
             if ins.target is not None and ins.target not in targets:
                 raise ValueError(f"instruction {pc}: target {ins.target} is not in 0..{len(targets) - 1}")
             names[ins.a] = names[ins.b] = None  # a key set again keeps its first position
         names.pop(None, None)
+        object.__setattr__(self, "instructions", instructions)
         object.__setattr__(self, "register_names", tuple(names))
 
     def __len__(self) -> int:
@@ -263,8 +274,7 @@ class HaltReason(enum.Enum):
 Observer = Callable[[int, int | None, dict[str, int]], bool | None]
 
 
-@dataclass(frozen=True, slots=True)
-class ExecResult:
+class ExecResult(NamedTuple):
     """One run.  ``output`` is the OUT register as the machine left it, even
     out of its width (``None`` unless the run halted with OUT); ``cycle`` is
     the first repeat found, as ``(saved_total, period)``, if there is one."""

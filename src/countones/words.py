@@ -9,12 +9,13 @@ popcounts in :mod:`countones.programs` use them; nothing in the package
 calls those, see ROADMAP item 14).
 
 Words are immutable, so they can be shared freely between concurrent
-executions.
+executions.  :class:`_Frozen` makes them so, as it does the package's other
+records kept in slots.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 
 MAX_WIDTH = 64
 
@@ -25,17 +26,51 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class Word:
+class _Frozen:
+    """Base of the package's immutable records kept in slots: those that check
+    or derive a field as they are built, and :class:`~countones.vm.Instruction`,
+    which the executors read at every step.  (The other frozen records are
+    ``NamedTuple``s.)  The fields are the ``__slots__``, which ``__init__`` sets
+    once with ``object.__setattr__``; no field can be assigned or deleted after
+    that.  Records of one class compare and hash by their fields, in
+    ``__slots__`` order, and show them in their ``repr``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._key = attrgetter(*cls.__slots__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Word(_Frozen):
     """An unsigned ``width``-bit value; ``value`` is reduced mod ``2**width``."""
 
+    __slots__ = ("width", "value")
     width: int
     value: int
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.width <= MAX_WIDTH:
-            raise ValueError(f"width must be 1..{MAX_WIDTH}, got {self.width}")
-        object.__setattr__(self, "value", self.value & ((1 << self.width) - 1))
+    def __init__(self, width: int, value: int) -> None:
+        if not 1 <= width <= MAX_WIDTH:
+            raise ValueError(f"width must be 1..{MAX_WIDTH}, got {width}")
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "value", value & ((1 << width) - 1))
 
     @classmethod
     def from_bits(cls, bits: str) -> Word:

@@ -2,7 +2,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -292,9 +291,9 @@ def test_fuzz_out_writes_violation_rows(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "fuzz_invariant", lambda *args, **kwargs: real_invariant(
         *args, **kwargs, machine=NonWrappingIncMachine()))
     probe = msb_flip_probe(wegner_program(4).program, AdversaryParams(1, 1, 1, 4))
-    early = replace(probe, divergence=Divergence(0, 0))
-    monkeypatch.setattr(cli, "fuzz_divergence", lambda *args, **kwargs: replace(
-        real_divergence(*args, **kwargs), violating_probes=((0, early),)))
+    early = probe._replace(divergence=Divergence(0, 0))
+    monkeypatch.setattr(cli, "fuzz_divergence", lambda *args, **kwargs: real_divergence(
+        *args, **kwargs)._replace(violating_probes=((0, early),)))
     out_path = tmp_path / "fuzz.csv"
     code, out = run_cli(capsys, "fuzz", "--seed", "3", "--count", "300",
                         "--out", str(out_path))
@@ -424,7 +423,7 @@ def test_passing_verify_turns_no_lane_into_a_word(monkeypatch):
             return real(*args)
         return wrapper
 
-    monkeypatch.setattr(Word, "__post_init__", counted("Word", Word.__post_init__))
+    monkeypatch.setattr(Word, "__init__", counted("Word", Word.__init__))
     for module in (adversary, words):
         monkeypatch.setattr(module, "popcount_naive",
                             counted("popcount_naive", words.popcount_naive))

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from itertools import chain, cycle, islice
 
 import pytest
@@ -98,8 +97,8 @@ def first_divergence(a, b):
 
 def uncycled(probe):
     """``probe`` with each run's ``cycle`` left out, which the stepped reference has not."""
-    return replace(probe, result_x=replace(probe.result_x, cycle=None),
-                   result_flipped=replace(probe.result_flipped, cycle=None))
+    return probe._replace(result_x=probe.result_x._replace(cycle=None),
+                          result_flipped=probe.result_flipped._replace(cycle=None))
 
 
 def shown(states, result):
@@ -369,7 +368,7 @@ def test_probe_fast_forwards_both_runs():
     assert probe.divergence is None
     assert probe.result_x == ExecResult(None, 10**9, 333_333_334, HaltReason.BUDGET_EXHAUSTED,
                                         cycle=(64, 48))
-    assert probe.result_flipped == replace(probe.result_x, cycle=(32, 24))
+    assert probe.result_flipped == probe.result_x._replace(cycle=(32, 24))
     probe = probes["parted in the tail"]
     assert probe.divergence == Divergence(74, 24)
     assert probe.result_x == ExecResult(None, 10**9, 320_000_000, HaltReason.BUDGET_EXHAUSTED,

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -246,7 +245,7 @@ def test_fast_forward_matches_step_by_step(seed, machine):
         x = Word(width, rng.randrange(1 << width))
         for budget in (1, 2, 3, 7, 512, 10_000):
             res = machine.run(program, x, budget)
-            assert replace(res, cycle=None) == record_run(program, x, budget, machine)[0], (
+            assert res._replace(cycle=None) == record_run(program, x, budget, machine)[0], (
                 program, x, budget)
             assert res == machine.run(program, x, budget, observer=lambda *a: None)
             halts.add(res.halt_reason)
