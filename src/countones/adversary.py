@@ -45,11 +45,12 @@ Each check is its own report: a :class:`PrefixInvariantCheck` or
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import cache, reduce
 from itertools import islice
 from math import gcd
 from operator import and_, or_, xor
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .programs import GeneratedProgram
 from .vm import DEFAULT_BUDGET, ExecResult, HaltReason, Machine, Program, _transpose, run_slices
@@ -123,12 +124,11 @@ def _schedule(params: AdversaryParams) -> tuple[Word, tuple[tuple[int, int, int,
     return x, tuple(allowed)
 
 
-class Violation(NamedTuple):
-    snapshot_index: int
-    incdec_index: int
-    register: str
-    prefix: str
-    allowed: tuple[str, str, str]
+class Violation(namedtuple("Violation", "snapshot_index incdec_index register prefix allowed")):
+    """A register whose top bits broke the invariant: its ``prefix`` and the
+    three ``allowed`` ones, as bit strings."""
+
+    __slots__ = ()
 
 
 def _prefix_bits(value: int, k: int) -> str:
@@ -194,7 +194,7 @@ class PrefixInvariantCheck:
         return not self.violations
 
 
-class Divergence(NamedTuple):
+class Divergence(namedtuple("Divergence", "step_index incdec_index")):
     """First point where two executions of the same program took different paths.
 
     ``step_index`` is the 0-based position in the executed-instruction
@@ -202,24 +202,18 @@ class Divergence(NamedTuple):
     instruction (equal in both runs, since everything before it matched).
     """
 
-    step_index: int
-    incdec_index: int
+    __slots__ = ()
 
 
-class MsbFlipProbe(NamedTuple):
+class MsbFlipProbe(namedtuple("MsbFlipProbe", "params x x_flipped nu bound divergence "
+                                               "result_x result_flipped")):
     """Outcome of running a program on an adversary word and its MSB flip.
 
-    ``result_x`` and ``result_flipped`` are the complete results of both runs.
+    ``divergence`` is a :class:`Divergence` or ``None``; ``result_x`` and
+    ``result_flipped`` are the complete results of both runs.
     """
 
-    params: AdversaryParams
-    x: Word
-    x_flipped: Word
-    nu: int
-    bound: int
-    divergence: Divergence | None
-    result_x: ExecResult
-    result_flipped: ExecResult
+    __slots__ = ()
 
     @property
     def bound_holds(self) -> bool:
@@ -464,11 +458,10 @@ def render_lanes(
         yield chunk, tails, stuck
 
 
-class AuditFailure(NamedTuple):
-    input_bits: str
-    nu: int
-    kind: str  # "output" or "bound"
-    detail: str
+class AuditFailure(namedtuple("AuditFailure", "input_bits nu kind detail")):
+    """One input that failed the audit; ``kind`` is ``"output"`` or ``"bound"``."""
+
+    __slots__ = ()
 
 
 class LowerBoundCheck:

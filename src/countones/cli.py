@@ -29,10 +29,10 @@ import argparse
 import os
 import random
 import sys
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import nullcontext
 from functools import cache
 from itertools import chain, islice, starmap
-from typing import Callable, Iterable, Iterator, Sequence
 
 from .adversary import (
     AUDIT_WIDTH_MAX,

@@ -21,13 +21,19 @@ shown every state up to and including the first repeat the machine finds
 (``ExecResult.cycle``); then the run fast-forwards to its budget.  The
 states after the repeat replay those shown, at the same or a higher
 inc/dec index, and the invariant is closed under replays, so the verdict
-is that of the whole run.
+is that of the whole run.  A counter loop repeats no state within the
+budget, but once its check has detached (past ``i = m``) the run is
+unobserved, and :meth:`Machine.run` jumps over the passes of a loop that
+moves every register by the same amount each pass, exactly, up to the
+first branch that goes the other way; so most budget-exhausted runs step
+through a few passes only, and every result is that of a stepped run.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, NamedTuple
+from collections import namedtuple
+from collections.abc import Callable
 
 from .adversary import (
     AdversaryParams,
@@ -144,19 +150,36 @@ def random_adversary_params(
     lo, hi = width_range
     if not 1 <= lo <= hi:
         raise ValueError(f"width range must satisfy 1 <= lo <= hi, got {width_range}")
+    # _below's rule inline, as in random_program: getrandbits of the bound's bit
+    # length until the draw is below the bound (2 bits for the bound 2 of e and d)
     bits = rng.getrandbits
-    n = lo + _below(bits, hi - lo + 1)
-    m = _below(bits, (n - 1) // 2 + 1)
-    e = _below(bits, 2)
-    d = e if equal_ends else _below(bits, 2)
+    span = hi - lo + 1
+    k = span.bit_length()
+    n = bits(k)
+    while n >= span:
+        n = bits(k)
+    n += lo
+    span = (n - 1) // 2 + 1
+    k = span.bit_length()
+    m = bits(k)
+    while m >= span:
+        m = bits(k)
+    e = bits(2)
+    while e >= 2:
+        e = bits(2)
+    d = e
+    if not equal_ends:
+        d = bits(2)
+        while d >= 2:
+            d = bits(2)
     return AdversaryParams(e, m, d, n)
 
 
-class InvariantFuzzReport(NamedTuple):
-    seed: int
-    runs: int
-    budget_exhausted: int
-    violating_runs: tuple[tuple[int, AdversaryParams, tuple[Violation, ...]], ...]
+class InvariantFuzzReport(namedtuple("InvariantFuzzReport",
+                                     "seed runs budget_exhausted violating_runs")):
+    """``violating_runs`` holds ``(run index, params, violations)`` per run that broke it."""
+
+    __slots__ = ()
 
     @property
     def violation_count(self) -> int:
@@ -197,11 +220,11 @@ def fuzz_invariant(
     return InvariantFuzzReport(seed, program_count, exhausted, tuple(violating))
 
 
-class DivergenceFuzzReport(NamedTuple):
-    seed: int
-    runs: int
-    diverged: int
-    violating_probes: tuple[tuple[int, MsbFlipProbe], ...]
+class DivergenceFuzzReport(namedtuple("DivergenceFuzzReport",
+                                      "seed runs diverged violating_probes")):
+    """``violating_probes`` holds ``(run index, probe)`` per probe that broke the bound."""
+
+    __slots__ = ()
 
     @property
     def violation_count(self) -> int:

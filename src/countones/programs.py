@@ -36,8 +36,8 @@ as a machine program over opt-in ops and then deletes both.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from functools import cache
-from typing import Callable
 
 from .vm import Program, parse_program
 from .words import MAX_WIDTH, Word, _Frozen

@@ -32,9 +32,10 @@ to ``incdec_steps``, the measure the lower-bound audits care about.
 :data:`OPCODES` is the one table of this instruction set: per opcode, its
 register operands, whether a label follows and whether it is metered.  The
 parser, the lane executor and :func:`countones.fuzzing.random_program` read
-it, and a :class:`Program` is checked against it when built: ``ValueError``
-unless every opcode is in the table with exactly its register operands, and
-with a target in ``0..len-1`` exactly where it takes a label.  So both
+it, each :class:`Instruction` checks its shape against it once, when built,
+and a :class:`Program` reads those verdicts: ``ValueError`` unless every
+opcode is in the table with exactly its register operands, and with a
+target in ``0..len-1`` exactly where it takes a label.  So both
 executors run only well-formed programs.  The reference loop spells the
 semantics out by hand in its own ``match``, so that it stays an independent
 oracle for the lane executor.
@@ -62,7 +63,16 @@ Fast-forward.  The machine is deterministic: its next state depends only on
 budget runs out.  :meth:`Machine.run` finds such a repeat by Brent's cycle
 detection (Brent, BIT 1980), observed or not, and adds every whole period
 that fits in the budget at once; the result equals the step-by-step one
-exactly.
+exactly.  A counter loop at a useful width never repeats a state within a
+budget, so an unobserved run on the stock machine that comes back to the
+saved pc with other registers tries an affine jump (:mod:`._affine`,
+imported at the first try): if one symbolic pass shows every register
+moving by the same amount each pass, it adds whole passes at once, up to
+the first pass in which a branch goes the other way, solved exactly mod
+``2**width``.  Brent's saved state and mark cross the jump as they would
+step by step, so results, ``cycle`` included, are those of a stepped run.
+An observed run or an overridden :meth:`Machine._inc`, ``_dec`` or ``_mov``
+never jumps, and a saved state gets one failed try.
 
 Lanes.  :func:`run_slices` runs one program on many inputs at once,
 bit-sliced (Biham, FSE 1997): bit ``j`` of a register's slice ``b`` is its
@@ -89,10 +99,11 @@ power-of-two ``range`` skip it, since they have a closed form
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
+from collections.abc import Callable, Mapping, Sequence
 from functools import reduce
 from operator import or_, xor
 from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .words import MAX_WIDTH, Word, _Frozen
 
@@ -116,12 +127,12 @@ __all__ = [
 DEFAULT_BUDGET = 1_000_000
 
 
-class OpSpec(NamedTuple):
-    """One opcode of the machine, as the parser, the fuzzer and the lane executor see it."""
+class OpSpec(namedtuple("OpSpec", "regs label metered")):
+    """One opcode of the machine, as the parser, the fuzzer and the lane executor
+    see it: its count of register operands ``regs``, whether a jump ``label``
+    follows them and whether it is ``metered`` in ``incdec_steps``."""
 
-    regs: int  # register operands
-    label: bool  # a jump label follows the registers
-    metered: bool  # counted in ``incdec_steps``
+    __slots__ = ()
 
 
 # The instruction set, written down once; see the module docstring.  It is
@@ -155,10 +166,12 @@ class ParseError(ValueError):
 
 class Instruction(_Frozen):
     """One instruction: ``op`` with the operands that :data:`OPCODES` gives it,
-    ``None`` for the others.  Slots rather than a ``NamedTuple``, since both
-    executors read its fields at every step, and a slot reads faster."""
+    ``None`` for the others.  Slots rather than a ``namedtuple``, since both
+    executors read its fields at every step, and a slot reads faster.  It
+    checks its own shape once, when built: ``_fits`` says whether ``op`` is in
+    :data:`OPCODES` with exactly these operands, for :class:`Program` to read."""
 
-    __slots__ = ("op", "a", "b", "target")
+    __slots__ = ("op", "a", "b", "target", "_fits")
     op: str
     a: str | None
     b: str | None
@@ -170,6 +183,8 @@ class Instruction(_Frozen):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "target", target)
+        object.__setattr__(self, "_fits", _OPERANDS.get(op) == (
+            a is not None, b is not None, target is not None))
 
 
 class Program(_Frozen):
@@ -183,11 +198,13 @@ class Program(_Frozen):
     def __init__(self, instructions: tuple[Instruction, ...]) -> None:
         targets = range(len(instructions))
         names: dict[str | None, None] = {"x": None}
-        for pc, ins in enumerate(instructions):
-            if _OPERANDS.get(ins.op) != (ins.a is not None, ins.b is not None, ins.target is not None):
-                raise ValueError(f"instruction {pc}: {ins} does not fit its opcode in OPCODES")
-            if ins.target is not None and ins.target not in targets:
-                raise ValueError(f"instruction {pc}: target {ins.target} is not in 0..{len(targets) - 1}")
+        for ins in instructions:
+            if not ins._fits or ins.target is not None and ins.target not in targets:
+                # the first instruction equal to this one fails too, so it is this one
+                pc = instructions.index(ins)
+                raise ValueError(f"instruction {pc}: {ins} does not fit its opcode in OPCODES"
+                                 if not ins._fits else
+                                 f"instruction {pc}: target {ins.target} is not in 0..{len(targets) - 1}")
             names[ins.a] = names[ins.b] = None  # a key set again keeps its first position
         names.pop(None, None)
         object.__setattr__(self, "instructions", instructions)
@@ -274,16 +291,13 @@ class HaltReason(enum.Enum):
 Observer = Callable[[int, int | None, dict[str, int]], bool | None]
 
 
-class ExecResult(NamedTuple):
+class ExecResult(namedtuple("ExecResult", "output total_steps incdec_steps halt_reason cycle",
+                            defaults=(None,))):
     """One run.  ``output`` is the OUT register as the machine left it, even
     out of its width (``None`` unless the run halted with OUT); ``cycle`` is
     the first repeat found, as ``(saved_total, period)``, if there is one."""
 
-    output: int | None
-    total_steps: int
-    incdec_steps: int
-    halt_reason: HaltReason
-    cycle: tuple[int, int] | None = None
+    __slots__ = ()
 
 
 class Machine:
@@ -340,6 +354,10 @@ class Machine:
         # nothing is saved.
         mark = 1
         saved_pc, saved_regs, saved_total, saved_incdec = -1, {}, 0, 0
+        # The previous visit to saved_pc, for an affine jump: None is the saved
+        # state, a tuple (registers, total) a later visit, True the next visit,
+        # and False none until the next save.
+        last: tuple | bool | None = None
         if observer is not None and observer(0, None, regs) is False:
             observer = None
 
@@ -352,17 +370,38 @@ class Machine:
                     halt = HaltReason.BUDGET_EXHAUSTED
                     break
                 saved_pc, saved_regs, saved_total, saved_incdec = pc, dict(regs), total, incdec
-                mark = min(2 * total, budget)
-            elif pc == saved_pc and regs == saved_regs:
-                # A repeated state loops forever: detach the observer, add every
-                # whole period that fits in the budget, then run out the rest.
-                period = total - saved_total
-                cycle = saved_total, period
-                cycles = (budget - total) // period
-                total += cycles * period
-                incdec += cycles * (incdec - saved_incdec)
-                saved_pc, mark, observer = -1, budget, None
-                continue
+                mark, last = min(2 * total, budget), None
+            elif pc == saved_pc:
+                if regs == saved_regs:
+                    # A repeated state loops forever: detach the observer, add every
+                    # whole period that fits in the budget, then run out the rest.
+                    period = total - saved_total
+                    cycle = saved_total, period
+                    cycles = (budget - total) // period
+                    total += cycles * period
+                    incdec += cycles * (incdec - saved_incdec)
+                    saved_pc, mark, observer = -1, budget, None
+                    continue
+                if observer is None and last is not False:
+                    # Back at saved_pc in a new state: an unobserved run on the
+                    # stock machine jumps over the passes of an affine loop.
+                    if last is True:
+                        last = dict(regs), total
+                    elif (type(self)._inc is not Machine._inc or type(self)._dec is not Machine._dec
+                          or type(self)._mov is not Machine._mov):
+                        last = False
+                    else:
+                        from ._affine import jump
+
+                        jumped = jump(instructions, mask, budget, regs, pc, total, incdec,
+                                      last or (saved_regs, saved_total), mark,
+                                      (saved_pc, saved_regs, saved_total, saved_incdec))
+                        if jumped is None:
+                            last = False
+                        else:
+                            (total, incdec, mark, saved_pc, saved_regs, saved_total,
+                             saved_incdec), last = jumped, True
+                            continue
             ins = instructions[pc]
             op = ins.op
             next_pc = pc + 1

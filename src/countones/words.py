@@ -30,15 +30,18 @@ class _Frozen:
     """Base of the package's immutable records kept in slots: those that check
     or derive a field as they are built, and :class:`~countones.vm.Instruction`,
     which the executors read at every step.  (The other frozen records are
-    ``NamedTuple``s.)  The fields are the ``__slots__``, which ``__init__`` sets
-    once with ``object.__setattr__``; no field can be assigned or deleted after
-    that.  Records of one class compare and hash by their fields, in
-    ``__slots__`` order, and show them in their ``repr``."""
+    ``namedtuple``s.)  The slots are set once by ``__init__`` with
+    ``object.__setattr__``; none can be assigned or deleted after that.  The
+    fields are the slots whose names do not start with ``_``: records of one
+    class compare and hash by their fields, in ``__slots__`` order, and show
+    them in their ``repr``.  A slot named ``_...`` holds what the record
+    derives from its fields for the package's own use."""
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        cls._key = attrgetter(*cls.__slots__)
+        cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+        cls._key = attrgetter(*cls._fields)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -55,7 +58,7 @@ class _Frozen:
         return hash(self._key(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({fields})"
 
 

@@ -60,6 +60,18 @@ def test_importing_the_cli_does_not_load_dataclasses():
     assert done.stdout == "False\n"
 
 
+def test_importing_the_cli_does_not_load_typing():
+    # nor the affine jump, which Machine.run loads at its first jump attempt
+    src = Path(countones.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, countones.cli; print('typing' in sys.modules, "
+         "'countones._affine' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False False\n"
+
+
 def law(nu):
     return nu
 

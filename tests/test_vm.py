@@ -320,6 +320,101 @@ def test_fast_forward_after_the_observer_detaches():
     assert seen == [None, 0, 1, 2, 0, 1, 2, 0] and res.cycle == (4, 3)
 
 
+# ------------------------------------------------ affine jumps vs steps
+
+
+@pytest.fixture
+def jumps(monkeypatch):
+    """Each call of the affine jump's entry point, as ``(total, mark, jumped)``:
+    the run's steps and Brent mark at the call, and what the jump returned."""
+    import countones._affine as affine
+
+    calls, jump = [], affine.jump
+
+    def counted(*args):
+        jumped = jump(*args)
+        calls.append((args[5], args[8], jumped))
+        return jumped
+
+    monkeypatch.setattr(affine, "jump", counted)
+    return calls
+
+
+def test_jumps_match_step_by_step(jumps):
+    # every result, cycle included, is that of the run stepped one instruction
+    # at a time (conftest's stepper) and of an observed run, which never jumps
+    rng = random.Random(29)
+    for _ in range(1000):
+        program = random_program(rng, max_len=rng.choice((4, 8, 24)))
+        width = rng.randint(1, 64) if rng.getrandbits(1) else rng.randint(1, 10)
+        x = Word(width, rng.getrandbits(width))
+        budget = rng.choice((1, 2, 7, 60, 512, 2048, 20_000, 20_000, 20_000))
+        res = Machine().run(program, x, budget)
+        assert res._replace(cycle=None) == record_run(program, x, budget)[0], (program, x, budget)
+        assert res == Machine().run(program, x, budget, observer=lambda *a: None)
+    assert sum(jumped is not None for _, _, jumped in jumps) >= 40
+
+
+@pytest.mark.parametrize("text, width, x, want", [
+    # the counter runs x passes, down to the BNZ that falls through
+    ("MOV c x\nL0: INC a\nDEC c\nBNZ c L0\nOUT a", 64, 10**11 + 7,
+     lambda x, n: (x, 3 * x + 2, 2 * x)),
+    ("MOV c x\nL0: INC a\nDEC c\nBNZ c L0\nOUT a", 64, 1, lambda x, n: (x, 5, 2)),
+    # BEQ exits at the pass j with 3*j = x (mod 2**n): j is x / 3 mod 2**n
+    ("L0: INC a\nINC a\nINC a\nBEQ a x out\nJMP L0\nout: OUT a", 36, 1,
+     lambda x, n: (x, 5 * (j := x * pow(3, -1, 1 << n) % (1 << n)), 3 * j)),
+    # unsigned BLT: a climbs from 0 and b falls from 2**n - 1 until they meet halfway
+    ("L0: INC a\nDEC b\nBLT a b L0\nOUT a", 38, 0,
+     lambda x, n: (1 << n - 1, 3 * (1 << n - 1) + 1, 1 << n)),
+    # unsigned BLT taken once a climbs past x
+    ("L0: INC a\nBLT x a out\nJMP L0\nout: OUT a", 40, 10**11,
+     lambda x, n: (x + 1, 3 * x + 3, x + 1)),
+    # BLT on a wrap: x < a holds until a wraps to 0
+    ("MOV a x\nL0: INC a\nBLT x a L0\nOUT a", 40, (1 << 40) - 10**11,
+     lambda x, n: (0, 2 * ((1 << n) - x) + 2, (1 << n) - x)),
+])
+def test_jumps_in_closed_form(text, width, x, want, jumps):
+    # far past what any stepper could run in a test
+    output, total, incdec = want(x, width)
+    res = execute(parse_program(text), Word(width, x), 10**12)
+    assert res == ExecResult(output, total, incdec, HaltReason.OUT)
+    assert total < 100 or any(jumped is not None for _, _, jumped in jumps)
+
+
+def test_a_jump_stops_at_a_true_repeat(jumps):
+    # a width-4 counter repeats every 32 steps; the jump tried at step 6 runs
+    # Brent's search across marks 8, 16, 32 and 64, finds the state saved at
+    # 64 again at 96 and stops there, where the machine finds it itself
+    program = parse_program("L0: INC a\nJMP L0")
+    res = execute(program, Word(4, 0), 10**12)
+    assert res == ExecResult(None, 10**12, 10**12 // 2, HaltReason.BUDGET_EXHAUSTED, (64, 32))
+    assert res == Machine().run(program, Word(4, 0), 10**12, observer=lambda *a: None)
+    assert [(total, mark, jumped[0]) for total, mark, jumped in jumps] == [(6, 8, 96)]
+
+
+def test_a_jump_carries_brents_state_across_marks(jumps):
+    # the counter's jump crosses marks 8 to 2,048 and saves the state at the
+    # last; the machine then finds the JMP's repeat one step after the mark the
+    # jump left it, 4,096, as a run stepped through the counter does
+    program = parse_program("MOV c x\nL0: INC a\nDEC c\nBNZ c L0\nL4: JMP L4")
+    res = execute(program, Word(16, 1000), 10**6)
+    assert res == ExecResult(None, 10**6, 2000, HaltReason.BUDGET_EXHAUSTED, (4096, 1))
+    assert res == Machine().run(program, Word(16, 1000), 10**6, observer=lambda *a: None)
+    (total, mark, (_, _, new_mark, _, _, saved_total, _)), = jumps
+    assert saved_total >= 2 * mark > total and new_mark == 2 * saved_total
+
+
+@pytest.mark.parametrize("machine", [NonWrappingIncMachine, ComplementMovMachine])
+def test_broken_and_observed_runs_never_jump(machine, jumps):
+    # the entry point of the jump is never called; the stock machine calls it
+    program, x = parse_program("MOV c x\nL0: INC a\nDEC c\nBNZ c L0\nOUT a"), Word(8, 200)
+    assert machine().run(program, x, 10**6) == record_run(program, x, 10**6, machine())[0]
+    want = ExecResult(200, 602, 400, HaltReason.OUT)
+    assert Machine().run(program, x, 10**6, observer=lambda *a: None) == want
+    assert jumps == []
+    assert execute(program, x, 10**6) == want and jumps
+
+
 # ------------------------------------------------- lanes vs the reference
 
 
