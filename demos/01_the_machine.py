@@ -8,7 +8,7 @@ and INC/DEC are additionally counted on their own meter -- that second meter
 is the whole point of the laboratory.
 """
 
-from countones import Machine, Word, execute, parse_program
+from countones import Machine, execute, parse_program
 
 SOURCE = """\
 ; count the ones of x by clearing the lowest set bit per pass
@@ -24,13 +24,13 @@ done: OUT c
 program = parse_program(SOURCE)
 print(f"parsed {len(program)} instructions, registers {program.register_names}")
 
-x = Word.from_bits("1011")
+x, width = int("1011", 2), 4
 # an observer is shown each state of the run up to and including the first
 # repeat the machine finds (this run halts, so every state); this one keeps a
 # copy of each
 states = []
-result = Machine().run(program, x, observer=lambda i, pc, regs: states.append((i, pc, dict(regs))))
-print(f"input {x.to_bits()} -> output {result.output}")
+result = Machine().run(program, x, width, observer=lambda i, pc, regs: states.append((i, pc, dict(regs))))
+print(f"input {format(x, f'0{width}b')} -> output {result.output}")
 print(f"steps: {result.total_steps} total, "
       f"{result.incdec_steps} inc/dec")
 
@@ -39,5 +39,5 @@ for i, pc, registers in states[:8]:
     print(f"  i={i}  pc={pc}  {registers}")
 
 print("\nwraparound is load-bearing:")
-print("  1111 + 1 ->", format(execute(parse_program("INC x\nOUT x"), Word(4, 0b1111)).output, "04b"))
-print("  0000 - 1 ->", format(execute(parse_program("DEC x\nOUT x"), Word(4, 0)).output, "04b"))
+print("  1111 + 1 ->", format(execute(parse_program("INC x\nOUT x"), 0b1111, 4).output, "04b"))
+print("  0000 - 1 ->", format(execute(parse_program("DEC x\nOUT x"), 0, 4).output, "04b"))

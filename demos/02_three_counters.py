@@ -9,7 +9,6 @@ input by input.
 """
 
 from countones import (
-    Word,
     combined_program,
     dense_program,
     execute,
@@ -21,11 +20,11 @@ N = 12
 programs = [wegner_program(N), dense_program(N), combined_program(N)]
 
 samples = {
-    "sparse      ": Word(N, 0b000000100000),
-    "half        ": Word(N, 0b010101010101),
-    "dense       ": Word(N, 0b111111110111),
-    "all ones    ": Word(N, (1 << N) - 1),
-    "empty       ": Word(N, 0),
+    "sparse      ": 0b000000100000,
+    "half        ": 0b010101010101,
+    "dense       ": 0b111111110111,
+    "all ones    ": (1 << N) - 1,
+    "empty       ": 0,
 }
 
 print(f"width {N}, measured inc/dec per program (law value in parentheses)\n")
@@ -35,17 +34,16 @@ for label, word in samples.items():
     nu = popcount_naive(word)
     cells = []
     for g in programs:
-        measured = execute(g.program, word).incdec_steps
+        measured = execute(g.program, word, N).incdec_steps
         law = g.predicted_incdec(nu)
         assert measured == law
         cells.append(f"{measured:>5} ({law:>3})")
-    print(f"{label}  {word.to_bits()}  {nu:>2}   " + "  ".join(cells))
+    print(f"{label}  {format(word, f'0{N}b')}  {nu:>2}   " + "  ".join(cells))
 
 print("\ncombined tracks the cheaper branch within a constant:")
 for nu_target in (0, 1, 6, 11, 12):
-    value = (1 << nu_target) - 1
-    word = Word(N, value)
+    word = (1 << nu_target) - 1
     nu = popcount_naive(word)
-    w, d, c = (execute(g.program, word).incdec_steps for g in programs)
+    w, d, c = (execute(g.program, word, N).incdec_steps for g in programs)
     print(f"  nu={nu:>2}: wegner {w:>3}  dense {d:>3}  combined {c:>3}"
           f"  (2*min+2 = {2 * min(w, d) + 2})")

@@ -21,7 +21,7 @@ from countones import (
 
 params = AdversaryParams(e=0, m=2, d=0, n=6)
 x = adversary_input(params)
-print(f"adversary input: {x.to_bits()}  (e={params.e}, m={params.m}, d={params.d})")
+print(f"adversary input: {format(x, f'0{params.n}b')}  (e={params.e}, m={params.m}, d={params.d})")
 # past i = m the schedule runs out and the invariant is vacuous
 print("protected prefix lengths:",
       {i: None if i > params.m else 2 * (params.m - i) + 1 if i else params.n
@@ -30,7 +30,8 @@ print("protected prefix lengths:",
 # the checker watches the run as an observer and lets go once i > m; on a
 # looping run the machine also detaches it at the first repeat it finds
 check = PrefixInvariantCheck(params)
-result = Machine().run(wegner_program(params.n).program, x, observer=check.observe)
+result = Machine().run(wegner_program(params.n).program, x, params.n,
+                       observer=check.observe)
 print(f"\nwegner run: {result.total_steps + 1} states, "
       f"{check.checked} checked, violations: {len(check.violations)}")
 
@@ -51,7 +52,7 @@ broken = NonWrappingInc()
 program = parse_program("DEC a\nINC a\nOUT a")
 wide = AdversaryParams(e=0, m=5, d=0, n=12)
 check = PrefixInvariantCheck(wide)
-broken.run(program, adversary_input(wide), observer=check.observe)
+broken.run(program, adversary_input(wide), wide.n, observer=check.observe)
 print("\nthe same checker against a non-wrapping INC:")
 for v in check.violations:
     print(f"  snapshot {v.snapshot_index} (i={v.incdec_index}): register "

@@ -13,7 +13,6 @@ both enough and necessary).
 
 from countones import (
     AdversaryParams,
-    Word,
     execute,
     lower_bound_audit,
     msb_flip_probe,
@@ -23,7 +22,8 @@ from countones import (
 
 params = AdversaryParams(e=0, m=2, d=0, n=6)
 probe = msb_flip_probe(wegner_program(6).program, params)
-print(f"probe wegner on {probe.x.to_bits()} vs {probe.x_flipped.to_bits()}:")
+bits = f"0{params.n}b"
+print(f"probe wegner on {format(probe.x, bits)} vs {format(probe.x_flipped, bits)}:")
 print(f"  nu={probe.nu}, bound={probe.bound}")
 print(f"  first divergence: executed step {probe.divergence.step_index}, "
       f"after {probe.divergence.incdec_index} inc/dec steps")
@@ -38,6 +38,6 @@ for width in (4, 8, 12):
 print("\nwidth two, where the floor is exactly one decrement:")
 g = twobit_program()
 for value in range(4):
-    res = execute(g.program, Word(2, value))
+    res = execute(g.program, value, 2)
     print(f"  x={value:02b} -> {res.output} "
           f"({res.incdec_steps} inc/dec)")

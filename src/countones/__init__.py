@@ -4,7 +4,7 @@ A laboratory for population count under a deliberately poor instruction set:
 unsigned fixed-width registers, increment, decrement, AND, OR, assignment,
 comparisons, and zero as the only constant.  The package provides
 
-* fixed-width words and the naive bit-count oracle (:mod:`.words`),
+* the word length's range and the naive bit-count oracle (:mod:`.words`),
 * the instruction set as one opcode table, with a parser, a
   step-counting reference interpreter and a bit-sliced lane executor for
   it (:mod:`.vm`),

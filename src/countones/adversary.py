@@ -53,8 +53,9 @@ from math import gcd
 from operator import and_, or_, xor
 
 from .programs import GeneratedProgram
-from .vm import DEFAULT_BUDGET, ExecResult, HaltReason, Machine, Program, _transpose, run_slices
-from .words import MAX_WIDTH, Word, _Frozen, popcount_naive
+from .vm import (DEFAULT_BUDGET, ExecResult, HaltReason, Machine, Program, _Frozen, _transpose,
+                 run_slices)
+from .words import MAX_WIDTH, popcount_naive
 
 __all__ = [
     "AdversaryParams",
@@ -103,15 +104,15 @@ class AdversaryParams(_Frozen):
         object.__setattr__(self, "n", n)
 
 
-def adversary_input(p: AdversaryParams) -> Word:
-    """The word ``e (01)^m d^(n-2m-1)``, MSB first, in closed form: ``(01)^m``
-    is ``4**m // 3``, shifted above the ``low = n-1-2m`` copies of ``d``."""
+def adversary_input(p: AdversaryParams) -> int:
+    """The ``n``-bit word ``e (01)^m d^(n-2m-1)``, MSB first, in closed form:
+    ``(01)^m`` is ``4**m // 3``, above the ``low = n-1-2m`` copies of ``d``."""
     low = p.n - 1 - 2 * p.m
-    return Word(p.n, p.e << (p.n - 1) | (4**p.m // 3) << low | (-p.d & ((1 << low) - 1)))
+    return p.e << (p.n - 1) | (4**p.m // 3) << low | (-p.d & ((1 << low) - 1))
 
 
 @cache
-def _schedule(params: AdversaryParams) -> tuple[Word, tuple[tuple[int, int, int, int], ...]]:
+def _schedule(params: AdversaryParams) -> tuple[int, tuple[tuple[int, int, int, int], ...]]:
     """``adversary_input(params)`` and, per inc/dec index ``i <= m``, the
     ``(shift, all-zeros, all-ones, input prefix)`` of its top ``k_i`` bits;
     built once per params in the process and shared, so it is immutable."""
@@ -120,7 +121,7 @@ def _schedule(params: AdversaryParams) -> tuple[Word, tuple[tuple[int, int, int,
     for i in range(params.m + 1):
         k = 2 * (params.m - i) + 1 if i else params.n
         shift = params.n - k
-        allowed.append((shift, 0, (1 << k) - 1, x.value >> shift))
+        allowed.append((shift, 0, (1 << k) - 1, x >> shift))
     return x, tuple(allowed)
 
 
@@ -140,11 +141,11 @@ def _prefix_bits(value: int, k: int) -> str:
 class PrefixInvariantCheck:
     """The prefix invariant, checked online as a :meth:`Machine.run` observer.
 
-    Pass :meth:`observe` as the observer of a run on ``adversary_input(params)``,
-    which the check keeps as ``x``.  The word and the ``k_i`` schedule are
-    built once per params in the process and shared by every check and flip
-    probe on those params; each check keeps its own ``checked`` and
-    ``violations``.
+    Pass :meth:`observe` as the observer of a run on ``adversary_input(params)``
+    at width ``n``, which the check keeps as ``x``.  The word and the ``k_i``
+    schedule are built once per params in the process and shared by every
+    check and flip probe on those params; each check keeps its own
+    ``checked`` and ``violations``.
     At each state with inc/dec index ``i <= m``, every register's top ``k_i``
     bits must be one of all-zeros, all-ones, or the input's own prefix.
     Prefixes are compared as integers (``value >> (n - k)``), which
@@ -207,7 +208,7 @@ class Divergence(namedtuple("Divergence", "step_index incdec_index")):
 
 class MsbFlipProbe(namedtuple("MsbFlipProbe", "params x x_flipped nu bound divergence "
                                                "result_x result_flipped")):
-    """Outcome of running a program on an adversary word and its MSB flip.
+    """Outcome of running a program on the adversary word ``x`` and its MSB flip.
 
     ``divergence`` is a :class:`Divergence` or ``None``; ``result_x`` and
     ``result_flipped`` are the complete results of both runs.
@@ -296,11 +297,12 @@ def msb_flip_probe(
         )
     x = _schedule(params)[0]
     nu = popcount_naive(x)
-    flipped = Word(params.n, x.value ^ (1 << (params.n - 1)))
+    flipped = x ^ 1 << (params.n - 1)
 
-    def record(word: Word) -> tuple[ExecResult, _Lasso]:
+    def record(word: int) -> tuple[ExecResult, _Lasso]:
         path: list[tuple[int | None, int]] = []
-        result = Machine().run(program, word, budget, lambda i, pc, regs: path.append((pc, i)))
+        result = Machine().run(program, word, params.n, budget,
+                               lambda i, pc, regs: path.append((pc, i)))
         return result, _Lasso(path, result.cycle)
 
     (result_x, lasso_x), (result_flipped, lasso_flipped) = record(x), record(flipped)
@@ -350,8 +352,8 @@ def _lane_rows(
             ends[j] = end
     for value, output, (total, incdec, halt) in zip(values, outputs, ends):
         if halt is not None:
-            word = Word(width, value)
-            yield (word.value, popcount_naive(word), output if halt is HaltReason.OUT else None,
+            value &= (1 << width) - 1
+            yield (value, popcount_naive(value), output if halt is HaltReason.OUT else None,
                    incdec, total, halt)
 
 
@@ -376,17 +378,17 @@ def measure(
 ) -> Iterator[Row]:
     """Run ``program`` once on each ``width``-bit input in ``values``, lazily.
 
-    Yields one :data:`Row` per input, in order, ``nu`` from the naive
-    oracle.  Each input runs on ``machine.run`` if a machine is given, the
-    reference path; otherwise the inputs run on :func:`run_slices` in chunks
-    of ``LANE_CHUNK``, so a caller that folds the rows keeps at most one
-    chunk of per-input state.
+    Yields one :data:`Row` per input, in order, its value reduced mod
+    ``2**width`` and ``nu`` from the naive oracle.  Each input runs on
+    ``machine.run`` if a machine is given, the reference path; otherwise the
+    inputs run on :func:`run_slices` in chunks of ``LANE_CHUNK``, so a caller
+    that folds the rows keeps at most one chunk of per-input state.
     """
     if machine is not None:
         for value in values:
-            word = Word(width, value)
-            res = machine.run(program, word, budget)
-            yield (word.value, popcount_naive(word), res.output, res.incdec_steps,
+            res = machine.run(program, value, width, budget)
+            value &= (1 << width) - 1
+            yield (value, popcount_naive(value), res.output, res.incdec_steps,
                    res.total_steps, res.halt_reason)
         return
     for chunk in _chunks(values):

@@ -212,7 +212,7 @@ def fuzz_invariant(
         program = random_program(rng, max_len)
         params = random_adversary_params(rng, width_range)
         check = PrefixInvariantCheck(params)
-        result = machine.run(program, check.x, budget=budget, observer=check.observe)
+        result = machine.run(program, check.x, params.n, budget, check.observe)
         if result.halt_reason is HaltReason.BUDGET_EXHAUSTED:
             exhausted += 1
         if not check.ok:

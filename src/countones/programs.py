@@ -23,15 +23,16 @@ OR only (:func:`constant_inc_count`).  Each loop body is written once, as a
 step (:func:`_wegner_step`, :func:`_dense_step`): wegner and dense wrap
 their step in a loop, and combined emits both steps, on disjoint registers,
 in every round.  :func:`shipped_programs` lists the counters checked at one
-width.  The four counter generators are memoized, so each width's program
-is parsed once per process; :func:`constant_program` is not, since
-callers build many one-shot constants.
+width, which every generator but twobit checks with
+:func:`~countones.words._check_width`.  The four counter generators are
+memoized, so each width's program is parsed once per process;
+:func:`constant_program` is not, since callers build many one-shot constants.
 
-The module also houses two classic host-level popcounts (broadword fold,
-HAKMEM-style octal trick).  Nothing in the package calls them: the tests
-check them against :func:`~countones.words.popcount_naive`, and ``table``
-quotes their hand counts of word ops.  ROADMAP item 14 measures the fold
-as a machine program over opt-in ops and then deletes both.
+The module also houses two classic host-level popcounts of a plain int
+(broadword fold, HAKMEM-style octal trick).  Nothing in the package calls
+them: the tests check them against :func:`~countones.words.popcount_naive`,
+and ``table`` quotes their hand counts of word ops.  ROADMAP item 14
+measures the fold as a machine program over opt-in ops and then deletes both.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from __future__ import annotations
 from collections.abc import Callable
 from functools import cache
 
-from .vm import Program, parse_program
-from .words import MAX_WIDTH, Word, _Frozen
+from .vm import Program, _Frozen, parse_program
+from .words import _check_width
 
 __all__ = [
     "GeneratedProgram",
@@ -85,11 +86,6 @@ class GeneratedProgram(_Frozen):
         object.__setattr__(self, "text", text)
         object.__setattr__(self, "predicted_incdec", predicted_incdec)
         object.__setattr__(self, "program", parse_program(text))
-
-
-def _check_width(width: int) -> None:
-    if not 1 <= width <= MAX_WIDTH:
-        raise ValueError(f"width must be 1..{MAX_WIDTH}, got {width}")
 
 
 def constant_inc_count(target: int) -> int:
@@ -314,16 +310,14 @@ _M2 = 0x3333333333333333
 _M4 = 0x0F0F0F0F0F0F0F0F
 
 
-def broadword_popcount(x: Word) -> int:
+def broadword_popcount(value: int) -> int:
     """Tree-fold popcount using addition, shift and AND only (18 word ops).
 
     Pairs of bits are summed in place, then nibbles, bytes and so on; after
     the byte stage the partial sums are small enough that the folds need no
-    further masking.  Valid for any width up to 64 (the value is
-    zero-extended).
+    further masking.  Valid for any ``0 <= value < 2**64``.
     """
-    v = x.value
-    v = (v & _M1) + ((v >> 1) & _M1)
+    v = (value & _M1) + ((value >> 1) & _M1)
     v = (v & _M2) + ((v >> 2) & _M2)
     v = (v + (v >> 4)) & _M4
     v = v + (v >> 8)
@@ -332,16 +326,15 @@ def broadword_popcount(x: Word) -> int:
     return v & 0x7F
 
 
-def hakmem_popcount(x: Word) -> int:
-    """Octal-digit popcount with a final ``mod 63`` (10 word ops, width 32).
+def hakmem_popcount(value: int) -> int:
+    """Octal-digit popcount with a final ``mod 63`` (10 word ops, 32 bits).
 
     Each octal digit of ``t`` becomes the bit count of the corresponding
     three input bits; adjacent digits are then paired and the base-64 digit
     sum is taken with ``% 63``.  The modulus trick is only valid while the
-    count fits below 63, hence the hard width-32 requirement.
+    count fits below 63, hence the hard requirement ``0 <= value < 2**32``.
     """
-    if x.width != 32:
-        raise ValueError(f"hakmem_popcount requires width 32, got {x.width}")
-    v = x.value
-    t = v - ((v >> 1) & 0o33333333333) - ((v >> 2) & 0o11111111111)
+    if not 0 <= value < 1 << 32:
+        raise ValueError(f"hakmem_popcount requires 0 <= value < 2**32, got {value}")
+    t = value - ((value >> 1) & 0o33333333333) - ((value >> 2) & 0o11111111111)
     return ((t + (t >> 3)) & 0o30707070707) % 63

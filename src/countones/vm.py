@@ -40,7 +40,7 @@ executors run only well-formed programs.  The reference loop spells the
 semantics out by hand in its own ``match``, so that it stays an independent
 oracle for the lane executor.
 
-The interpreter is a pure function of (program, input, budget): no shared
+The interpreter is a pure function of (program, x, width, budget): no shared
 mutable state, so any number of executions may run concurrently.  What an
 observer keeps belongs to the caller of each execution.
 
@@ -102,10 +102,10 @@ import enum
 from collections import namedtuple
 from collections.abc import Callable, Mapping, Sequence
 from functools import reduce
-from operator import or_, xor
+from operator import attrgetter, or_, xor
 from types import MappingProxyType
 
-from .words import MAX_WIDTH, Word, _Frozen
+from .words import _check_width
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -162,6 +162,42 @@ class ParseError(ValueError):
     def __init__(self, lineno: int, message: str):
         super().__init__(f"line {lineno}: {message}")
         self.lineno = lineno
+
+
+class _Frozen:
+    """Base of the package's immutable records kept in slots: those that check
+    or derive a field as they are built, and :class:`Instruction`, which the
+    executors read at every step.  (The other frozen records are
+    ``namedtuple``s.)  The slots are set once by ``__init__`` with
+    ``object.__setattr__``; none can be assigned or deleted after that.  The
+    fields are the slots whose names do not start with ``_``: records of one
+    class compare and hash by their fields, in ``__slots__`` order, and show
+    them in their ``repr``.  A slot named ``_...`` holds what the record
+    derives from its fields for the package's own use."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+        cls._key = attrgetter(*cls._fields)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
 class Instruction(_Frozen):
@@ -325,24 +361,26 @@ class Machine:
     def run(
         self,
         program: Program,
-        x: Word,
+        x: int,
+        width: int,
         budget: int = DEFAULT_BUDGET,
         observer: Observer | None = None,
     ) -> ExecResult:
-        """Run ``program`` on ``x`` until OUT, the end of the program or ``budget`` steps.
+        """Run ``program`` on ``x`` mod ``2**width`` to OUT, the end or ``budget`` steps.
 
         ``observer`` is called with ``(incdec_index, pc, registers)`` on the
         initial state and after each executed instruction, up to the first
         repeat or until it returns ``False``; the run is unaffected either
         way.  ``registers`` is the live register dict: do not keep or mutate it.
         """
+        _check_width(width)
         if budget < 1:
             raise ValueError(f"budget must be >= 1, got {budget}")
-        mask = (1 << x.width) - 1
+        mask = (1 << width) - 1
         instructions = program.instructions
         size = len(instructions)
         regs: dict[str, int] = {name: 0 for name in program.register_names}
-        regs["x"] = x.value
+        regs["x"] = x & mask
         pc = total = incdec = 0
         output: int | None = None
         halt: HaltReason | None = None
@@ -447,9 +485,9 @@ class Machine:
         return ExecResult(output, total, incdec, halt, cycle)
 
 
-def execute(program: Program, x: Word, budget: int = DEFAULT_BUDGET) -> ExecResult:
-    """Run ``program`` on input ``x`` with the stock machine."""
-    return Machine().run(program, x, budget=budget)
+def execute(program: Program, x: int, width: int, budget: int = DEFAULT_BUDGET) -> ExecResult:
+    """Run ``program`` on the ``width``-bit input ``x`` with the stock machine."""
+    return Machine().run(program, x, width, budget)
 
 
 def run_slices(
@@ -465,8 +503,7 @@ def run_slices(
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    if not 1 <= width <= MAX_WIDTH:
-        raise ValueError(f"width must be 1..{MAX_WIDTH}, got {width}")
+    _check_width(width)
     if not values:
         return [0] * width, [0] * width, []
     x = _input_slices(values, width)

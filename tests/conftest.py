@@ -3,16 +3,17 @@ import pytest
 from countones import DEFAULT_BUDGET, ExecResult, HaltReason, Machine
 
 
-def record_run(program, x, budget=DEFAULT_BUDGET, machine=None):
-    """A run of ``machine`` (the stock one by default), stepped one instruction
-    at a time through its ``_inc``, ``_dec`` and ``_mov``, with no cycle search
-    and none of ``Machine.run``: its result, whose ``cycle`` is ``None``, and
-    every state, as ``(incdec_index, pc, registers)`` in the form an observer
-    is shown it, the initial state first."""
+def record_run(program, x, width, budget=DEFAULT_BUDGET, machine=None):
+    """A run of ``machine`` (the stock one by default) on the ``width``-bit
+    input ``x``, stepped one instruction at a time through its ``_inc``,
+    ``_dec`` and ``_mov``, with no cycle search and none of ``Machine.run``:
+    its result, whose ``cycle`` is ``None``, and every state, as
+    ``(incdec_index, pc, registers)`` in the form an observer is shown it,
+    the initial state first."""
     machine = machine or Machine()
-    mask = (1 << x.width) - 1
+    mask = (1 << width) - 1
     regs = dict.fromkeys(program.register_names, 0)
-    regs["x"] = x.value
+    regs["x"] = x & mask
     states = [(0, None, dict(regs))]
     pc = incdec = 0
     while pc < len(program) and len(states) <= budget:

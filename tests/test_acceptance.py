@@ -13,7 +13,6 @@ import pytest
 from countones import (
     CONSTANT_STEP_FACTOR,
     AdversaryParams,
-    Word,
     broadword_popcount,
     constant_inc_count,
     constant_program,
@@ -101,7 +100,7 @@ def test_constant_generation_exact_and_logarithmic():
     """every target <= 4096 exactly, steps <= factor * log2(t + 2)"""
     for target in range(4097):
         gen = constant_program(target, 13)
-        res = execute(gen.program, Word(13, 0))
+        res = execute(gen.program, 0, 13)
         assert res.output == target
         assert res.incdec_steps == constant_inc_count(target)
         limit = CONSTANT_STEP_FACTOR * math.log2(target + 2)
@@ -110,7 +109,7 @@ def test_constant_generation_exact_and_logarithmic():
     for _ in range(1000):
         target = rng.randrange(1 << 16)
         gen = constant_program(target, 17)
-        res = execute(gen.program, Word(17, 0))
+        res = execute(gen.program, 0, 17)
         assert res.output == target
         assert res.total_steps <= CONSTANT_STEP_FACTOR * math.log2(target + 2)
     print(f"PASS constant generation: 4097 exhaustive + 1000 sampled targets, "
@@ -128,9 +127,9 @@ def test_lower_bound_audit_exhaustive():
     # the two-bit floor: every non-zero input costs exactly one inc/dec
     twobit = twobit_program()
     for value in (1, 2, 3):
-        res = execute(twobit.program, Word(2, value))
+        res = execute(twobit.program, value, 2)
         assert res.incdec_steps == 1
-    assert execute(twobit.program, Word(2, 0)).incdec_steps == 0
+    assert execute(twobit.program, 0, 2).incdec_steps == 0
     print(f"PASS lower-bound audit: {audited} audited runs, zero bound violations; "
           "width-2 floor is exactly one inc/dec")
 
@@ -169,16 +168,15 @@ def test_msb_flip_divergence_bounds():
 def test_reference_popcount_oracles():
     """broadword and octal/mod-63 routines agree with the bit-count oracle"""
     for value in range(1 << 16):
-        w = Word(16, value)
-        assert broadword_popcount(w) == popcount_naive(w)
+        assert broadword_popcount(value) == popcount_naive(value)
     rng = random.Random(3)
     for _ in range(1_000_000):
-        w = Word(64, rng.getrandbits(64))
+        w = rng.getrandbits(64)
         assert broadword_popcount(w) == popcount_naive(w)
-    assert hakmem_popcount(Word(32, 0)) == 0
-    assert hakmem_popcount(Word(32, (1 << 32) - 1)) == 32
+    assert hakmem_popcount(0) == 0
+    assert hakmem_popcount((1 << 32) - 1) == 32
     for _ in range(1_000_000):
-        w = Word(32, rng.getrandbits(32))
+        w = rng.getrandbits(32)
         assert hakmem_popcount(w) == popcount_naive(w)
     print("PASS reference oracles: width-16 exhaustive + 10^6 random words each")
 

@@ -12,7 +12,6 @@ from countones import (
     AdversaryParams,
     Divergence,
     Machine,
-    Word,
     cli,
     dense_program,
     execute,
@@ -46,7 +45,7 @@ def test_gen_wegner_round_trips(capsys):
     reparsed = parse_program(out)
     direct = wegner_program(4).program
     for value in range(16):
-        assert execute(reparsed, Word(4, value)) == execute(direct, Word(4, value))
+        assert execute(reparsed, value, 4) == execute(direct, value, 4)
 
 
 def test_gen_constant_requires_target(capsys):
@@ -54,7 +53,7 @@ def test_gen_constant_requires_target(capsys):
         main(["gen", "--algo", "constant"])
     code, out = run_cli(capsys, "gen", "--algo", "constant", "--target", "6", "--width", "4")
     assert code == 0
-    res = execute(parse_program(out), Word(4, 0))
+    res = execute(parse_program(out), 0, 4)
     assert res.output == 6
 
 
@@ -415,7 +414,7 @@ def test_verify_on_slices_equals_the_row_path(monkeypatch):
 
 
 def test_passing_verify_turns_no_lane_into_a_word(monkeypatch):
-    counts = {"Word": 0, "popcount_naive": 0, "_transpose": 0}
+    counts = {"popcount_naive": 0, "_transpose": 0}
 
     def counted(name, real):
         def wrapper(*args):
@@ -423,17 +422,16 @@ def test_passing_verify_turns_no_lane_into_a_word(monkeypatch):
             return real(*args)
         return wrapper
 
-    monkeypatch.setattr(Word, "__init__", counted("Word", Word.__init__))
     for module in (adversary, words):
         monkeypatch.setattr(module, "popcount_naive",
                             counted("popcount_naive", words.popcount_naive))
     # the transpose of the OUT slices back into outputs, not that of the inputs
     monkeypatch.setattr(adversary, "_transpose", counted("_transpose", vm._transpose))
     assert verify_suite(range(2, 13))[0]
-    assert counts == {"Word": 0, "popcount_naive": 0, "_transpose": 0}
-    # the row path, by contrast, makes both per input
+    assert counts == {"popcount_naive": 0, "_transpose": 0}
+    # the row path, by contrast, counts each input's ones
     assert verify_suite([3], machine=Machine())[0]
-    assert counts["popcount_naive"] == 3 * 8 and counts["Word"] >= 3 * 8
+    assert counts["popcount_naive"] == 3 * 8
 
 
 class CountingMachine(Machine):

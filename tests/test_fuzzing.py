@@ -17,7 +17,6 @@ from countones import (
     PrefixInvariantCheck,
     Program,
     Violation,
-    Word,
     adversary_input,
     format_program,
     fuzz_divergence,
@@ -72,7 +71,7 @@ def reference_adversary_params(rng, width_range, equal_ends=False):
 def reference_violations(states, params):
     """The invariant stated on bit strings, state by state."""
     n, m = params.n, params.m
-    xbits = adversary_input(params).to_bits()
+    xbits = format(adversary_input(params), f"0{n}b")
     violations = []
     for snap_idx, (i, _, registers) in enumerate(states):
         if i > m:
@@ -109,9 +108,9 @@ def shown(states, result):
 
 def reference_probe(program, params, budget):
     x = adversary_input(params)
-    flipped = Word(params.n, x.value ^ (1 << (params.n - 1)))
-    result_x, states_x = record_run(program, x, budget)
-    result_flipped, states_flipped = record_run(program, flipped, budget)
+    flipped = x ^ 1 << (params.n - 1)
+    result_x, states_x = record_run(program, x, params.n, budget)
+    result_flipped, states_flipped = record_run(program, flipped, params.n, budget)
     nu = popcount_naive(x)
     return MsbFlipProbe(
         params, x, flipped, nu, min(nu, params.n - nu),
@@ -127,12 +126,12 @@ def reference_invariant(seed, count, budget=FUZZ_BUDGET, machine=None):
     for run_idx in range(count):
         program = parse_program(format_program(random_program(rng)))
         params = random_adversary_params(rng, (4, 16))
-        result, states = record_run(program, adversary_input(params), budget, machine)
+        result, states = record_run(program, adversary_input(params), params.n, budget, machine)
         if result.halt_reason is HaltReason.BUDGET_EXHAUSTED:
             exhausted += 1
             cut_in_window += states[-1][0] <= params.m
         # the check sees no replay after the repeat the machine finds
-        repeat = machine.run(program, adversary_input(params), budget)
+        repeat = machine.run(program, adversary_input(params), params.n, budget)
         violations = reference_violations(shown(states, repeat), params)
         if violations:
             violation_count += len(violations)
@@ -244,7 +243,7 @@ def test_check_detaches_from_a_clean_loop():
     # run fast-forwards to its budget
     params = AdversaryParams(0, 0, 0, 6)  # the zero word
     check = PrefixInvariantCheck(params)
-    res = Machine().run(parse_program("L0: BZ x L0"), adversary_input(params), 10**9,
+    res = Machine().run(parse_program("L0: BZ x L0"), adversary_input(params), params.n, 10**9,
                         observer=check.observe)
     assert res == ExecResult(None, 10**9, 0, HaltReason.BUDGET_EXHAUSTED, cycle=(2, 1))
     assert check.ok
@@ -255,8 +254,8 @@ def test_check_detaches_from_a_clean_loop():
     params = AdversaryParams(1, 7, 1, 16)
     program = parse_program("L0: INC a\nDEC a\nJMP L0")
     check = PrefixInvariantCheck(params)
-    res = Machine().run(program, adversary_input(params), 10**9, observer=check.observe)
-    _, states = record_run(program, adversary_input(params), 100)
+    res = Machine().run(program, adversary_input(params), params.n, 10**9, observer=check.observe)
+    _, states = record_run(program, adversary_input(params), params.n, 100)
     assert check.ok and res.cycle == (4, 3)
     assert check.checked == 8 < sum(i <= params.m for i, _, _ in states) == 11
 
@@ -268,8 +267,9 @@ def test_check_detaches_from_a_violating_loop_at_its_repeat():
     params = AdversaryParams(1, 1, 0, 6)
     program = parse_program("L0: MOV a x\nJMP L0")
     check = PrefixInvariantCheck(params)
-    res = ComplementMovMachine().run(program, adversary_input(params), 50, observer=check.observe)
-    _, states = record_run(program, adversary_input(params), 50, ComplementMovMachine())
+    res = ComplementMovMachine().run(program, adversary_input(params), params.n, 50,
+                                     observer=check.observe)
+    _, states = record_run(program, adversary_input(params), params.n, 50, ComplementMovMachine())
     assert res.cycle == (4, 2)
     assert tuple(check.violations) == reference_violations(states[:7], params)
     assert len(check.violations) == 6 and check.checked == 7
@@ -288,9 +288,9 @@ def test_checks_on_equal_params_share_the_schedule_and_keep_their_own_reports():
     assert all(isinstance(level, tuple) for level in first._allowed)
     cases = ((first, NonWrappingIncMachine(), 7, 2), (second, ComplementMovMachine(), 4, 3))
     for check, machine, _, _ in cases:
-        machine.run(program, check.x, FUZZ_BUDGET, observer=check.observe)
+        machine.run(program, check.x, check.params.n, FUZZ_BUDGET, observer=check.observe)
     for check, machine, checked, violations in cases:
-        _, states = record_run(program, check.x, FUZZ_BUDGET, machine)
+        _, states = record_run(program, check.x, check.params.n, FUZZ_BUDGET, machine)
         assert tuple(check.violations) == reference_violations(states, check.params)
         assert (check.checked, len(check.violations)) == (checked, violations)
 
@@ -307,8 +307,8 @@ def test_the_invariant_is_closed_under_replays(machine):
         program = random_program(rng)
         params = random_adversary_params(rng, (4, 16))
         check = PrefixInvariantCheck(params)
-        result = machine.run(program, check.x, FUZZ_BUDGET, observer=check.observe)
-        _, states = record_run(program, check.x, FUZZ_BUDGET, machine)
+        result = machine.run(program, check.x, params.n, FUZZ_BUDGET, observer=check.observe)
+        _, states = record_run(program, check.x, params.n, FUZZ_BUDGET, machine)
         assert tuple(check.violations) == reference_violations(shown(states, result), params)
         assert check.ok == (not reference_violations(states, params))
         replays_in_window += bool(result.cycle) and states[sum(result.cycle) + 1][0] <= params.m

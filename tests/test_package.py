@@ -20,7 +20,6 @@ from countones import (
     MsbFlipProbe,
     Program,
     Violation,
-    Word,
     adversary,
     fuzzing,
     programs,
@@ -81,7 +80,7 @@ _INSTRUCTIONS = (Instruction("INC", "a"), Instruction("BNZ", "a", target=0),
 _PARAMS = AdversaryParams(1, 1, 1, 4)
 _RESULT = ExecResult(2, 7, 3, HaltReason.OUT, (1, 2))
 _VIOLATION = (1, 0, "a", "10", ("00", "11", "01"))
-_PROBE = (_PARAMS, Word(4, 13), Word(4, 5), 3, 1, Divergence(2, 1), _RESULT, _RESULT)
+_PROBE = (_PARAMS, 13, 5, 3, 1, Divergence(2, 1), _RESULT, _RESULT)
 
 # Each record class: its constructor's field names in order, one value per
 # field, and what the fields and properties of the record built from them read.
@@ -91,7 +90,6 @@ RECORDS = {
               {"register_names": ("x", "a")}),
     ExecResult: (("output", "total_steps", "incdec_steps", "halt_reason", "cycle"),
                  (2, 7, 3, HaltReason.OUT, (1, 2)), {}),
-    Word: (("width", "value"), (4, 13), {}),
     GeneratedProgram: (("name", "width", "text", "predicted_incdec"),
                        ("loop", 4, "L0: INC a\nBNZ a L0\nOUT x", law),
                        {"program": Program(_INSTRUCTIONS)}),

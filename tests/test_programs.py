@@ -7,7 +7,6 @@ from countones import (
     CONSTANT_STEP_FACTOR,
     GeneratedProgram,
     ParseError,
-    Word,
     broadword_popcount,
     combined_program,
     constant_inc_count,
@@ -24,7 +23,7 @@ from countones import (
 
 
 def run(gen, width, value):
-    return execute(gen.program, Word(width, value))
+    return execute(gen.program, value, width)
 
 
 # ------------------------------------------------------------------ wegner
@@ -97,7 +96,7 @@ def test_combined_tiny_width_exhaustive():
     g = combined_program(2)
     for value in range(4):
         res = run(g, 2, value)
-        assert res.output == popcount_naive(Word(2, value))
+        assert res.output == popcount_naive(value)
 
 
 def test_combined_sparse_input_bound():
@@ -124,9 +123,8 @@ def test_combined_dense_input_finishes_early():
 def test_outputs_and_exact_step_laws_exhaustive(width):
     for gen in shipped_programs(width)[:3]:
         for value in range(1 << width):
-            word = Word(width, value)
-            nu = popcount_naive(word)
-            res = execute(gen.program, word)
+            nu = popcount_naive(value)
+            res = execute(gen.program, value, width)
             assert res.output == nu, (gen.name, value)
             assert res.incdec_steps == gen.predicted_incdec(nu), (
                 gen.name,
@@ -139,9 +137,8 @@ def test_combined_never_exceeds_interleave_bound(width):
     g = combined_program(width)
     gen_cost = constant_inc_count(width)
     for value in range(1 << width):
-        word = Word(width, value)
-        nu = popcount_naive(word)
-        res = execute(g.program, word)
+        nu = popcount_naive(value)
+        res = execute(g.program, value, width)
         bound = 2 * min(2 * nu, gen_cost + 2 * (width - nu) + 1) + 2
         assert res.incdec_steps <= bound, (width, value)
 
@@ -170,8 +167,7 @@ def test_generated_text_round_trips(width):
     for gen in shipped_programs(width):
         reparsed = parse_program(gen.text)
         for value in range(min(1 << width, 64)):
-            word = Word(width, value)
-            assert execute(reparsed, word) == execute(gen.program, word)
+            assert execute(reparsed, value, width) == execute(gen.program, value, width)
 
 
 def test_generated_program_parses_its_text_when_built():
@@ -181,48 +177,52 @@ def test_generated_program_parses_its_text_when_built():
 
 def test_width_validation():
     for bad in (0, 65):
-        with pytest.raises(ValueError):
+        message = f"width must be 1..64, got {bad}"
+        with pytest.raises(ValueError, match=message):
             wegner_program(bad)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             dense_program(bad)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             combined_program(bad)
+        with pytest.raises(ValueError, match=message):
+            constant_program(0, bad)
 
 
 # -------------------------------------------------------- reference oracles
 
 
 def test_broadword_spot_values():
-    assert broadword_popcount(Word(4, 0)) == 0
-    assert broadword_popcount(Word(64, 0xAAAA_AAAA_AAAA_AAAA)) == 32
-    assert broadword_popcount(Word(64, (1 << 64) - 1)) == 64
+    assert broadword_popcount(0) == 0
+    assert broadword_popcount(0xAAAA_AAAA_AAAA_AAAA) == 32
+    assert broadword_popcount((1 << 64) - 1) == 64
 
 
 def test_broadword_exhaustive_width_12():
     for value in range(1 << 12):
-        w = Word(12, value)
-        assert broadword_popcount(w) == popcount_naive(w)
+        assert broadword_popcount(value) == popcount_naive(value)
 
 
 def test_broadword_random_64():
     rng = random.Random(7)
     for _ in range(20_000):
-        w = Word(64, rng.getrandbits(64))
+        w = rng.getrandbits(64)
         assert broadword_popcount(w) == popcount_naive(w)
 
 
 def test_hakmem_spot_values():
-    assert hakmem_popcount(Word(32, 0)) == 0
-    assert hakmem_popcount(Word(32, 0xFFFF_FFFF)) == 32
+    assert hakmem_popcount(0) == 0
+    assert hakmem_popcount(0xFFFF_FFFF) == 32
 
 
 def test_hakmem_random_32():
     rng = random.Random(7)
     for _ in range(20_000):
-        w = Word(32, rng.getrandbits(32))
+        w = rng.getrandbits(32)
         assert hakmem_popcount(w) == popcount_naive(w)
 
 
 def test_hakmem_requires_width_32():
-    with pytest.raises(ValueError):
-        hakmem_popcount(Word(16, 0))
+    # the mod-63 trick needs the value to fit in 32 bits
+    for bad in (1 << 32, -1):
+        with pytest.raises(ValueError, match="requires 0 <= value < 2"):
+            hakmem_popcount(bad)

@@ -15,7 +15,6 @@ from countones import (
     LowerBoundCheck,
     Machine,
     PrefixInvariantCheck,
-    Word,
     adversary_input,
     combined_program,
     dense_program,
@@ -48,11 +47,11 @@ adversary_params = st.integers(1, 24).flatmap(
 
 
 def test_adversary_input_examples():
-    assert adversary_input(AdversaryParams(1, 1, 1, 6)) == Word.from_bits("101111")
+    assert adversary_input(AdversaryParams(1, 1, 1, 6)) == 0b101111
     word = adversary_input(AdversaryParams(0, 2, 0, 6))
-    assert word == Word.from_bits("001010")
+    assert word == 0b001010
     assert popcount_naive(word) == 2
-    assert adversary_input(AdversaryParams(0, 0, 0, 4)) == Word.from_bits("0000")
+    assert adversary_input(AdversaryParams(0, 0, 0, 4)) == 0b0000
 
 
 def test_adversary_input_equals_its_bit_string_spelling():
@@ -60,7 +59,8 @@ def test_adversary_input_equals_its_bit_string_spelling():
     for n in range(1, 65):
         for m, e, d in product(range((n - 1) // 2 + 1), (0, 1), (0, 1)):
             bits = f"{e}" + "01" * m + str(d) * (n - 2 * m - 1)
-            assert adversary_input(AdversaryParams(e, m, d, n)) == Word.from_bits(bits), bits
+            assert len(bits) == n
+            assert adversary_input(AdversaryParams(e, m, d, n)) == int(bits, 2), bits
 
 
 def test_adversary_params_validation():
@@ -75,7 +75,7 @@ def test_adversary_params_validation():
 @given(adversary_params)
 def test_adversary_population_formula(p):
     word = adversary_input(p)
-    assert word.width == p.n
+    assert 0 <= word < 1 << p.n
     assert popcount_naive(word) == p.e + p.m + p.d * (p.n - 2 * p.m - 1)
     if p.e == p.d:  # nu is m or n - m with 2m < n, so msb_flip_probe never meets nu = n/2
         assert 2 * popcount_naive(word) != p.n
@@ -87,7 +87,7 @@ def test_adversary_population_formula(p):
 def invariant_check(program, params, machine=None):
     """The prefix invariant checked online over one run on ``adversary_input(params)``."""
     check = PrefixInvariantCheck(params)
-    (machine or Machine()).run(program, adversary_input(params), observer=check.observe)
+    (machine or Machine()).run(program, adversary_input(params), params.n, observer=check.observe)
     return check
 
 
@@ -95,7 +95,7 @@ def test_initial_state_always_satisfies_invariant():
     params = AdversaryParams(1, 2, 1, 8)
     x = adversary_input(params)
     check = PrefixInvariantCheck(params)
-    check.observe(0, None, {"x": x.value, "a": 0, "b": 0})
+    check.observe(0, None, {"x": x, "a": 0, "b": 0})
     assert check.ok
     assert check.checked == 1
 
@@ -119,7 +119,7 @@ def test_wegner_trace_satisfies_invariant():
     check = invariant_check(program, params)
     assert check.ok
     # every state up to the last one with i <= m was checked
-    _, states = record_run(program, adversary_input(params))
+    _, states = record_run(program, adversary_input(params), params.n)
     assert check.checked == sum(1 for i, _, _ in states if i <= params.m) > 1
 
 
@@ -135,7 +135,7 @@ def test_vacuous_beyond_m_snapshots_are_skipped():
     # arbitrary garbage at inc/dec index 2 (> m) must not be flagged, and
     # detaches the check
     check = PrefixInvariantCheck(params)
-    assert check.observe(0, None, {"x": adversary_input(params).value}) is True
+    assert check.observe(0, None, {"x": adversary_input(params)}) is True
     assert check.observe(2, 0, {"x": 0b110011}) is False
     assert check.ok
     assert check.checked == 1
@@ -147,8 +147,8 @@ def test_vacuous_beyond_m_snapshots_are_skipped():
 def test_probe_wegner_divergence_respects_bound():
     params = AdversaryParams(0, 2, 0, 6)
     probe = msb_flip_probe(wegner_program(6).program, params)
-    assert probe.x == Word.from_bits("001010")
-    assert probe.x_flipped == Word.from_bits("101010")
+    assert probe.x == 0b001010
+    assert probe.x_flipped == 0b101010
     assert probe.bound == 2
     # hand trace: the third BZ resolves differently, after 4 inc/dec steps
     assert probe.divergence == Divergence(13, 4)
@@ -269,7 +269,7 @@ def test_nu_slices_equal_the_naive_count():
         nu = _nu_slices(_slices(values, width))
         assert len(nu) == width.bit_length()
         assert [sum((s >> j & 1) << i for i, s in enumerate(nu)) for j in range(len(values))] == [
-            popcount_naive(Word(width, value)) for value in values], width
+            popcount_naive(value) for value in values], width
 
 
 def test_lanes_are_the_set_bits_lowest_first():

@@ -10,7 +10,6 @@ from countones import (
     HaltReason,
     Machine,
     ParseError,
-    Word,
     execute,
     measure,
     parse_program,
@@ -35,11 +34,11 @@ done: OUT c
 """
 
 
-def observed_run(program, x, budget=DEFAULT_BUDGET, machine=None):
+def observed_run(program, x, width, budget=DEFAULT_BUDGET, machine=None):
     """A run of ``Machine.run`` and a copy of every state it showed its observer."""
     states = []
     result = (machine or Machine()).run(
-        program, x, budget, observer=lambda i, pc, regs: states.append((i, pc, dict(regs))))
+        program, x, width, budget, observer=lambda i, pc, regs: states.append((i, pc, dict(regs))))
     return result, states
 
 
@@ -113,7 +112,7 @@ def test_no_literal_other_than_zero_parses():
 
 def test_execute_wegner_hand_trace():
     program = parse_program(WEGNER_TEXT)
-    res = execute(program, Word(4, 0b1011))
+    res = execute(program, 0b1011, 4)
     assert res.halt_reason is HaltReason.OUT
     assert res.output == 3
     assert res.incdec_steps == 6
@@ -122,63 +121,63 @@ def test_execute_wegner_hand_trace():
 
 def test_identity_program():
     program = parse_program("OUT x")
-    res = execute(program, Word(6, 0b101010))
+    res = execute(program, 0b101010, 6)
     assert res.output == 0b101010
     assert (res.total_steps, res.incdec_steps) == (1, 0)
 
 
 def test_budget_exhaustion():
     program = parse_program("loop: JMP loop")
-    res = execute(program, Word(4, 0), budget=100)
+    res = execute(program, 0, 4, budget=100)
     assert res.halt_reason is HaltReason.BUDGET_EXHAUSTED
     assert res.output is None
     assert res.total_steps == 100
 
 
 def test_fell_off_end():
-    res = execute(parse_program("ZERO c"), Word(4, 0))
+    res = execute(parse_program("ZERO c"), 0, 4)
     assert res.halt_reason is HaltReason.FELL_OFF_END
     assert res.output is None
 
 
 def test_budget_must_be_positive():
     with pytest.raises(ValueError):
-        execute(parse_program("OUT x"), Word(4, 0), budget=0)
+        execute(parse_program("OUT x"), 0, 4, budget=0)
 
 
 def test_wraparound_through_the_machine():
-    inc = execute(parse_program("INC x\nOUT x"), Word(4, 0b1111))
+    inc = execute(parse_program("INC x\nOUT x"), 0b1111, 4)
     assert inc.output == 0
-    dec = execute(parse_program("DEC x\nOUT x"), Word(4, 0))
+    dec = execute(parse_program("DEC x\nOUT x"), 0, 4)
     assert dec.output == 0b1111
 
 
 def test_comparison_branches():
     # BLT is unsigned; BEQ compares registers
     text = "MOV a x\nDEC a\nBLT a x yes\nZERO r\nOUT r\nyes: INC r\nOUT r"
-    assert execute(parse_program(text), Word(4, 5)).output == 1
+    assert execute(parse_program(text), 5, 4).output == 1
     # x = 0: a = 15 after DEC, not below x
-    assert execute(parse_program(text), Word(4, 0)).output == 0
+    assert execute(parse_program(text), 0, 4).output == 0
     beq = "MOV a x\nBEQ a x yes\nZERO r\nOUT r\nyes: INC r\nOUT r"
-    assert execute(parse_program(beq), Word(4, 9)).output == 1
+    assert execute(parse_program(beq), 9, 4).output == 1
 
 
 def test_bnz_branch():
     text = "BNZ x one\nOUT x\none: INC c\nOUT c"
-    assert execute(parse_program(text), Word(4, 0)).output == 0
-    assert execute(parse_program(text), Word(4, 7)).output == 1
+    assert execute(parse_program(text), 0, 4).output == 0
+    assert execute(parse_program(text), 7, 4).output == 1
 
 
 def test_determinism():
     program = parse_program(WEGNER_TEXT)
-    a = observed_run(program, Word(6, 0b110101))
-    b = observed_run(program, Word(6, 0b110101))
-    assert a == b == record_run(program, Word(6, 0b110101))
+    a = observed_run(program, 0b110101, 6)
+    b = observed_run(program, 0b110101, 6)
+    assert a == b == record_run(program, 0b110101, 6)
 
 
 def test_trace_contract():
     program = parse_program(WEGNER_TEXT)
-    res, trace = observed_run(program, Word(4, 0b1011))
+    res, trace = observed_run(program, 0b1011, 4)
     # initial state plus one per executed instruction
     assert len(trace) == res.total_steps + 1
     assert trace[0] == (0, None, {"x": 0b1011, "t": 0, "c": 0})
@@ -195,9 +194,9 @@ def test_trace_contract():
 def test_observer_sees_every_traced_state():
     # hand trace: the initial state, then the state after each instruction
     program = parse_program("INC a\nMOV b a\nOUT b")
-    observed, seen = observed_run(program, Word(4, 5))
-    assert observed == execute(program, Word(4, 5))
-    assert (observed, seen) == record_run(program, Word(4, 5))
+    observed, seen = observed_run(program, 5, 4)
+    assert observed == execute(program, 5, 4)
+    assert (observed, seen) == record_run(program, 5, 4)
     assert seen == [
         (0, None, {"x": 5, "a": 0, "b": 0}),
         (1, 0, {"x": 5, "a": 1, "b": 0}),
@@ -215,15 +214,15 @@ def test_observer_detaches_and_the_run_goes_on(detach_at):
         calls.append(pc)
         return len(calls) <= detach_at
 
-    res = Machine().run(program, Word(6, 0b111011), observer=observer)
+    res = Machine().run(program, 0b111011, 6, observer=observer)
     assert len(calls) == detach_at + 1
-    assert res == execute(program, Word(6, 0b111011))
+    assert res == execute(program, 0b111011, 6)
 
 
 def test_observer_cut_by_the_budget():
     program = parse_program("loop: INC a\nJMP loop")
     seen = []
-    res = Machine().run(program, Word(4, 0), budget=5, observer=lambda i, pc, regs: seen.append(i))
+    res = Machine().run(program, 0, 4, budget=5, observer=lambda i, pc, regs: seen.append(i))
     assert res.halt_reason is HaltReason.BUDGET_EXHAUSTED
     assert seen == [0, 1, 1, 2, 2, 3]
 
@@ -242,12 +241,12 @@ def test_fast_forward_matches_step_by_step(seed, machine):
     for _ in range(150):
         program = random_program(rng, max_len=rng.choice((4, 24)))
         width = rng.randint(1, 16)
-        x = Word(width, rng.randrange(1 << width))
+        x = rng.randrange(1 << width)
         for budget in (1, 2, 3, 7, 512, 10_000):
-            res = machine.run(program, x, budget)
-            assert res._replace(cycle=None) == record_run(program, x, budget, machine)[0], (
-                program, x, budget)
-            assert res == machine.run(program, x, budget, observer=lambda *a: None)
+            res = machine.run(program, x, width, budget)
+            assert res._replace(cycle=None) == record_run(program, x, width, budget, machine)[0], (
+                program, width, x, budget)
+            assert res == machine.run(program, x, width, budget, observer=lambda *a: None)
             halts.add(res.halt_reason)
     assert halts == set(HaltReason)
 
@@ -262,11 +261,11 @@ def test_the_cycle_is_exact(machine):
     for _ in range(300):
         program = random_program(rng, max_len=rng.choice((4, 24)))
         width = rng.randint(1, 12)
-        x = Word(width, rng.randrange(1 << width))
+        x = rng.randrange(1 << width)
         budget = rng.choice((7, 60, 512))
-        res, shown = observed_run(program, x, budget, machine)
-        assert res == machine.run(program, x, budget)
-        _, states = record_run(program, x, budget, machine)
+        res, shown = observed_run(program, x, width, budget, machine)
+        assert res == machine.run(program, x, width, budget)
+        _, states = record_run(program, x, width, budget, machine)
         if res.cycle is None:
             assert shown == states
             halted += res.halt_reason is not HaltReason.BUDGET_EXHAUSTED
@@ -288,18 +287,18 @@ def test_the_cycle_is_exact(machine):
 # the state after 4 steps, saved at a power of two, is the first to come back
 @pytest.mark.parametrize("budget", [10**12 - 1, 10**12, 10**12 + 1])
 def test_fast_forward_exact_counts(budget):
-    res = execute(parse_program("L0: INC a\nDEC a\nJMP L0"), Word(8, 5), budget)
+    res = execute(parse_program("L0: INC a\nDEC a\nJMP L0"), 5, 8, budget)
     assert res == ExecResult(None, budget, 2 * (budget // 3) + min(budget % 3, 2),
                              HaltReason.BUDGET_EXHAUSTED, cycle=(4, 3))
 
 
 def test_fast_forward_after_a_prefix_and_a_long_period():
     # one INC b before a loop without INC/DEC
-    res = execute(parse_program("INC b\nL1: ZERO a\nJMP L1"), Word(4, 0), 10**12 + 1)
+    res = execute(parse_program("INC b\nL1: ZERO a\nJMP L1"), 0, 4, 10**12 + 1)
     assert res == ExecResult(None, 10**12 + 1, 1, HaltReason.BUDGET_EXHAUSTED, cycle=(4, 2))
     # a wraps after 2**10 INCs: a period of 2,048 steps, half of them INC, found
     # from the first save past it
-    res = execute(parse_program("L0: INC a\nJMP L0"), Word(10, 0), 10**12 + 1)
+    res = execute(parse_program("L0: INC a\nJMP L0"), 0, 10, 10**12 + 1)
     assert res == ExecResult(None, 10**12 + 1, 10**12 // 2 + 1, HaltReason.BUDGET_EXHAUSTED,
                              cycle=(4096, 2048))
 
@@ -309,13 +308,13 @@ def test_fast_forward_after_the_observer_detaches():
     # attached: one that detaches itself early leaves the cycle as it is
     program = parse_program("L0: INC a\nDEC a\nJMP L0")
     seen = []
-    res = Machine().run(program, Word(8, 5), 10**12,
+    res = Machine().run(program, 5, 8, 10**12,
                         observer=lambda i, pc, regs: seen.append(pc) or len(seen) < 5)
     assert seen == [None, 0, 1, 2, 0]
-    assert res == execute(program, Word(8, 5), 10**12)
+    assert res == execute(program, 5, 8, 10**12)
     # one that never detaches is detached at the repeat, after 4 + 3 steps
     seen.clear()
-    assert Machine().run(program, Word(8, 5), 10**12,
+    assert Machine().run(program, 5, 8, 10**12,
                          observer=lambda i, pc, regs: seen.append(pc)) == res
     assert seen == [None, 0, 1, 2, 0, 1, 2, 0] and res.cycle == (4, 3)
 
@@ -347,11 +346,12 @@ def test_jumps_match_step_by_step(jumps):
     for _ in range(1000):
         program = random_program(rng, max_len=rng.choice((4, 8, 24)))
         width = rng.randint(1, 64) if rng.getrandbits(1) else rng.randint(1, 10)
-        x = Word(width, rng.getrandbits(width))
+        x = rng.getrandbits(width)
         budget = rng.choice((1, 2, 7, 60, 512, 2048, 20_000, 20_000, 20_000))
-        res = Machine().run(program, x, budget)
-        assert res._replace(cycle=None) == record_run(program, x, budget)[0], (program, x, budget)
-        assert res == Machine().run(program, x, budget, observer=lambda *a: None)
+        res = Machine().run(program, x, width, budget)
+        assert res._replace(cycle=None) == record_run(program, x, width, budget)[0], (
+            program, width, x, budget)
+        assert res == Machine().run(program, x, width, budget, observer=lambda *a: None)
     assert sum(jumped is not None for _, _, jumped in jumps) >= 40
 
 
@@ -376,7 +376,7 @@ def test_jumps_match_step_by_step(jumps):
 def test_jumps_in_closed_form(text, width, x, want, jumps):
     # far past what any stepper could run in a test
     output, total, incdec = want(x, width)
-    res = execute(parse_program(text), Word(width, x), 10**12)
+    res = execute(parse_program(text), x, width, 10**12)
     assert res == ExecResult(output, total, incdec, HaltReason.OUT)
     assert total < 100 or any(jumped is not None for _, _, jumped in jumps)
 
@@ -386,9 +386,9 @@ def test_a_jump_stops_at_a_true_repeat(jumps):
     # Brent's search across marks 8, 16, 32 and 64, finds the state saved at
     # 64 again at 96 and stops there, where the machine finds it itself
     program = parse_program("L0: INC a\nJMP L0")
-    res = execute(program, Word(4, 0), 10**12)
+    res = execute(program, 0, 4, 10**12)
     assert res == ExecResult(None, 10**12, 10**12 // 2, HaltReason.BUDGET_EXHAUSTED, (64, 32))
-    assert res == Machine().run(program, Word(4, 0), 10**12, observer=lambda *a: None)
+    assert res == Machine().run(program, 0, 4, 10**12, observer=lambda *a: None)
     assert [(total, mark, jumped[0]) for total, mark, jumped in jumps] == [(6, 8, 96)]
 
 
@@ -397,22 +397,37 @@ def test_a_jump_carries_brents_state_across_marks(jumps):
     # last; the machine then finds the JMP's repeat one step after the mark the
     # jump left it, 4,096, as a run stepped through the counter does
     program = parse_program("MOV c x\nL0: INC a\nDEC c\nBNZ c L0\nL4: JMP L4")
-    res = execute(program, Word(16, 1000), 10**6)
+    res = execute(program, 1000, 16, 10**6)
     assert res == ExecResult(None, 10**6, 2000, HaltReason.BUDGET_EXHAUSTED, (4096, 1))
-    assert res == Machine().run(program, Word(16, 1000), 10**6, observer=lambda *a: None)
+    assert res == Machine().run(program, 1000, 16, 10**6, observer=lambda *a: None)
     (total, mark, (_, _, new_mark, _, _, saved_total, _)), = jumps
     assert saved_total >= 2 * mark > total and new_mark == 2 * saved_total
+
+
+def test_a_branch_on_zero_flips_at_the_first_pass(jumps):
+    # c is 0 at the jump's first pass and moves off it, so its BZ flips at
+    # pass 1 and the jump tried there covers no pass; the two arms have the
+    # same length and effect at different pcs, so only Brent's saved pc would
+    # show a jump that ran one pass too far
+    program = parse_program("\n".join([
+        "MOV c x", "ZERO z", "ZERO z", "L0: INC c", "BZ c LA", "INC a", "INC a", "INC a",
+        "JMP L0", "LA: INC a", "INC a", "INC a", "JMP L0"]))
+    res = execute(program, 0, 2, 100)
+    assert res == Machine().run(program, 0, 2, 100, observer=lambda *a: None)
+    assert res == ExecResult(None, 100, 65, HaltReason.BUDGET_EXHAUSTED, cycle=(32, 24))
+    assert res._replace(cycle=None) == record_run(program, 0, 2, 100)[0]
+    assert jumps
 
 
 @pytest.mark.parametrize("machine", [NonWrappingIncMachine, ComplementMovMachine])
 def test_broken_and_observed_runs_never_jump(machine, jumps):
     # the entry point of the jump is never called; the stock machine calls it
-    program, x = parse_program("MOV c x\nL0: INC a\nDEC c\nBNZ c L0\nOUT a"), Word(8, 200)
-    assert machine().run(program, x, 10**6) == record_run(program, x, 10**6, machine())[0]
+    program, x = parse_program("MOV c x\nL0: INC a\nDEC c\nBNZ c L0\nOUT a"), 200
+    assert machine().run(program, x, 8, 10**6) == record_run(program, x, 8, 10**6, machine())[0]
     want = ExecResult(200, 602, 400, HaltReason.OUT)
-    assert Machine().run(program, x, 10**6, observer=lambda *a: None) == want
+    assert Machine().run(program, x, 8, 10**6, observer=lambda *a: None) == want
     assert jumps == []
-    assert execute(program, x, 10**6) == want and jumps
+    assert execute(program, x, 8, 10**6) == want and jumps
 
 
 # ------------------------------------------------- lanes vs the reference
@@ -424,8 +439,8 @@ def lanes_match_reference(program, width, values, budget=DEFAULT_BUDGET):
     rows = list(measure(program, width, values, budget=budget))
     want = []
     for v in values:
-        res = execute(program, Word(width, v), budget)
-        want.append((v, popcount_naive(Word(width, v)), res.output, res.incdec_steps,
+        res = execute(program, v, width, budget)
+        want.append((v, popcount_naive(v), res.output, res.incdec_steps,
                      res.total_steps, res.halt_reason))
     assert rows == want, (program, width, values, budget)
     return [ExecResult(out, total, incdec, halt) for _, _, out, incdec, total, halt in rows]
@@ -460,7 +475,7 @@ def test_lanes_budget_cut_at_every_step():
     for width in (8, 64):
         for gen in shipped_programs(width):
             values = [rng.randrange(1 << width) for _ in range(3)]
-            longest = max(execute(gen.program, Word(width, v)).total_steps for v in values)
+            longest = max(execute(gen.program, v, width).total_steps for v in values)
             for budget in range(1, longest + 2):
                 cases += 1
                 lanes_match_reference(gen.program, width, values, budget)
@@ -666,14 +681,14 @@ def test_hand_built_program_derives_its_registers():
 def test_hook_overrides_keep_the_reference_semantics_untraced(
     complement_mov_machine, non_wrapping_machine
 ):
-    res = complement_mov_machine.run(parse_program("MOV a x\nOUT a"), Word(4, 0b0011))
+    res = complement_mov_machine.run(parse_program("MOV a x\nOUT a"), 0b0011, 4)
     assert res.output == 0b1100
     # a non-wrapping INC leaves 16 in a 4-bit register, which is not zero
     wraps = parse_program("INC x\nBZ x zero\nOUT y\nzero: INC y\nOUT y")
-    assert execute(wraps, Word(4, 0b1111)).output == 1
-    assert non_wrapping_machine.run(wraps, Word(4, 0b1111)).output == 0
+    assert execute(wraps, 0b1111, 4).output == 1
+    assert non_wrapping_machine.run(wraps, 0b1111, 4).output == 0
     # the output is the register as the machine left it, escaped width included
-    assert non_wrapping_machine.run(parse_program("INC x\nOUT x"), Word(4, 0b1111)).output == 16
+    assert non_wrapping_machine.run(parse_program("INC x\nOUT x"), 0b1111, 4).output == 16
 
 
 _TOKENS = st.sampled_from(
