@@ -18,7 +18,8 @@ empirically checkable:
   flipping the most significant bit cannot change the branch decisions of
   any program until at least ``min(nu, n - nu)`` inc/dec steps have run, so
   the two runs must agree on their executed path up to that point; the
-  probe reports where they first part as a :class:`Divergence`.
+  probe runs them as two lanes of one group and reports where they first
+  part as a :class:`Divergence`.
 
 * the **lower-bound audit** (:func:`lower_bound_audit`): exhaustively checks
   a counting program for correctness and for ``incdec_steps >=
@@ -49,12 +50,11 @@ from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import cache, reduce
 from itertools import islice
-from math import gcd
 from operator import and_, or_, xor
 
 from .programs import GeneratedProgram
-from .vm import (DEFAULT_BUDGET, ExecResult, HaltReason, Machine, Program, _Frozen, _transpose,
-                 run_slices)
+from .vm import (DEFAULT_BUDGET, OPCODES, HaltReason, Machine, Program, _Frozen, _lane_step,
+                 _transpose, run_slices)
 from .words import MAX_WIDTH, popcount_naive
 
 __all__ = [
@@ -206,12 +206,10 @@ class Divergence(namedtuple("Divergence", "step_index incdec_index")):
     __slots__ = ()
 
 
-class MsbFlipProbe(namedtuple("MsbFlipProbe", "params x x_flipped nu bound divergence "
-                                               "result_x result_flipped")):
+class MsbFlipProbe(namedtuple("MsbFlipProbe", "params x x_flipped nu bound divergence")):
     """Outcome of running a program on the adversary word ``x`` and its MSB flip.
 
-    ``divergence`` is a :class:`Divergence` or ``None``; ``result_x`` and
-    ``result_flipped`` are the complete results of both runs.
+    ``divergence`` is a :class:`Divergence` or ``None``.
     """
 
     __slots__ = ()
@@ -219,52 +217,6 @@ class MsbFlipProbe(namedtuple("MsbFlipProbe", "params x x_flipped nu bound diver
     @property
     def bound_holds(self) -> bool:
         return self.divergence is None or self.divergence.incdec_index >= self.bound
-
-
-class _Lasso:
-    """A recorded run: ``path`` is its ``(pc, incdec_index)`` per state, as an
-    observer is shown them, up to and including the repeat the machine found
-    at ``cycle`` (``ExecResult.cycle``), if any.  Executed pcs repeat one
-    state after the machine's saved state, so from ``start`` on the path
-    repeats every ``period`` states, ``gain`` inc/dec up each time, and
-    :meth:`at` reads any state.
-    """
-
-    def __init__(self, path: list[tuple[int | None, int]], cycle: tuple[int, int] | None) -> None:
-        self.path = path
-        self.start = self.period = self.gain = 0
-        if cycle:
-            saved, self.period = cycle
-            self.start = saved + 1
-            self.gain = path[saved + self.period][1] - path[saved][1]
-
-    def at(self, t: int) -> tuple[int | None, int]:
-        if t < len(self.path):
-            return self.path[t]
-        cycles, offset = divmod(t - self.start, self.period)
-        pc, i = self.path[self.start + offset]
-        return pc, i + cycles * self.gain
-
-
-def _divergence(a: _Lasso, b: _Lasso, end: int) -> Divergence | None:
-    """The first state ``t`` in ``1..end`` at which the recorded runs ``a``
-    and ``b`` executed different pcs, as ``Divergence(t - 1, a.at(t - 1)[1])``,
-    or ``None``.  ``end`` is the shorter run's total steps, so a path that is
-    a prefix of the other is no divergence.
-
-    If both runs repeat, with periods ``p`` and ``q``, pcs that agree over the
-    ``p + q - gcd(p, q)`` states from ``max(a.start, b.start)`` on agree to
-    the end: that window has both periods, so it has period ``gcd(p, q)``
-    (Fine and Wilf, Proc. AMS 1965), and each run keeps it.  So the
-    comparison stops after that window.
-    """
-    if a.period and b.period:
-        p, q = a.period, b.period
-        end = min(end, max(a.start, b.start) + p + q - gcd(p, q) - 1)
-    for t in range(1, end + 1):
-        if a.at(t)[0] != b.at(t)[0]:
-            return Divergence(t - 1, a.at(t - 1)[1])
-    return None
 
 
 def msb_flip_probe(
@@ -282,41 +234,54 @@ def msb_flip_probe(
     branch -- so such parameters are rejected.
 
     Returns the first control-flow divergence (if any) and whether it
-    respects ``incdec_index >= min(nu, n - nu)``.  Each run is recorded on
-    its own, up to the first repeat its machine finds (:class:`_Lasso`), so
-    both runs fast-forward; the two recordings are then compared once, up to the
-    shorter run's end (:func:`_divergence`).  A path that is a prefix of the
-    other is no divergence, so a last branch that one run takes and the
-    other falls through, off the end, goes unseen (``L0: INC a`` / ``BZ x
-    L0`` on ``0000`` and ``1000`` under budget 50).
+    respects ``incdec_index >= min(nu, n - nu)``.  The two runs are lanes 0
+    and 1 of one group, stepped together by :func:`vm._lane_step` until a
+    branch splits them, the pair's whole state ``(pc, slices)`` repeats
+    (Brent's cycle detection; a pair that repeats never parts) or they end.
+    They part at the first instruction they execute differently, and a run
+    that has ended executes nothing.  So a split counts only at a branch
+    whose target is not ``pc + 1``, and only if both runs execute a next
+    instruction: ``step < budget``, and ``pc + 1 < size`` for the run that
+    falls through.  It is reported as ``Divergence(step, incdec)``, both
+    counted after the branch.  A last branch that one run takes while the
+    other falls off the end therefore goes unseen (``L0: INC a`` / ``BZ x
+    L0`` on ``0000`` and ``1000`` under budget 50); item 17 of ROADMAP.md
+    deletes the ``pc + 1 < size`` condition, so that such a branch counts.
     """
     if params.e != params.d:
         raise ValueError(
             "msb_flip_probe needs e == d; the flip argument does not hold "
             "for mixed leading/trailing bits"
         )
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
+    n = params.n
     x = _schedule(params)[0]
     nu = popcount_naive(x)
-    flipped = x ^ 1 << (params.n - 1)
-
-    def record(word: int) -> tuple[ExecResult, _Lasso]:
-        path: list[tuple[int | None, int]] = []
-        result = Machine().run(program, word, params.n, budget,
-                               lambda i, pc, regs: path.append((pc, i)))
-        return result, _Lasso(path, result.cycle)
-
-    (result_x, lasso_x), (result_flipped, lasso_flipped) = record(x), record(flipped)
-    end = min(result_x.total_steps, result_flipped.total_steps)
-    return MsbFlipProbe(
-        params=params,
-        x=x,
-        x_flipped=flipped,
-        nu=nu,
-        bound=min(nu, params.n - nu),
-        divergence=_divergence(lasso_x, lasso_flipped, end),
-        result_x=result_x,
-        result_flipped=result_flipped,
-    )
+    flipped = x ^ 1 << (n - 1)
+    regs = {name: [0] * n for name in program.register_names}
+    regs["x"] = _transpose((x, flipped), n)
+    instructions = program.instructions
+    size = len(instructions)
+    pc = step = incdec = 0
+    # Brent's save rule: the state at step = mark is saved, mark doubling, as
+    # the pc and a copy of every slice list, since INC and DEC write in place
+    mark, saved_pc, saved_regs = 1, -1, {}
+    divergence = None
+    while pc < size and step < budget and (ins := instructions[pc]).op != "OUT":
+        if step >= mark:
+            mark, saved_pc, saved_regs = 2 * step, pc, {name: s[:] for name, s in regs.items()}
+        elif pc == saved_pc and regs == saved_regs:
+            break
+        taken = _lane_step(ins, regs, n, 3)
+        incdec += OPCODES[ins.op].metered
+        step += 1
+        if taken in (1, 2) and ins.target != pc + 1:  # one lane of the two jumps
+            if step < budget and pc + 1 < size:
+                divergence = Divergence(step, incdec)
+            break
+        pc = ins.target if taken else pc + 1
+    return MsbFlipProbe(params, x, flipped, nu, min(nu, n - nu), divergence)
 
 
 # One measured input: (value, nu, output, incdec_steps, total_steps, halt).

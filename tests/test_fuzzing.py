@@ -1,9 +1,10 @@
 import random
-from itertools import chain, cycle, islice
+from itertools import chain
 
 import pytest
 
 from countones import (
+    DEFAULT_BUDGET,
     OPCODES,
     AdversaryParams,
     Divergence,
@@ -18,6 +19,8 @@ from countones import (
     Program,
     Violation,
     adversary_input,
+    combined_program,
+    dense_program,
     format_program,
     fuzz_divergence,
     fuzz_invariant,
@@ -26,8 +29,8 @@ from countones import (
     popcount_naive,
     random_program,
     shipped_programs,
+    wegner_program,
 )
-from countones.adversary import _divergence, _Lasso
 from countones.fuzzing import (
     _MEMO,
     _OP_DECK,
@@ -94,12 +97,6 @@ def first_divergence(a, b):
     return None
 
 
-def uncycled(probe):
-    """``probe`` with each run's ``cycle`` left out, which the stepped reference has not."""
-    return probe._replace(result_x=probe.result_x._replace(cycle=None),
-                          result_flipped=probe.result_flipped._replace(cycle=None))
-
-
 def shown(states, result):
     """The recorded ``states`` that ``Machine.run`` shows an observer: each one up
     to and including the first repeat it finds, ``result.cycle``."""
@@ -109,12 +106,11 @@ def shown(states, result):
 def reference_probe(program, params, budget):
     x = adversary_input(params)
     flipped = x ^ 1 << (params.n - 1)
-    result_x, states_x = record_run(program, x, params.n, budget)
-    result_flipped, states_flipped = record_run(program, flipped, params.n, budget)
+    _, states_x = record_run(program, x, params.n, budget)
+    _, states_flipped = record_run(program, flipped, params.n, budget)
     nu = popcount_naive(x)
     return MsbFlipProbe(
-        params, x, flipped, nu, min(nu, params.n - nu),
-        first_divergence(states_x, states_flipped), result_x, result_flipped,
+        params, x, flipped, nu, min(nu, params.n - nu), first_divergence(states_x, states_flipped)
     )
 
 
@@ -330,23 +326,26 @@ def test_flip_probe_matches_traced_reference():
         params = random_adversary_params(rng, (2, 16), equal_ends=True)
         budget = rng.choice((1, 2, 7, 30, FUZZ_BUDGET))
         probe = msb_flip_probe(program, params, budget=budget)
-        assert uncycled(probe) == reference_probe(program, params, budget)
-        outcomes.add((probe.divergence is not None, probe.result_x.halt_reason))
+        assert probe == reference_probe(program, params, budget)
+        halt = Machine().run(program, probe.x, params.n, budget).halt_reason
+        outcomes.add((probe.divergence is not None, halt))
     # both verdicts were reached, and runs were cut by the budget
     assert {d for d, _ in outcomes} == {False, True}
     assert any(h is HaltReason.BUDGET_EXHAUSTED for _, h in outcomes)
 
 
-# Hand cases for the probe, as (params, program text).  Every run below
-# fast-forwards: step by step, a budget of 10**9 would take minutes.
+# Hand cases for the probe, as (params, program text).  At a budget of 10**9
+# each probe below ends at a parting or at a repeat of the pair's state, and
+# each run alone fast-forwards in Machine.run: step by step, either would take
+# minutes.
 PROBE_CASES = {
-    # on 1111 and its flip 0111, a counts modulo 16 and modulo 8: one path
-    # of pcs, periods 48 and 24, so the comparison ends after a window of
-    # 48 + 24 - gcd(48, 24) = 48 states in which both runs repeat
+    # on 1111 and its flip 0111, a counts modulo 16 and modulo 8: one path of
+    # pcs, and the runs repeat with periods 48 and 24, so the pair repeats
+    # with period 48 and the runs never part
     "periods differ": (AdversaryParams(1, 0, 1, 4), "L0: INC a\nAND a x\nJMP L0"),
     # a counts up from x again after each wrap: 16 rounds of 3 on 0000, then 8
     # on its flip 1000, which repeats at state 58; the runs part at state 75,
-    # in the tail that the arithmetic settles, with both runs looping
+    # when both runs already loop, with periods 50 and 26, but the pair has not
     "parted in the tail": (AdversaryParams(0, 0, 0, 4),
                            "L0: OR a a\nINC a\nBNZ a L0\nMOV a x\nBEQ x x L0"),
     # b = x + 1 is 0 on 1111 and 8 on its flip, so only the run on x leaves
@@ -355,36 +354,58 @@ PROBE_CASES = {
                 "MOV b x\nINC b\nL2: INC a\nAND a x\nBEQ a b L6\nJMP L2\nL6: OUT a"),
     # the flip's top bit moves on from b to c to d, one register a round, and
     # the flipped run halts in round 3; the run on 0000 repeats from round 1,
-    # so the parting and its inc/dec index are read off that run's cycle
+    # but the pair does not, as the flipped run's registers still change
     "flip halts": (AdversaryParams(0, 0, 0, 4),
                    "L0: INC a\nMOV d c\nMOV c b\nMOV b x\nDEC a\nBZ d L0\nOUT d"),
+    # only the run on 0000 takes the first BZ, to the next line, so both runs
+    # execute pc 1 next and do not part there; they part at the BLT, which only
+    # the flipped run takes, as a = 1 < 8
+    "next line": (AdversaryParams(0, 0, 0, 4), "L0: BZ x L1\nL1: INC a\nBLT a x L0\nOUT a"),
+    # only the run on 0000 takes the BZ, and its flip 1000 falls off the end
+    # there: a run that has ended executes nothing, so under today's rule the
+    # runs do not part (ROADMAP item 17)
+    "off the end": (AdversaryParams(0, 0, 0, 4), "L0: INC a\nBZ x L0"),
 }
 
 
 def test_probe_fast_forwards_both_runs():
-    probes = {name: msb_flip_probe(parse_program(text), params, budget=10**9)
-              for name, (params, text) in PROBE_CASES.items()}
-    probe = probes["periods differ"]
-    assert probe.divergence is None
-    assert probe.result_x == ExecResult(None, 10**9, 333_333_334, HaltReason.BUDGET_EXHAUSTED,
-                                        cycle=(64, 48))
-    assert probe.result_flipped == probe.result_x._replace(cycle=(32, 24))
-    probe = probes["parted in the tail"]
-    assert probe.divergence == Divergence(74, 24)
-    assert probe.result_x == ExecResult(None, 10**9, 320_000_000, HaltReason.BUDGET_EXHAUSTED,
-                                        cycle=(64, 50))
-    assert probe.result_flipped == ExecResult(None, 10**9, 307_692_309,
-                                              HaltReason.BUDGET_EXHAUSTED, cycle=(32, 26))
-    probe = probes["x halts"]
-    assert probe.divergence == Divergence(65, 17)
-    assert probe.result_x == ExecResult(0, 66, 17, HaltReason.OUT)
-    assert probe.result_flipped == ExecResult(None, 10**9, 250_000_001,
-                                              HaltReason.BUDGET_EXHAUSTED, cycle=(64, 32))
-    probe = probes["flip halts"]
-    assert probe.divergence == Divergence(18, 6)
-    assert probe.result_x == ExecResult(None, 10**9, 333_333_333, HaltReason.BUDGET_EXHAUSTED,
-                                        cycle=(8, 6))
-    assert probe.result_flipped == ExecResult(8, 19, 6, HaltReason.OUT)
+    def runs(case):
+        params, text = PROBE_CASES[case]
+        program = parse_program(text)
+        probe = msb_flip_probe(program, params, budget=10**9)
+        return probe.divergence, *(Machine().run(program, word, params.n, 10**9)
+                                   for word in (probe.x, probe.x_flipped))
+
+    divergence, run_x, run_flipped = runs("periods differ")
+    assert divergence is None
+    assert run_x == ExecResult(None, 10**9, 333_333_334, HaltReason.BUDGET_EXHAUSTED,
+                               cycle=(64, 48))
+    assert run_flipped == run_x._replace(cycle=(32, 24))
+    divergence, run_x, run_flipped = runs("parted in the tail")
+    assert divergence == Divergence(74, 24)
+    assert run_x == ExecResult(None, 10**9, 320_000_000, HaltReason.BUDGET_EXHAUSTED,
+                               cycle=(64, 50))
+    assert run_flipped == ExecResult(None, 10**9, 307_692_309, HaltReason.BUDGET_EXHAUSTED,
+                                     cycle=(32, 26))
+    divergence, run_x, run_flipped = runs("x halts")
+    assert divergence == Divergence(65, 17)
+    assert run_x == ExecResult(0, 66, 17, HaltReason.OUT)
+    assert run_flipped == ExecResult(None, 10**9, 250_000_001, HaltReason.BUDGET_EXHAUSTED,
+                                     cycle=(64, 32))
+    divergence, run_x, run_flipped = runs("flip halts")
+    assert divergence == Divergence(18, 6)
+    assert run_x == ExecResult(None, 10**9, 333_333_333, HaltReason.BUDGET_EXHAUSTED,
+                               cycle=(8, 6))
+    assert run_flipped == ExecResult(8, 19, 6, HaltReason.OUT)
+    divergence, run_x, run_flipped = runs("next line")
+    assert divergence == Divergence(3, 1)
+    assert run_x == ExecResult(1, 4, 1, HaltReason.OUT)
+    assert run_flipped == ExecResult(8, 25, 8, HaltReason.OUT)
+    divergence, run_x, run_flipped = runs("off the end")
+    assert divergence is None
+    assert run_x == ExecResult(None, 10**9, 500_000_000, HaltReason.BUDGET_EXHAUSTED,
+                               cycle=(64, 32))
+    assert run_flipped == ExecResult(None, 2, 1, HaltReason.FELL_OFF_END)
 
 
 @pytest.mark.parametrize("case", PROBE_CASES)
@@ -394,93 +415,18 @@ def test_probe_hand_cases_match_traced_reference(case, budget):
     # 50, 100 and 1000 inside a cycle
     params, text = PROBE_CASES[case]
     program = parse_program(text)
-    assert uncycled(msb_flip_probe(program, params, budget)) == reference_probe(
-        program, params, budget)
+    assert msb_flip_probe(program, params, budget) == reference_probe(program, params, budget)
 
 
-def made_up_run(pcs, tail, metered):
-    """The observer calls of a run that executes ``pcs[:tail]`` once and then
-    ``pcs[tail:]`` over and over, with an INC or DEC where ``metered`` says; a
-    state is (pc, position in ``pcs``), so the state after ``tail`` steps
-    first comes back one cycle later.  With ``tail == len(pcs)`` it ends."""
-    yield 0, None, {"s": -1}
-    i = 0
-    for pos in chain(range(tail), cycle(range(tail, len(pcs)))):
-        i += metered[pos]
-        yield i, pcs[pos], {"s": pos}
-
-
-def recorded(pcs, tail, metered, saved=None):
-    """The recorder of a :func:`made_up_run`, as the machine leaves it: its path
-    up to and including the repeat of the state after ``saved`` steps (``tail``
-    by default) one cycle later, and that ``cycle``; or its whole path, if it ends."""
-    period = len(pcs) - tail
-    saved = tail if saved is None else saved
-    cut = saved + period + 1 if period else len(pcs) + 1
-    path = [(pc, i) for i, pc, _ in islice(made_up_run(pcs, tail, metered), cut)]
-    return _Lasso(path, (saved, period) if period else None)
-
-
-def test_lasso_settles_a_tail_like_a_state_by_state_comparison():
-    # two looping runs, tails under 20 states and periods under 8, whose pcs
-    # agree for a while, each recorded up to a repeat found at a state of its
-    # cycle; the reference compares them state by state past both tails and
-    # the lcm of both periods, after which nothing new can happen
-    rng = random.Random(5)
-    horizon = 1 + 20 + 42
-    settled = 0
-    for _ in range(3000):
-        x_tail, x_period = rng.randrange(20), rng.randrange(1, 8)
-        x_pcs = [rng.randrange(2) for _ in range(x_tail + x_period)]
-        x_metered = [rng.randrange(2) for _ in x_pcs]
-        x_states = list(islice(made_up_run(x_pcs, x_tail, x_metered), horizon))
-        # the flipped run follows x's pcs through its own tail and first cycle
-        f_tail, f_period = rng.randrange(20), rng.randrange(1, 8)
-        f_pcs = [pc for _, pc, _ in x_states[1:1 + f_tail + f_period]]
-        f_metered = [0] * len(f_pcs)
-        f_states = list(islice(made_up_run(f_pcs, f_tail, f_metered), horizon))
-        expected = next((Divergence(t - 1, x_states[t - 1][0]) for t in range(1, horizon)
-                         if x_states[t][1] != f_states[t][1]), None)
-        lasso_x = recorded(x_pcs, x_tail, x_metered, x_tail + rng.randrange(3))
-        lasso_f = recorded(f_pcs, f_tail, f_metered, f_tail + rng.randrange(3))
-        assert _divergence(lasso_x, lasso_f, 10**6) == expected, (x_pcs, x_tail, f_pcs, f_tail)
-        settled += expected is not None and expected.step_index >= len(lasso_f.path)
-    assert settled >= 50  # partings past the flipped run's recording, read off its cycle
-
-
-def test_divergence_compares_the_whole_fine_wilf_window():
-    # pcs 1 2 1 2 ... with period 2, and 1 2 1 | 2 1 2 ... with period 3;
-    # both repeats are found from the state after 3 steps, so both paths
-    # repeat from state 4, and the window is the 2 + 3 - gcd(2, 3) = 4
-    # states 4..7: they agree on 4, 5 and 6 and part at 7
-    a = recorded([1, 2], 0, [1, 0], saved=3)
-    b = recorded([1, 2, 1, 2, 1, 2], 3, [0] * 6, saved=3)
-    assert (a.start, a.period, b.start, b.period) == (4, 2, 4, 3)
-    assert [a.at(t)[0] for t in range(1, 8)] == [1, 2, 1, 2, 1, 2, 1]
-    assert [b.at(t)[0] for t in range(1, 8)] == [1, 2, 1, 2, 1, 2, 2]
-    # the parting is at the window's last state, past both recordings
-    assert len(a.path) == 6 and len(b.path) == 7
-    assert _divergence(a, b, 10**6) == _divergence(a, b, 7) == Divergence(6, 3)
-    # a parting past end is none
-    assert _divergence(a, b, 6) is None
-
-
-def test_divergence_stops_at_the_end_it_is_given():
-    # two runs that never repeat, with pcs 1..6 and 1 2 3 4 9 9: they part at state 5
-    a = recorded([1, 2, 3, 4, 5, 6], 6, [1] * 6)
-    b = recorded([1, 2, 3, 4, 9, 9], 6, [1] * 6)
-    assert not a.period and not b.period
-    assert _divergence(a, b, 6) == _divergence(a, b, 5) == Divergence(4, 4)
-    assert _divergence(a, b, 4) is None
-
-
-def test_a_run_that_ends_first_is_no_divergence():
-    # b follows a for 3 steps and ends there while a loops on: the prefix
-    # rule reads no divergence (ROADMAP item 4 would make it one at state 3)
-    a = recorded([1, 2], 0, [1, 0])
-    b = recorded([1, 2, 1], 3, [1, 0, 1])
-    assert not b.period and len(b.path) == 4
-    assert _divergence(a, b, 3) is None
+@pytest.mark.parametrize("n", [17, 33, 64])
+def test_probe_shipped_programs_at_wide_words(n):
+    for m in (0, 1, (n - 1) // 4, (n - 1) // 2):
+        for bit in (0, 1):
+            params = AdversaryParams(bit, m, bit, n)
+            for gen in (wegner_program(n), dense_program(n), combined_program(n)):
+                probe = msb_flip_probe(gen.program, params)
+                assert probe == reference_probe(gen.program, params, DEFAULT_BUDGET), gen.name
+                assert probe.bound_holds
 
 
 def test_random_params_respect_the_constraints():

@@ -78,9 +78,8 @@ def law(nu):
 _INSTRUCTIONS = (Instruction("INC", "a"), Instruction("BNZ", "a", target=0),
                  Instruction("OUT", "x"))
 _PARAMS = AdversaryParams(1, 1, 1, 4)
-_RESULT = ExecResult(2, 7, 3, HaltReason.OUT, (1, 2))
 _VIOLATION = (1, 0, "a", "10", ("00", "11", "01"))
-_PROBE = (_PARAMS, 13, 5, 3, 1, Divergence(2, 1), _RESULT, _RESULT)
+_PROBE = (_PARAMS, 13, 5, 3, 1, Divergence(2, 1))
 
 # Each record class: its constructor's field names in order, one value per
 # field, and what the fields and properties of the record built from them read.
@@ -97,8 +96,7 @@ RECORDS = {
     Violation: (("snapshot_index", "incdec_index", "register", "prefix", "allowed"),
                 _VIOLATION, {}),
     Divergence: (("step_index", "incdec_index"), (2, 1), {}),
-    MsbFlipProbe: (("params", "x", "x_flipped", "nu", "bound", "divergence", "result_x",
-                    "result_flipped"),
+    MsbFlipProbe: (("params", "x", "x_flipped", "nu", "bound", "divergence"),
                    _PROBE, {"bound_holds": True}),
     AuditFailure: (("input_bits", "nu", "kind", "detail"),
                    ("0110", 2, "output", "expected 2, got 3"), {}),

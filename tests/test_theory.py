@@ -185,6 +185,14 @@ def test_probe_rejects_mixed_end_bits():
         msb_flip_probe(wegner_program(6).program, AdversaryParams(1, 0, 0, 6))
 
 
+def test_probe_rejects_a_budget_below_one():
+    # with Machine.run's message, and only once the end bits have passed
+    with pytest.raises(ValueError, match=r"^budget must be >= 1, got 0$"):
+        msb_flip_probe(wegner_program(6).program, AdversaryParams(1, 0, 1, 6), budget=0)
+    with pytest.raises(ValueError, match="needs e == d"):
+        msb_flip_probe(wegner_program(6).program, AdversaryParams(1, 0, 0, 6), budget=0)
+
+
 def test_probe_exhaustive_equal_end_params():
     for n in range(2, 9):
         for m in range((n - 1) // 2 + 1):
