@@ -1,9 +1,10 @@
-"""Exact jumps over affine loops, for :meth:`countones.vm.Machine.run`.
+"""Exact jumps over affine loops, for :meth:`countones.vm.Machine.run` and
+the flip probe's pair of lanes (:func:`countones.adversary.msb_flip_probe`).
 
 The machine counts only with INC and DEC, so a loop that never repeats a
 state is mostly a counter loop: each pass of it adds the same amount to
-every register.  :func:`jump` proves that of the loop a run is in, and then
-skips whole passes at once.
+every register.  :func:`prove` proves that of the loop a run is in, so that
+its caller can skip whole passes at once.
 
 The proof.  The run stands at ``pc`` with registers ``a``, and was at the
 same ``pc`` ``q`` steps before with registers ``a - b``.  One pass is run
@@ -20,73 +21,59 @@ is held to the passes before either operand wraps, read with ``b`` signed,
 and before the two operands cross.
 
 The jump.  ``k`` passes add ``k*q`` steps, ``k`` times the pass's inc/dec
-steps and ``b*k`` to each register.  Brent's search in the machine must
-end as it would have step by step, so each mark the jump crosses saves the
-state at that mark, read off the forms, and the jump stops at the start
-of the first pass in which a state equals the saved one (one congruence
-per register, all moduli powers of two); the machine then finds that
-repeat itself, at the same step.
+steps and ``b*k`` to each register.  The states inside the jumped passes
+are never seen, so a caller's Brent search starts afresh after a jump.  A
+repeat among them changes no result: a deterministic run from the state
+after the jump is the stepped run from there on, so only where a repeat is
+first found, ``ExecResult.cycle``, may differ.  The flip probe's two lanes
+jump together only where each lane's proof holds and both take one path of
+pcs in the pass: each lane keeps its pass-0 branch decisions for every pass
+of the jump, so the pair takes one path through all of them and parts in
+none (:func:`jump_pair`).
 """
 
 from __future__ import annotations
 
-# The longest pass that is proved: each of its steps keeps one snapshot of the forms.
-MAX_PERIOD = 4096
+from .vm import _transpose
+
 NEVER = float("inf")  # the pass at which a branch that cannot change flips
 
 
-def jump(instructions, mask, budget, regs, pc, total, incdec, last, mark, saved):
-    """Jump ``regs`` (at ``pc``, after ``total`` steps and ``incdec`` inc/dec
-    steps) over whole passes of the loop it is in, if that loop is affine.
-
-    ``last`` is ``(registers, total)`` at the previous visit to ``pc``;
-    ``mark`` and ``saved``, ``(pc, registers, total, incdec)``, are the
-    machine's Brent state.  Returns ``None`` and leaves ``regs`` alone unless
-    at least two passes are jumped; otherwise updates ``regs`` in place and
-    returns the new ``(total, incdec, mark, *saved)``.
-    """
-    last_regs, last_total = last
-    q = total - last_total
-    passes = (budget - total) // q
-    if q > MAX_PERIOD or passes < 2:
+def prove(instructions, mask, regs, last_regs, pc, q, passes):
+    """Prove that the loop through ``pc`` is affine: ``regs`` stand at ``pc``,
+    and stood there as ``last_regs`` ``q`` steps before.  Returns ``None``
+    unless at least two passes, and at most ``passes``, keep the path of the
+    first; otherwise ``(passes, delta, slopes, path)``: how many passes do,
+    the inc/dec steps of one pass, each register's change per pass (a dict
+    in the order of ``regs``) and the pcs of the pass, in order."""
+    if passes < 2:
         return None
     a = dict(regs)
     b = {name: (value - last_regs[name]) & mask for name, value in regs.items()}
-    a0 = fa = tuple(a.values())
-    b0 = fb = tuple(b.values())
-    # per step of the pass: (pc, inc/dec steps so far, forms before the step);
-    # steps that write no form share the tuples of the step before
+    b0 = tuple(b.values())
     path = []
     size = len(instructions)
     p, delta = pc, 0
     while len(path) < q:
         if p >= size or p == pc and path:
             return None
-        if fa is None:
-            fa = tuple(a.values())
-        if fb is None:
-            fb = tuple(b.values())
-        path.append((p, delta, fa, fb))
+        path.append(p)
         ins = instructions[p]
         op, r, s = ins.op, ins.a, ins.b
         p += 1
         if op == "INC" or op == "DEC":
             a[r] = (a[r] + (1 if op == "INC" else -1)) & mask
             delta += 1
-            fa = None
         elif op == "MOV":
             a[r], b[r] = a[s], b[s]
-            fa = fb = None
         elif op == "ZERO":
             a[r] = b[r] = 0
-            fa = fb = None
         elif op == "AND" or op == "OR":
             if r != s:
                 form = _bitwise(op == "AND", (a[r], b[r]), (a[s], b[s]), mask)
                 if form is None:
                     return None
                 a[r], b[r] = form
-                fa = fb = None
         elif op == "JMP":
             p = ins.target
         elif op == "OUT":
@@ -99,37 +86,31 @@ def jump(instructions, mask, budget, regs, pc, total, incdec, last, mark, saved)
             if taken:
                 p = ins.target
     if p != pc or tuple(b.values()) != b0 or any(
-            (x - y - z) & mask for x, y, z in zip(a.values(), a0, b0)):
+            (a[name] - x - y) & mask for (name, x), y in zip(regs.items(), b0)):
         return None
+    return passes, delta, b, path
 
-    # Brent's search over the passes: states after `lo` compare with the saved
-    # one until the mark, where the state is saved; `saves` are those crossed
-    end = total + passes * q
-    lo, at, saves = total, mark, []
-    spc, sregs = saved[0], tuple(saved[1].values())
-    while True:
-        hit = _first_repeat(path, spc, sregs, lo, min(at, end), total, q, mask)
-        if hit is not None:
-            end = hit - (hit - total) % q
-            break
-        if at >= end:
-            break
-        i, s = divmod(at - total, q)
-        spc, d, forms, slopes = path[s]
-        sregs = [(x + y * i) & mask for x, y in zip(forms, slopes)]
-        saves.append((at, spc, sregs, incdec + i * delta + d))
-        lo, at = at, min(2 * at, budget)
-    passes = (end - total) // q
-    if passes < 2:
+
+def jump_pair(instructions, regs, saved_regs, pc, q, steps, width):
+    """Jump the flip probe's two lanes, lanes 0 and 1 of the slices ``regs``,
+    over whole passes of their loop, as :func:`prove` shows it for each lane
+    from the slices ``saved_regs`` of ``q`` steps before, in at most
+    ``steps`` steps.  Returns ``None`` and leaves ``regs`` alone unless both
+    proofs hold with one path of pcs; otherwise writes both lanes back as
+    fresh slices and returns the steps and inc/dec steps jumped."""
+    mask = (1 << width) - 1
+    now = {name: _transpose(s, 2) for name, s in regs.items()}
+    before = {name: _transpose(s, 2) for name, s in saved_regs.items()}
+    proofs = [prove(instructions, mask, {name: v[lane] for name, v in now.items()},
+                    {name: v[lane] for name, v in before.items()}, pc, q, steps // q)
+              for lane in (0, 1)]
+    if None in proofs or proofs[0][3] != proofs[1][3]:
         return None
-    saves = [save for save in saves if save[0] < end]
-    if saves:
-        at, spc, sregs, sincdec = saves[-1]
-        saved = spc, dict(zip(regs, sregs)), at, sincdec
-        mark = min(2 * at, budget)
-    for name, x, y in zip(regs, a0, b0):
-        regs[name] = (x + y * passes) & mask
-    return (end, incdec + passes * delta, mark, *saved)
+    passes = min(proofs[0][0], proofs[1][0])
+    for name, (x0, x1) in now.items():
+        regs[name] = _transpose(((x0 + proofs[0][2][name] * passes) & mask,
+                                 (x1 + proofs[1][2][name] * passes) & mask), width)
+    return passes * q, passes * proofs[0][1]
 
 
 def _bitwise(is_and, x, y, mask):
@@ -167,7 +148,7 @@ def _branch(op, a, b, r, s, mask):
         return taken, NEVER
     if not x:
         return taken, 1
-    return taken, _solve(y, -x, mask)[0] or NEVER
+    return taken, _solve(y, -x, mask)
 
 
 def _signed(slope, mask):
@@ -184,42 +165,11 @@ def _span(x, slope, mask):
 
 
 def _solve(slope, c, mask):
-    """The ``k`` with ``slope*k = c`` (mod ``mask + 1``), as ``(k0, e)``: those
-    with ``k = k0`` (mod ``2**e``), ``k0 < 2**e``; ``(None, 0)`` if there are none."""
+    """The least ``k >= 1`` with ``slope*k = c`` (mod ``mask + 1``), for ``c``
+    not 0 (mod ``mask + 1``); ``NEVER`` if there is none."""
     slope, c = slope & mask, c & mask
-    if not slope:
-        return (None, 0) if c else (0, 0)
     t = (slope & -slope).bit_length() - 1
     if c & ((1 << t) - 1):
-        return None, 0
+        return NEVER
     m = (mask + 1) >> t
-    return (c >> t) * pow(slope >> t, -1, m) % m, m.bit_length() - 1
-
-
-def _first_repeat(path, spc, sregs, lo, hi, total, q, mask):
-    """The first step count in ``lo + 1 .. hi - 1`` at which the jumped run is
-    at ``(spc, sregs)``, or ``None``; the run is at offset ``s`` of pass ``i``
-    after ``total + i*q + s`` steps."""
-    first = hi
-    for s, (p, _, forms, slopes) in enumerate(path):
-        if p != spc:
-            continue
-        k = e = 0  # the passes that match every register so far: k (mod 2**e)
-        for x, y, want in zip(forms, slopes, sregs):
-            if not y:  # a constant matches in every pass or in none
-                if x != want:
-                    break
-                continue
-            k1, e1 = _solve(y, want - x, mask)
-            if k1 is None or (k - k1) & ((1 << (e if e < e1 else e1)) - 1):
-                break
-            if e1 > e:
-                k, e = k1, e1
-        else:
-            i = (lo - total - s) // q + 1
-            if i < 0:
-                i = 0
-            at = total + (i + (k - i) % (1 << e)) * q + s
-            if at < first:
-                first = at
-    return first if first < hi else None
+    return (c >> t) * pow(slope >> t, -1, m) % m

@@ -112,15 +112,16 @@ def adversary_input(p: AdversaryParams) -> int:
 
 
 @cache
-def _schedule(params: AdversaryParams) -> tuple[int, tuple[tuple[int, int, int, int], ...]]:
-    """``adversary_input(params)`` and, per inc/dec index ``i <= m``, the
-    ``(shift, all-zeros, all-ones, input prefix)`` of its top ``k_i`` bits;
-    built once per params in the process and shared, so it is immutable."""
-    x = adversary_input(params)
+def _schedule(e: int, m: int, d: int, n: int) -> tuple[int, tuple[tuple[int, int, int, int], ...]]:
+    """``adversary_input`` of ``(e, m, d, n)`` and, per inc/dec index ``i <= m``,
+    the ``(shift, all-zeros, all-ones, input prefix)`` of its top ``k_i`` bits;
+    built once per params in the process and shared, so it is immutable.
+    Keyed on ints, which hash in C."""
+    x = adversary_input(AdversaryParams(e, m, d, n))
     allowed = []
-    for i in range(params.m + 1):
-        k = 2 * (params.m - i) + 1 if i else params.n
-        shift = params.n - k
+    for i in range(m + 1):
+        k = 2 * (m - i) + 1 if i else n
+        shift = n - k
         allowed.append((shift, 0, (1 << k) - 1, x >> shift))
     return x, tuple(allowed)
 
@@ -161,7 +162,7 @@ class PrefixInvariantCheck:
     """
 
     def __init__(self, params: AdversaryParams) -> None:
-        self.x, self._allowed = _schedule(params)
+        self.x, self._allowed = _schedule(params.e, params.m, params.d, params.n)
         self.params = params
         self.checked = 0
         self.violations: list[Violation] = []
@@ -238,6 +239,8 @@ def msb_flip_probe(
     and 1 of one group, stepped together by :func:`vm._lane_step` until a
     branch splits them, the pair's whole state ``(pc, slices)`` repeats
     (Brent's cycle detection; a pair that repeats never parts) or they end.
+    Like an unobserved :meth:`Machine.run`, the pair jumps the passes of an
+    affine loop (:func:`._affine.jump_pair`), in none of which it parts.
     They part at the first instruction they execute differently, and a run
     that has ended executes nothing.  So a split counts only at a branch
     whose target is not ``pc + 1``, and only if both runs execute a next
@@ -256,23 +259,36 @@ def msb_flip_probe(
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     n = params.n
-    x = _schedule(params)[0]
+    x = _schedule(params.e, params.m, params.d, n)[0]
     nu = popcount_naive(x)
     flipped = x ^ 1 << (n - 1)
     regs = {name: [0] * n for name in program.register_names}
-    regs["x"] = _transpose((x, flipped), n)
+    # x in lane 0, its flip in lane 1: 3 * bit below the MSB, 2 - e at it
+    regs["x"] = [3 * (x >> b & 1) for b in range(n - 1)] + [2 - params.e]
     instructions = program.instructions
     size = len(instructions)
     pc = step = incdec = 0
     # Brent's save rule: the state at step = mark is saved, mark doubling, as
     # the pc and a copy of every slice list, since INC and DEC write in place
-    mark, saved_pc, saved_regs = 1, -1, {}
+    mark, saved_pc, saved_regs, saved_step, tried = 1, -1, {}, 0, False
     divergence = None
     while pc < size and step < budget and (ins := instructions[pc]).op != "OUT":
         if step >= mark:
-            mark, saved_pc, saved_regs = 2 * step, pc, {name: s[:] for name, s in regs.items()}
-        elif pc == saved_pc and regs == saved_regs:
-            break
+            mark, saved_pc, saved_step, tried = 2 * step, pc, step, False
+            saved_regs = {name: s[:] for name, s in regs.items()}
+        elif pc == saved_pc:
+            if regs == saved_regs:
+                break
+            if not tried:
+                from ._affine import jump_pair
+
+                tried = True
+                jumped = jump_pair(instructions, regs, saved_regs, pc, step - saved_step,
+                                   budget - step, n)
+                if jumped:
+                    step, incdec = step + jumped[0], incdec + jumped[1]
+                    mark, saved_pc = step + 1, -1
+                    continue
         taken = _lane_step(ins, regs, n, 3)
         incdec += OPCODES[ins.op].metered
         step += 1

@@ -26,7 +26,8 @@ budget, but once its check has detached (past ``i = m``) the run is
 unobserved, and :meth:`Machine.run` jumps over the passes of a loop that
 moves every register by the same amount each pass, exactly, up to the
 first branch that goes the other way; so most budget-exhausted runs step
-through a few passes only, and every result is that of a stepped run.
+through a few passes only, as do the flip probes' pairs of lanes, and
+every verdict is that of a stepped run.
 """
 
 from __future__ import annotations
@@ -108,12 +109,23 @@ def random_program(rng: random.Random, max_len: int = 24) -> Program:
     if max_len < 2:
         raise ValueError(f"max_len must be >= 2 (a random program has at least two "
                          f"instructions), got {max_len}")
+    # every draw spells _below's rule inline: getrandbits of the bound's bit
+    # length until the draw is below the bound
     bits = rng.getrandbits
-    length = 2 + _below(bits, max_len - 1)
-    regs = _REG_POOL[: 2 + _below(bits, len(_REG_POOL) - 1)]
-    # each instruction's draws (deck, registers, target) spell _below's rule
-    # inline: getrandbits of the bound's bit length until the draw is below it
-    count, deck = len(regs), len(_DECK)
+    span = max_len - 1
+    k = span.bit_length()
+    length = bits(k)
+    while length >= span:
+        length = bits(k)
+    length += 2
+    span = len(_REG_POOL) - 1
+    k = span.bit_length()
+    count = bits(k)
+    while count >= span:
+        count = bits(k)
+    count += 2
+    regs = _REG_POOL[:count]
+    deck = len(_DECK)
     kreg, kdeck, ktarget = count.bit_length(), deck.bit_length(), length.bit_length()
     instructions = []
     for _ in range(length):

@@ -69,10 +69,10 @@ saved pc with other registers tries an affine jump (:mod:`._affine`,
 imported at the first try): if one symbolic pass shows every register
 moving by the same amount each pass, it adds whole passes at once, up to
 the first pass in which a branch goes the other way, solved exactly mod
-``2**width``.  Brent's saved state and mark cross the jump as they would
-step by step, so results, ``cycle`` included, are those of a stepped run.
-An observed run or an overridden :meth:`Machine._inc`, ``_dec`` or ``_mov``
-never jumps, and a saved state gets one failed try.
+``2**width``, and the search starts afresh one step later.  So only
+``cycle`` may differ from a stepped run's: a later true repeat, or
+``None``.  An observed run or an overridden :meth:`Machine._inc`, ``_dec``
+or ``_mov`` never jumps, and each save gets one try.
 
 Lanes.  :func:`run_slices` runs one program on many inputs at once,
 bit-sliced (Biham, FSE 1997): bit ``j`` of a register's slice ``b`` is its
@@ -331,7 +331,8 @@ class ExecResult(namedtuple("ExecResult", "output total_steps incdec_steps halt_
                             defaults=(None,))):
     """One run.  ``output`` is the OUT register as the machine left it, even
     out of its width (``None`` unless the run halted with OUT); ``cycle`` is
-    the first repeat found, as ``(saved_total, period)``, if there is one."""
+    the first repeat found, as ``(saved_total, period)``, if there is one
+    (an affine jump may pass over the run's first)."""
 
     __slots__ = ()
 
@@ -379,7 +380,7 @@ class Machine:
         mask = (1 << width) - 1
         instructions = program.instructions
         size = len(instructions)
-        regs: dict[str, int] = {name: 0 for name in program.register_names}
+        regs: dict[str, int] = dict.fromkeys(program.register_names, 0)
         regs["x"] = x & mask
         pc = total = incdec = 0
         output: int | None = None
@@ -392,10 +393,7 @@ class Machine:
         # nothing is saved.
         mark = 1
         saved_pc, saved_regs, saved_total, saved_incdec = -1, {}, 0, 0
-        # The previous visit to saved_pc, for an affine jump: None is the saved
-        # state, a tuple (registers, total) a later visit, True the next visit,
-        # and False none until the next save.
-        last: tuple | bool | None = None
+        tried = False  # an affine jump was tried since the last save
         if observer is not None and observer(0, None, regs) is False:
             observer = None
 
@@ -408,7 +406,7 @@ class Machine:
                     halt = HaltReason.BUDGET_EXHAUSTED
                     break
                 saved_pc, saved_regs, saved_total, saved_incdec = pc, dict(regs), total, incdec
-                mark, last = min(2 * total, budget), None
+                mark, tried = min(2 * total, budget), False
             elif pc == saved_pc:
                 if regs == saved_regs:
                     # A repeated state loops forever: detach the observer, add every
@@ -420,25 +418,24 @@ class Machine:
                     incdec += cycles * (incdec - saved_incdec)
                     saved_pc, mark, observer = -1, budget, None
                     continue
-                if observer is None and last is not False:
+                if observer is None and not tried:
                     # Back at saved_pc in a new state: an unobserved run on the
                     # stock machine jumps over the passes of an affine loop.
-                    if last is True:
-                        last = dict(regs), total
-                    elif (type(self)._inc is not Machine._inc or type(self)._dec is not Machine._dec
-                          or type(self)._mov is not Machine._mov):
-                        last = False
-                    else:
-                        from ._affine import jump
+                    tried = True
+                    if (type(self)._inc is Machine._inc and type(self)._dec is Machine._dec
+                            and type(self)._mov is Machine._mov):
+                        from ._affine import prove
 
-                        jumped = jump(instructions, mask, budget, regs, pc, total, incdec,
-                                      last or (saved_regs, saved_total), mark,
-                                      (saved_pc, saved_regs, saved_total, saved_incdec))
-                        if jumped is None:
-                            last = False
-                        else:
-                            (total, incdec, mark, saved_pc, saved_regs, saved_total,
-                             saved_incdec), last = jumped, True
+                        q = total - saved_total
+                        proof = prove(instructions, mask, regs, saved_regs, pc, q,
+                                      (budget - total) // q)
+                        if proof is not None:
+                            passes, delta, slopes, _ = proof
+                            for name, slope in slopes.items():
+                                regs[name] = (regs[name] + slope * passes) & mask
+                            total += passes * q
+                            incdec += passes * delta
+                            saved_pc, mark = -1, min(total + 1, budget)
                             continue
             ins = instructions[pc]
             op = ins.op

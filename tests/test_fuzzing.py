@@ -126,8 +126,10 @@ def reference_invariant(seed, count, budget=FUZZ_BUDGET, machine=None):
         if result.halt_reason is HaltReason.BUDGET_EXHAUSTED:
             exhausted += 1
             cut_in_window += states[-1][0] <= params.m
-        # the check sees no replay after the repeat the machine finds
-        repeat = machine.run(program, adversary_input(params), params.n, budget)
+        # the check sees no replay after the repeat the machine finds, and an
+        # observed run finds the first one, as it never jumps
+        repeat = machine.run(program, adversary_input(params), params.n, budget,
+                             observer=lambda *a: None)
         violations = reference_violations(shown(states, repeat), params)
         if violations:
             violation_count += len(violations)
@@ -336,8 +338,8 @@ def test_flip_probe_matches_traced_reference():
 
 # Hand cases for the probe, as (params, program text).  At a budget of 10**9
 # each probe below ends at a parting or at a repeat of the pair's state, and
-# each run alone fast-forwards in Machine.run: step by step, either would take
-# minutes.
+# each run alone fast-forwards in Machine.run, observed or not: step by step,
+# either would take minutes.
 PROBE_CASES = {
     # on 1111 and its flip 0111, a counts modulo 16 and modulo 8: one path of
     # pcs, and the runs repeat with periods 48 and 24, so the pair repeats
@@ -365,6 +367,12 @@ PROBE_CASES = {
     # there: a run that has ended executes nothing, so under today's rule the
     # runs do not part (ROADMAP item 17)
     "off the end": (AdversaryParams(0, 0, 0, 4), "L0: INC a\nBZ x L0"),
+    # a climbs by one a round and either arm of the BLT adds one to b, so each
+    # run alone is an affine loop; the pair tries a jump at step 12, in the
+    # round where only the flipped run 10100 still takes the BLT, so their
+    # paths of pcs part in it and the pair must step on, to part at step 14
+    "arms of one length": (AdversaryParams(0, 1, 0, 5),
+                           "L0: INC a\nBLT a x L3\nINC b\nJMP L0\nL3: INC b\nJMP L0"),
 }
 
 
@@ -373,8 +381,15 @@ def test_probe_fast_forwards_both_runs():
         params, text = PROBE_CASES[case]
         program = parse_program(text)
         probe = msb_flip_probe(program, params, budget=10**9)
-        return probe.divergence, *(Machine().run(program, word, params.n, 10**9)
-                                   for word in (probe.x, probe.x_flipped))
+        results = []
+        for word in (probe.x, probe.x_flipped):
+            # an observed run never jumps, so it finds the first repeat; an
+            # unobserved one may jump past it, to the same end
+            observed = Machine().run(program, word, params.n, 10**9, observer=lambda *a: None)
+            unobserved = Machine().run(program, word, params.n, 10**9)
+            assert unobserved._replace(cycle=None) == observed._replace(cycle=None)
+            results.append(observed)
+        return probe.divergence, *results
 
     divergence, run_x, run_flipped = runs("periods differ")
     assert divergence is None
@@ -427,6 +442,70 @@ def test_probe_shipped_programs_at_wide_words(n):
                 probe = msb_flip_probe(gen.program, params)
                 assert probe == reference_probe(gen.program, params, DEFAULT_BUDGET), gen.name
                 assert probe.bound_holds
+
+
+@pytest.fixture
+def pair_jumps(monkeypatch):
+    """What each call of the flip probe's pair jump returned."""
+    import countones._affine as affine
+
+    calls, jump_pair = [], affine.jump_pair
+
+    def counted(*args):
+        calls.append(jump_pair(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(affine, "jump_pair", counted)
+    return calls
+
+
+def test_pair_jumps_match_traced_reference(pair_jumps):
+    # the pair jumps over the passes of counter loops that its stepping would
+    # run to the budget; every probe equals the two stepped runs compared
+    rng = random.Random(34)
+    for _ in range(1000):
+        program = random_program(rng, rng.choice((4, 8, 24)))
+        params = random_adversary_params(rng, (2, 64), equal_ends=True)
+        budget = rng.choice((1, 7, 60, 512, 512, 2048, 2048, 20_000))
+        probe = msb_flip_probe(program, params, budget)
+        assert probe == reference_probe(program, params, budget), (program, params, budget)
+    assert sum(jumped is not None for jumped in pair_jumps) >= 40
+
+
+@pytest.mark.parametrize("e", [0, 1])
+@pytest.mark.parametrize("m", [1, 9, 19])
+def test_pair_jumps_a_counter_in_closed_form(e, m, pair_jumps):
+    # c counts x (never 0 here) down in passes of 3 steps; the lane with the
+    # smaller x leaves the loop first, at pass k, where the pair parts after
+    # 1 + 3*k steps, far past what any stepper could run in a test
+    program = parse_program("MOV c x\nL0: INC a\nDEC c\nBNZ c L0\nOUT a")
+    params = AdversaryParams(e, m, e, 40)
+    probe = msb_flip_probe(program, params, 10**12)
+    k = min(probe.x, probe.x_flipped)
+    assert probe.divergence == Divergence(1 + 3 * k, 2 * k)
+    assert probe.bound_holds and any(pair_jumps)
+
+
+def test_a_pair_jump_stops_before_a_branch_flips_at_pass_1(pair_jumps, monkeypatch):
+    # on 00100 (4) and its flip 10100 (20), c counts down from x; the pair
+    # tries a jump at step 7, back at the pc saved at step 4 with c at 2 and
+    # 18.  The run on 4 takes its BZ at pass 1, so its proof fails and the pair
+    # jumps no pass: it steps on and parts there, at step 12.  Alone, the proof
+    # of the run on 20 would cover that pass.
+    import countones._affine as affine
+
+    proofs, prove = [], affine.prove
+    monkeypatch.setattr(affine, "prove", lambda *args: proofs.append(prove(*args)) or proofs[-1])
+    program = parse_program("MOV c x\nL1: DEC c\nBZ c L4\nJMP L1\nL4: OUT c")
+    params = AdversaryParams(0, 1, 0, 5)
+    for budget in (10, 12, 13, 100):
+        assert msb_flip_probe(program, params, budget) == reference_probe(program, params, budget)
+    proofs.clear()
+    pair_jumps.clear()
+    assert msb_flip_probe(program, params, 10**6).divergence == Divergence(12, 4)
+    # the try at step 10, back at the pc saved at step 8, fails the same way
+    assert pair_jumps == [None, None]
+    assert [proof and proof[:2] for proof in proofs] == [None, (17, 1), None, (16, 1)]
 
 
 def test_random_params_respect_the_constraints():

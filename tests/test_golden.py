@@ -64,6 +64,10 @@ GOLDEN = {
     # a budget that most counter loops run out of: their runs jump over passes
     "fuzz --seed 1 --count 1000 --budget 20000":
         "ce159be83f9bd6065ea35642930b81c7ef3f5bc15c827a85eaebc4e641346b34",
+    # a budget past the passes of most counter loops: runs and flip probes
+    # alike jump over them, to the output of runs stepped one by one
+    "fuzz --seed 3 --count 500 --budget 1000000":
+        "c68e28a4b99e14ec790552dc8299d26fec1f91b8c37e232561a36d2fa7415d23",
 }
 
 # sha256 of the ``gen`` text of wegner, dense and combined at widths 1..64
@@ -109,7 +113,7 @@ def test_fuzz_campaigns_in_one_process_leave_each_other_as_recorded(tmp_path):
     # process, as the benchmark's passes do: every fuzz pin in turn, twice over,
     # must read as recorded
     fuzz = [command for command in GOLDEN if command.startswith("fuzz ")]
-    assert len(fuzz) == 3
+    assert len(fuzz) == 4
     for command in fuzz * 2:
         assert run_digest(command, tmp_path / "out.csv") == GOLDEN[command], command
 

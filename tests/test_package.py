@@ -60,7 +60,8 @@ def test_importing_the_cli_does_not_load_dataclasses():
 
 
 def test_importing_the_cli_does_not_load_typing():
-    # nor the affine jump, which Machine.run loads at its first jump attempt
+    # nor the affine jump, which Machine.run and the flip probe load at their
+    # first jump attempt
     src = Path(countones.__file__).resolve().parent.parent
     done = subprocess.run(
         [sys.executable, "-S", "-c",

@@ -234,7 +234,8 @@ def test_observer_cut_by_the_budget():
 @pytest.mark.parametrize("seed", [3, 14, 15])
 def test_fast_forward_matches_step_by_step(seed, machine):
     # conftest's stepper runs every step, with no cycle search; an observed
-    # run fast-forwards too, to the same result
+    # run fast-forwards too, to the same result, but for where a stock
+    # unobserved run finds its repeat, as a jump may pass over it
     machine = machine()
     rng = random.Random(seed)
     halts = set()
@@ -246,26 +247,44 @@ def test_fast_forward_matches_step_by_step(seed, machine):
             res = machine.run(program, x, width, budget)
             assert res._replace(cycle=None) == record_run(program, x, width, budget, machine)[0], (
                 program, width, x, budget)
-            assert res == machine.run(program, x, width, budget, observer=lambda *a: None)
+            observed = machine.run(program, x, width, budget, observer=lambda *a: None)
+            if type(machine) is Machine:
+                res, observed = res._replace(cycle=None), observed._replace(cycle=None)
+            assert res == observed
             halts.add(res.halt_reason)
     assert halts == set(HaltReason)
 
 
 @pytest.mark.parametrize("machine", [Machine, NonWrappingIncMachine, ComplementMovMachine])
 def test_the_cycle_is_exact(machine):
-    # the state after `saved` steps comes back `period` steps later, and not
-    # before; an observer is shown each state up to and including that repeat
+    # in an observed run or on a broken machine, the state after `saved` steps
+    # comes back `period` steps later, and not before; an observer is shown
+    # each state up to and including that repeat.  A stock unobserved run may
+    # jump past that repeat, so any repeat it reports is a true one, found
+    # later or not at all, and the rest of its result is the observed run's
     machine = machine()
     rng = random.Random(8)
-    found = halted = 0
+    found = halted = moved = 0
     for _ in range(300):
         program = random_program(rng, max_len=rng.choice((4, 24)))
         width = rng.randint(1, 12)
         x = rng.randrange(1 << width)
         budget = rng.choice((7, 60, 512))
         res, shown = observed_run(program, x, width, budget, machine)
-        assert res == machine.run(program, x, width, budget)
+        unobserved = machine.run(program, x, width, budget)
         _, states = record_run(program, x, width, budget, machine)
+
+        def state(t):  # (pc, registers) after t steps: the pc is the next one executed
+            return states[t + 1][1], states[t][2]
+
+        if type(machine) is not Machine:
+            assert unobserved == res
+        else:
+            assert unobserved._replace(cycle=None) == res._replace(cycle=None)
+            if unobserved.cycle is not None:
+                saved, period = unobserved.cycle
+                assert saved + period < budget and state(saved + period) == state(saved)
+            moved += unobserved.cycle != res.cycle
         if res.cycle is None:
             assert shown == states
             halted += res.halt_reason is not HaltReason.BUDGET_EXHAUSTED
@@ -273,14 +292,13 @@ def test_the_cycle_is_exact(machine):
         found += 1
         saved, period = res.cycle
         assert res.halt_reason is HaltReason.BUDGET_EXHAUSTED and saved + period < budget
-
-        def state(t):  # (pc, registers) after t steps: the pc is the next one executed
-            return states[t + 1][1], states[t][2]
-
         assert state(saved + period) == state(saved)
         assert all(state(t) != state(saved) for t in range(saved + 1, saved + period))
         assert shown == states[:saved + period + 1]
     assert found >= 50 and halted >= 50
+    # the stock machine's unobserved runs jump past some repeats (4 of them
+    # here, one found again later); no other run does
+    assert (moved >= 3) if type(machine) is Machine else (moved == 0)
 
 
 # B // 3 whole periods of INC, DEC, JMP, then the first B % 3 steps of one more;
@@ -297,10 +315,13 @@ def test_fast_forward_after_a_prefix_and_a_long_period():
     res = execute(parse_program("INC b\nL1: ZERO a\nJMP L1"), 0, 4, 10**12 + 1)
     assert res == ExecResult(None, 10**12 + 1, 1, HaltReason.BUDGET_EXHAUSTED, cycle=(4, 2))
     # a wraps after 2**10 INCs: a period of 2,048 steps, half of them INC, found
-    # from the first save past it
-    res = execute(parse_program("L0: INC a\nJMP L0"), 0, 10, 10**12 + 1)
+    # from the first save past it by an observed run; unobserved, the counter
+    # jumps past that repeat and finds none
+    program = parse_program("L0: INC a\nJMP L0")
+    res = Machine().run(program, 0, 10, 10**12 + 1, observer=lambda *a: None)
     assert res == ExecResult(None, 10**12 + 1, 10**12 // 2 + 1, HaltReason.BUDGET_EXHAUSTED,
                              cycle=(4096, 2048))
+    assert execute(program, 0, 10, 10**12 + 1) == res._replace(cycle=None)
 
 
 def test_fast_forward_after_the_observer_detaches():
@@ -324,24 +345,25 @@ def test_fast_forward_after_the_observer_detaches():
 
 @pytest.fixture
 def jumps(monkeypatch):
-    """Each call of the affine jump's entry point, as ``(total, mark, jumped)``:
-    the run's steps and Brent mark at the call, and what the jump returned."""
+    """Each call of the affine proof, as ``(q, passes, proof)``: the steps of
+    the pass, the most passes it may cover and what the proof returned."""
     import countones._affine as affine
 
-    calls, jump = [], affine.jump
+    calls, prove = [], affine.prove
 
     def counted(*args):
-        jumped = jump(*args)
-        calls.append((args[5], args[8], jumped))
-        return jumped
+        proof = prove(*args)
+        calls.append((args[5], args[6], proof))
+        return proof
 
-    monkeypatch.setattr(affine, "jump", counted)
+    monkeypatch.setattr(affine, "prove", counted)
     return calls
 
 
 def test_jumps_match_step_by_step(jumps):
-    # every result, cycle included, is that of the run stepped one instruction
-    # at a time (conftest's stepper) and of an observed run, which never jumps
+    # every result is that of the run stepped one instruction at a time
+    # (conftest's stepper) and of an observed run, which never jumps, but for
+    # where the repeat is found, as a jump may pass over it
     rng = random.Random(29)
     for _ in range(1000):
         program = random_program(rng, max_len=rng.choice((4, 8, 24)))
@@ -351,7 +373,8 @@ def test_jumps_match_step_by_step(jumps):
         res = Machine().run(program, x, width, budget)
         assert res._replace(cycle=None) == record_run(program, x, width, budget)[0], (
             program, width, x, budget)
-        assert res == Machine().run(program, x, width, budget, observer=lambda *a: None)
+        assert res._replace(cycle=None) == Machine().run(
+            program, x, width, budget, observer=lambda *a: None)._replace(cycle=None)
     assert sum(jumped is not None for _, _, jumped in jumps) >= 40
 
 
@@ -381,27 +404,31 @@ def test_jumps_in_closed_form(text, width, x, want, jumps):
     assert total < 100 or any(jumped is not None for _, _, jumped in jumps)
 
 
-def test_a_jump_stops_at_a_true_repeat(jumps):
-    # a width-4 counter repeats every 32 steps; the jump tried at step 6 runs
-    # Brent's search across marks 8, 16, 32 and 64, finds the state saved at
-    # 64 again at 96 and stops there, where the machine finds it itself
+def test_a_jump_runs_past_a_true_repeat(jumps):
+    # a width-4 counter repeats every 32 steps, which an observed run finds at
+    # 64 + 32; unobserved, the jump tried at step 6 proves the pass of 2 steps
+    # and covers every pass that fits in the budget, so it finds no repeat
     program = parse_program("L0: INC a\nJMP L0")
     res = execute(program, 0, 4, 10**12)
-    assert res == ExecResult(None, 10**12, 10**12 // 2, HaltReason.BUDGET_EXHAUSTED, (64, 32))
-    assert res == Machine().run(program, 0, 4, 10**12, observer=lambda *a: None)
-    assert [(total, mark, jumped[0]) for total, mark, jumped in jumps] == [(6, 8, 96)]
+    assert res == ExecResult(None, 10**12, 10**12 // 2, HaltReason.BUDGET_EXHAUSTED)
+    observed = Machine().run(program, 0, 4, 10**12, observer=lambda *a: None)
+    assert observed == res._replace(cycle=(64, 32))
+    passes = (10**12 - 6) // 2
+    assert [(q, most, proof[:2]) for q, most, proof in jumps] == [(2, passes, (passes, 1))]
 
 
-def test_a_jump_carries_brents_state_across_marks(jumps):
-    # the counter's jump crosses marks 8 to 2,048 and saves the state at the
-    # last; the machine then finds the JMP's repeat one step after the mark the
-    # jump left it, 4,096, as a run stepped through the counter does
+def test_a_jump_resets_brents_save(jumps):
+    # the jump tried at step 7, the first visit to the pc saved at step 4,
+    # covers 997 passes of 3 steps, up to the one whose BNZ falls through; the
+    # search saves afresh one step after it, at 2,999, and finds the JMP's
+    # repeat at the first mark past the loop, 5,998, where an observed run,
+    # which never jumps, finds it at 4,096
     program = parse_program("MOV c x\nL0: INC a\nDEC c\nBNZ c L0\nL4: JMP L4")
     res = execute(program, 1000, 16, 10**6)
-    assert res == ExecResult(None, 10**6, 2000, HaltReason.BUDGET_EXHAUSTED, (4096, 1))
-    assert res == Machine().run(program, 1000, 16, 10**6, observer=lambda *a: None)
-    (total, mark, (_, _, new_mark, _, _, saved_total, _)), = jumps
-    assert saved_total >= 2 * mark > total and new_mark == 2 * saved_total
+    assert res == ExecResult(None, 10**6, 2000, HaltReason.BUDGET_EXHAUSTED, (5998, 1))
+    observed = Machine().run(program, 1000, 16, 10**6, observer=lambda *a: None)
+    assert observed == res._replace(cycle=(4096, 1))
+    assert [(q, proof[:2]) for q, _, proof in jumps] == [(3, (997, 2))]
 
 
 def test_a_branch_on_zero_flips_at_the_first_pass(jumps):
