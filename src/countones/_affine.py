@@ -24,8 +24,7 @@ The jump.  ``k`` passes add ``k*q`` steps, ``k`` times the pass's inc/dec
 steps and ``b*k`` to each register.  The states inside the jumped passes
 are never seen, so a caller's Brent search starts afresh after a jump.  A
 repeat among them changes no result: a deterministic run from the state
-after the jump is the stepped run from there on, so only where a repeat is
-first found, ``ExecResult.cycle``, may differ.  The flip probe's two lanes
+after the jump is the stepped run from there on.  The flip probe's two lanes
 jump together only where each lane's proof holds and both take one path of
 pcs in the pass: each lane keeps its pass-0 branch decisions for every pass
 of the jump, so the pair takes one path through all of them and parts in

@@ -152,13 +152,13 @@ class PrefixInvariantCheck:
     Prefixes are compared as integers (``value >> (n - k)``), which
     additionally flags any register whose value escaped the word width.  The
     first state past ``i = m`` detaches the check: the inc/dec index only
-    grows, so the rest of the run is vacuous.  So does the machine's first
-    repeat (``ExecResult.cycle``), after which the run replays states shown,
-    at the same or a higher ``i``.  Replays pass where their first showing
-    did: ``k_i`` only shrinks as ``i`` grows, and top bits all zeros, all
-    ones or the input's stay so when cut to fewer.  ``checked`` counts the
-    states checked up to the detach and ``violations`` lists what they
-    broke; a violation's ``snapshot_index`` counts the initial state as 0.
+    grows, so the rest of the run is vacuous.  So does the first repeat the
+    machine finds, after which the run replays states shown, at the same or
+    a higher ``i``.  Replays pass where their first showing did: ``k_i``
+    only shrinks as ``i`` grows, and top bits all zeros, all ones or the
+    input's stay so when cut to fewer.  ``checked`` counts the states
+    checked up to the detach and ``violations`` lists what they broke; a
+    violation's ``snapshot_index`` counts the initial state as 0.
     """
 
     def __init__(self, params: AdversaryParams) -> None:
@@ -510,15 +510,19 @@ def fold_slices(
     check: LowerBoundCheck,
     program: Program,
     passes: Callable[[int, int], bool] = lambda nu, incdec: True,
-) -> list[Row]:
+    machine: Machine | None = None,
+) -> Iterable[Row]:
     """Run ``program`` on every ``check.width``-bit input as one batch of lanes,
     fold what passes into ``check`` and return the :data:`Row` of every other
     input, in input order, for the caller's row code.
 
     A cell of correct lanes (:func:`_cells`) that meets ``passes(nu,
-    incdec)`` and the bound is folded in bulk.
+    incdec)`` and the bound is folded in bulk.  Given a ``machine``, it folds
+    nothing and returns :func:`measure`'s row of every input, run on it.
     """
     width = check.width
+    if machine is not None:
+        return measure(program, width, range(1 << width), machine)
     x, out, halts = run_slices(program, width, range(1 << width))
     folded = 0
     for cell, v, incdec, _ in _cells(x, out, halts):
@@ -534,14 +538,12 @@ def lower_bound_audit(g: GeneratedProgram, machine: Machine | None = None) -> Lo
     density n/2), and for every input with ``nu != n/2`` the measured
     inc/dec steps must reach ``min(nu, n - nu)``.  Returns the filled
     :class:`LowerBoundCheck`, tightest step/bound ratio and worst case
-    included, from :func:`fold_slices`, or from :func:`measure` if given a machine.
+    included, from :func:`fold_slices`, on ``machine`` if one is given.
     """
     width = g.width
     if not 2 <= width <= AUDIT_WIDTH_MAX:
         raise ValueError(f"audit width must be 2..{AUDIT_WIDTH_MAX}, got {width}")
     check = LowerBoundCheck(g.name, width)
-    rows = (fold_slices(check, g.program) if machine is None
-            else measure(g.program, width, range(1 << width), machine))
-    for row in rows:
+    for row in fold_slices(check, g.program, machine=machine):
         check.add(row)
     return check

@@ -139,12 +139,9 @@ def verify_suite(
             predicted = gen.predicted_incdec
             law_ok = lambda nu, incdec: incdec == predicted(nu)
             step_ok = lambda nu, incdec: single_step is None or not nu or incdec == 1
-            if machine is None:
-                rows_in = fold_slices(audit, gen.program,
-                                      lambda nu, incdec: law_ok(nu, incdec) and step_ok(nu, incdec))
-            else:
-                rows_in = measure(gen.program, width, range(1 << width), machine)
-            for row in rows_in:
+            for row in fold_slices(audit, gen.program,
+                                   lambda nu, incdec: law_ok(nu, incdec) and step_ok(nu, incdec),
+                                   machine):
                 value, nu, out, incdec, _, halt = row
                 if not step_ok(nu, incdec):
                     single_step.append(f"x={value:02b} incdec {incdec} != 1")

@@ -17,17 +17,17 @@ Each instruction is built once per process and shared by every program
 that draws it, jump targets included.
 
 Non-terminating programs are cut by the per-run budget.  Each check is
-shown every state up to and including the first repeat the machine finds
-(``ExecResult.cycle``); then the run fast-forwards to its budget.  The
-states after the repeat replay those shown, at the same or a higher
-inc/dec index, and the invariant is closed under replays, so the verdict
-is that of the whole run.  A counter loop repeats no state within the
-budget, but once its check has detached (past ``i = m``) the run is
-unobserved, and :meth:`Machine.run` jumps over the passes of a loop that
-moves every register by the same amount each pass, exactly, up to the
-first branch that goes the other way; so most budget-exhausted runs step
-through a few passes only, as do the flip probes' pairs of lanes, and
-every verdict is that of a stepped run.
+shown every state up to and including the first repeat the machine
+finds; then the run fast-forwards to its budget.  The states after the
+repeat replay those shown, at the same or a higher inc/dec index, and the
+invariant is closed under replays, so the verdict is that of the whole
+run.  A counter loop repeats no state within the budget, but once its
+check has detached (past ``i = m``) the run is unobserved, and
+:meth:`Machine.run` jumps over the passes of a loop that moves every
+register by the same amount each pass, exactly, up to the first branch
+that goes the other way; so most budget-exhausted runs step through a few
+passes only, as do the flip probes' pairs of lanes, and every result and
+verdict is that of a stepped run.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .adversary import (
     msb_flip_probe,
 )
 from .vm import OPCODES, HaltReason, Instruction, Machine, Program
+from .words import MAX_WIDTH
 
 __all__ = [
     "FUZZ_BUDGET",
@@ -160,8 +161,9 @@ def random_adversary_params(
 ) -> AdversaryParams:
     """Draw adversary parameters; ``equal_ends`` forces ``e == d``."""
     lo, hi = width_range
-    if not 1 <= lo <= hi:
-        raise ValueError(f"width range must satisfy 1 <= lo <= hi, got {width_range}")
+    if not 1 <= lo <= hi <= MAX_WIDTH:
+        raise ValueError(
+            f"width range must satisfy 1 <= lo <= hi <= {MAX_WIDTH}, got {width_range}")
     # _below's rule inline, as in random_program: getrandbits of the bound's bit
     # length until the draw is below the bound (2 bits for the bound 2 of e and d)
     bits = rng.getrandbits

@@ -48,14 +48,13 @@ Observers.  :meth:`Machine.run` takes one optional ``observer`` callback,
 called as ``observer(incdec_index, pc, registers)`` on the initial state
 (``pc`` is ``None``, ``incdec_index`` 0) and again after every executed
 instruction, with ``pc`` the index of that instruction.  It is shown each
-state up to and including the first repeat the machine finds
-(``ExecResult.cycle`` says where that repeat is), or until it returns
-``False`` (any other value, ``None`` included, keeps it attached); then it
-detaches and is never called again, and the run goes on to the result of
-an unobserved run.  ``registers`` is the interpreter's live register dict:
-read it during the call, copy what must outlive it, and never mutate it.
-An observer is the one way to watch a run: to record one, append a copy of
-each state, as in
+state up to and including the first repeat the machine finds, or until it
+returns ``False`` (any other value, ``None`` included, keeps it attached);
+then it detaches and is never called again, and the run goes on to the
+result of an unobserved run.  ``registers`` is the interpreter's live
+register dict: read it during the call, copy what must outlive it, and
+never mutate it.  An observer is the one way to watch a run: to record one,
+append a copy of each state, as in
 ``observer=lambda i, pc, regs: states.append((i, pc, dict(regs)))``.
 
 Fast-forward.  The machine is deterministic: its next state depends only on
@@ -69,10 +68,10 @@ saved pc with other registers tries an affine jump (:mod:`._affine`,
 imported at the first try): if one symbolic pass shows every register
 moving by the same amount each pass, it adds whole passes at once, up to
 the first pass in which a branch goes the other way, solved exactly mod
-``2**width``, and the search starts afresh one step later.  So only
-``cycle`` may differ from a stepped run's: a later true repeat, or
-``None``.  An observed run or an overridden :meth:`Machine._inc`, ``_dec``
-or ``_mov`` never jumps, and each save gets one try.
+``2**width``, and the search starts afresh one step later.  Either way the
+result is the stepped run's, field for field.  An observed run or an
+overridden :meth:`Machine._inc`, ``_dec`` or ``_mov`` never jumps, and each
+save gets one try.
 
 Lanes.  :func:`run_slices` runs one program on many inputs at once,
 bit-sliced (Biham, FSE 1997): bit ``j`` of a register's slice ``b`` is its
@@ -327,12 +326,10 @@ class HaltReason(enum.Enum):
 Observer = Callable[[int, int | None, dict[str, int]], bool | None]
 
 
-class ExecResult(namedtuple("ExecResult", "output total_steps incdec_steps halt_reason cycle",
-                            defaults=(None,))):
+class ExecResult(namedtuple("ExecResult", "output total_steps incdec_steps halt_reason")):
     """One run.  ``output`` is the OUT register as the machine left it, even
-    out of its width (``None`` unless the run halted with OUT); ``cycle`` is
-    the first repeat found, as ``(saved_total, period)``, if there is one
-    (an affine jump may pass over the run's first)."""
+    out of its width (``None`` unless the run halted with OUT).  Every way of
+    executing a run gives the same result."""
 
     __slots__ = ()
 
@@ -385,7 +382,6 @@ class Machine:
         pc = total = incdec = 0
         output: int | None = None
         halt: HaltReason | None = None
-        cycle: tuple[int, int] | None = None
         # Brent's cycle detection, observed or not: the state (pc, registers)
         # is saved at total = mark, mark doubling up to the budget, as the pc
         # and a copy of the register dict, and each later state whose pc
@@ -412,7 +408,6 @@ class Machine:
                     # A repeated state loops forever: detach the observer, add every
                     # whole period that fits in the budget, then run out the rest.
                     period = total - saved_total
-                    cycle = saved_total, period
                     cycles = (budget - total) // period
                     total += cycles * period
                     incdec += cycles * (incdec - saved_incdec)
@@ -479,7 +474,7 @@ class Machine:
                 break
             pc = next_pc
 
-        return ExecResult(output, total, incdec, halt, cycle)
+        return ExecResult(output, total, incdec, halt)
 
 
 def execute(program: Program, x: int, width: int, budget: int = DEFAULT_BUDGET) -> ExecResult:

@@ -7,7 +7,7 @@ def record_run(program, x, width, budget=DEFAULT_BUDGET, machine=None):
     """A run of ``machine`` (the stock one by default) on the ``width``-bit
     input ``x``, stepped one instruction at a time through its ``_inc``,
     ``_dec`` and ``_mov``, with no cycle search and none of ``Machine.run``:
-    its result, whose ``cycle`` is ``None``, and every state, as
+    its result and every state, as
     ``(incdec_index, pc, registers)`` in the form an observer is shown it,
     the initial state first."""
     machine = machine or Machine()

@@ -97,10 +97,17 @@ def first_divergence(a, b):
     return None
 
 
-def shown(states, result):
-    """The recorded ``states`` that ``Machine.run`` shows an observer: each one up
-    to and including the first repeat it finds, ``result.cycle``."""
-    return states[:sum(result.cycle) + 1] if result.cycle else states
+def shown(observer=lambda *a: None):
+    """An observer that keeps a copy of each state ``Machine.run`` shows it and
+    returns ``observer``'s verdict on it, and the list of those states: each one
+    up to and including the first repeat the machine finds, or the detach."""
+    states = []
+
+    def keep(i, pc, regs):
+        states.append((i, pc, dict(regs)))
+        return observer(i, pc, regs)
+
+    return keep, states
 
 
 def reference_probe(program, params, budget):
@@ -126,11 +133,10 @@ def reference_invariant(seed, count, budget=FUZZ_BUDGET, machine=None):
         if result.halt_reason is HaltReason.BUDGET_EXHAUSTED:
             exhausted += 1
             cut_in_window += states[-1][0] <= params.m
-        # the check sees no replay after the repeat the machine finds, and an
-        # observed run finds the first one, as it never jumps
-        repeat = machine.run(program, adversary_input(params), params.n, budget,
-                             observer=lambda *a: None)
-        violations = reference_violations(shown(states, repeat), params)
+        # the check sees no replay after the repeat the machine finds
+        keep, seen = shown()
+        machine.run(program, adversary_input(params), params.n, budget, observer=keep)
+        violations = reference_violations(states[:len(seen)], params)
         if violations:
             violation_count += len(violations)
             violating.append((run_idx, params, violations))
@@ -195,9 +201,18 @@ def test_draws_equal_the_randint_choice_spelling(max_len, equal_ends):
 
 
 def test_empty_width_range_is_rejected():
-    for width_range in ((5, 4), (0, 3)):
+    # before anything is drawn, also where the range overlaps 1..64
+    for width_range in ((5, 4), (0, 3), (4, 65), (4, 80), (60, 70)):
+        for seed in range(20):
+            rng = random.Random(seed)
+            state = rng.getstate()
+            with pytest.raises(ValueError, match="width range"):
+                random_adversary_params(rng, width_range)
+            assert rng.getstate() == state
         with pytest.raises(ValueError, match="width range"):
-            random_adversary_params(random.Random(1), width_range)
+            fuzz_invariant(3, 50, width_range=width_range)
+        with pytest.raises(ValueError, match="width range"):
+            fuzz_divergence(3, 50, width_range=width_range)
 
 
 def test_max_len_below_two_is_rejected_before_drawing():
@@ -241,20 +256,22 @@ def test_check_detaches_from_a_clean_loop():
     # run fast-forwards to its budget
     params = AdversaryParams(0, 0, 0, 6)  # the zero word
     check = PrefixInvariantCheck(params)
+    keep, seen = shown(check.observe)
     res = Machine().run(parse_program("L0: BZ x L0"), adversary_input(params), params.n, 10**9,
-                        observer=check.observe)
-    assert res == ExecResult(None, 10**9, 0, HaltReason.BUDGET_EXHAUSTED, cycle=(2, 1))
+                        observer=keep)
+    assert res == ExecResult(None, 10**9, 0, HaltReason.BUDGET_EXHAUSTED)
     assert check.ok
-    assert check.checked == 4
+    assert check.checked == len(seen) == 2 + 1 + 1
     # a loop with INC/DEC repeats its registers at a higher i; the window
     # i <= m is still open there, but the replays would pass where their
     # first showing did, so the check sees 8 of the run's 11 states in it
     params = AdversaryParams(1, 7, 1, 16)
     program = parse_program("L0: INC a\nDEC a\nJMP L0")
     check = PrefixInvariantCheck(params)
-    res = Machine().run(program, adversary_input(params), params.n, 10**9, observer=check.observe)
+    keep, seen = shown(check.observe)
+    Machine().run(program, adversary_input(params), params.n, 10**9, observer=keep)
     _, states = record_run(program, adversary_input(params), params.n, 100)
-    assert check.ok and res.cycle == (4, 3)
+    assert check.ok and len(seen) == 4 + 3 + 1
     assert check.checked == 8 < sum(i <= params.m for i, _, _ in states) == 11
 
 
@@ -265,10 +282,10 @@ def test_check_detaches_from_a_violating_loop_at_its_repeat():
     params = AdversaryParams(1, 1, 0, 6)
     program = parse_program("L0: MOV a x\nJMP L0")
     check = PrefixInvariantCheck(params)
-    res = ComplementMovMachine().run(program, adversary_input(params), params.n, 50,
-                                     observer=check.observe)
+    keep, seen = shown(check.observe)
+    ComplementMovMachine().run(program, adversary_input(params), params.n, 50, observer=keep)
     _, states = record_run(program, adversary_input(params), params.n, 50, ComplementMovMachine())
-    assert res.cycle == (4, 2)
+    assert seen == states[:4 + 2 + 1]
     assert tuple(check.violations) == reference_violations(states[:7], params)
     assert len(check.violations) == 6 and check.checked == 7
     assert len(reference_violations(states, params)) == 50
@@ -305,11 +322,15 @@ def test_the_invariant_is_closed_under_replays(machine):
         program = random_program(rng)
         params = random_adversary_params(rng, (4, 16))
         check = PrefixInvariantCheck(params)
-        result = machine.run(program, check.x, params.n, FUZZ_BUDGET, observer=check.observe)
+        keep, seen = shown(check.observe)
+        machine.run(program, check.x, params.n, FUZZ_BUDGET, observer=keep)
         _, states = record_run(program, check.x, params.n, FUZZ_BUDGET, machine)
-        assert tuple(check.violations) == reference_violations(shown(states, result), params)
+        assert seen == states[:len(seen)]
+        assert tuple(check.violations) == reference_violations(seen, params)
         assert check.ok == (not reference_violations(states, params))
-        replays_in_window += bool(result.cycle) and states[sum(result.cycle) + 1][0] <= params.m
+        # a state past those shown, still in the window, follows a repeat: the
+        # check detaches itself only at a state past the window
+        replays_in_window += len(seen) < len(states) and states[len(seen)][0] <= params.m
         violating += not check.ok
     assert replays_in_window >= 20
     assert bool(violating) == (type(machine) is not Machine)
@@ -383,44 +404,45 @@ def test_probe_fast_forwards_both_runs():
         probe = msb_flip_probe(program, params, budget=10**9)
         results = []
         for word in (probe.x, probe.x_flipped):
-            # an observed run never jumps, so it finds the first repeat; an
-            # unobserved one may jump past it, to the same end
-            observed = Machine().run(program, word, params.n, 10**9, observer=lambda *a: None)
-            unobserved = Machine().run(program, word, params.n, 10**9)
-            assert unobserved._replace(cycle=None) == observed._replace(cycle=None)
-            results.append(observed)
+            # an observed run never jumps, and is shown each state up to the
+            # first repeat, saved + period + 1 of them; an unobserved one may
+            # jump past it, to the same result
+            keep, seen = shown()
+            observed = Machine().run(program, word, params.n, 10**9, observer=keep)
+            assert Machine().run(program, word, params.n, 10**9) == observed
+            results.append((observed, len(seen)))
         return probe.divergence, *results
 
     divergence, run_x, run_flipped = runs("periods differ")
     assert divergence is None
-    assert run_x == ExecResult(None, 10**9, 333_333_334, HaltReason.BUDGET_EXHAUSTED,
-                               cycle=(64, 48))
-    assert run_flipped == run_x._replace(cycle=(32, 24))
+    assert run_x == (ExecResult(None, 10**9, 333_333_334, HaltReason.BUDGET_EXHAUSTED),
+                     64 + 48 + 1)
+    assert run_flipped == (run_x[0], 32 + 24 + 1)
     divergence, run_x, run_flipped = runs("parted in the tail")
     assert divergence == Divergence(74, 24)
-    assert run_x == ExecResult(None, 10**9, 320_000_000, HaltReason.BUDGET_EXHAUSTED,
-                               cycle=(64, 50))
-    assert run_flipped == ExecResult(None, 10**9, 307_692_309, HaltReason.BUDGET_EXHAUSTED,
-                                     cycle=(32, 26))
+    assert run_x == (ExecResult(None, 10**9, 320_000_000, HaltReason.BUDGET_EXHAUSTED),
+                     64 + 50 + 1)
+    assert run_flipped == (ExecResult(None, 10**9, 307_692_309, HaltReason.BUDGET_EXHAUSTED),
+                           32 + 26 + 1)
     divergence, run_x, run_flipped = runs("x halts")
     assert divergence == Divergence(65, 17)
-    assert run_x == ExecResult(0, 66, 17, HaltReason.OUT)
-    assert run_flipped == ExecResult(None, 10**9, 250_000_001, HaltReason.BUDGET_EXHAUSTED,
-                                     cycle=(64, 32))
+    assert run_x == (ExecResult(0, 66, 17, HaltReason.OUT), 66 + 1)
+    assert run_flipped == (ExecResult(None, 10**9, 250_000_001, HaltReason.BUDGET_EXHAUSTED),
+                           64 + 32 + 1)
     divergence, run_x, run_flipped = runs("flip halts")
     assert divergence == Divergence(18, 6)
-    assert run_x == ExecResult(None, 10**9, 333_333_333, HaltReason.BUDGET_EXHAUSTED,
-                               cycle=(8, 6))
-    assert run_flipped == ExecResult(8, 19, 6, HaltReason.OUT)
+    assert run_x == (ExecResult(None, 10**9, 333_333_333, HaltReason.BUDGET_EXHAUSTED),
+                     8 + 6 + 1)
+    assert run_flipped == (ExecResult(8, 19, 6, HaltReason.OUT), 19 + 1)
     divergence, run_x, run_flipped = runs("next line")
     assert divergence == Divergence(3, 1)
-    assert run_x == ExecResult(1, 4, 1, HaltReason.OUT)
-    assert run_flipped == ExecResult(8, 25, 8, HaltReason.OUT)
+    assert run_x == (ExecResult(1, 4, 1, HaltReason.OUT), 4 + 1)
+    assert run_flipped == (ExecResult(8, 25, 8, HaltReason.OUT), 25 + 1)
     divergence, run_x, run_flipped = runs("off the end")
     assert divergence is None
-    assert run_x == ExecResult(None, 10**9, 500_000_000, HaltReason.BUDGET_EXHAUSTED,
-                               cycle=(64, 32))
-    assert run_flipped == ExecResult(None, 2, 1, HaltReason.FELL_OFF_END)
+    assert run_x == (ExecResult(None, 10**9, 500_000_000, HaltReason.BUDGET_EXHAUSTED),
+                     64 + 32 + 1)
+    assert run_flipped == (ExecResult(None, 2, 1, HaltReason.FELL_OFF_END), 2 + 1)
 
 
 @pytest.mark.parametrize("case", PROBE_CASES)

@@ -88,8 +88,8 @@ RECORDS = {
     Instruction: (("op", "a", "b", "target"), ("BEQ", "a", "x", 0), {}),
     Program: (("instructions",), (_INSTRUCTIONS,),
               {"register_names": ("x", "a")}),
-    ExecResult: (("output", "total_steps", "incdec_steps", "halt_reason", "cycle"),
-                 (2, 7, 3, HaltReason.OUT, (1, 2)), {}),
+    ExecResult: (("output", "total_steps", "incdec_steps", "halt_reason"),
+                 (2, 7, 3, HaltReason.OUT), {}),
     GeneratedProgram: (("name", "width", "text", "predicted_incdec"),
                        ("loop", 4, "L0: INC a\nBNZ a L0\nOUT x", law),
                        {"program": Program(_INSTRUCTIONS)}),
@@ -133,7 +133,7 @@ def test_record_contract(cls):
 def test_record_defaults():
     assert Instruction("INC", "a") == Instruction("INC", "a", None, None)
     assert Instruction("JMP", target=2) == Instruction("JMP", None, None, 2)
-    assert ExecResult(None, 5, 0, HaltReason.FELL_OFF_END).cycle is None
+    assert ExecResult._field_defaults == {}
     assert len(Program(_INSTRUCTIONS)) == len(_INSTRUCTIONS) == 3
     checks = LowerBoundCheck("wegner", 4), LowerBoundCheck("wegner", 4)
     assert checks[0] == LowerBoundCheck("wegner", 4, 0, [], None, 0)

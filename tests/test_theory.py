@@ -335,6 +335,18 @@ def test_fold_expands_exactly_the_failing_lanes(monkeypatch):
     assert {row[-1] for row in rows} == {HaltReason.BUDGET_EXHAUSTED}
 
 
+def test_fold_on_a_machine_is_measure(complement_mov_machine):
+    # given a machine, every input becomes a row of measure, and the check,
+    # which would pass the stock lanes' correct cells, is left as it was built
+    for machine in (Machine(), complement_mov_machine):
+        for width in range(2, 6):
+            for gen in (*shipped_programs(width), *wrong_programs(width)):
+                check = LowerBoundCheck(gen.name, width)
+                rows = list(fold_slices(check, gen.program, machine=machine))
+                assert rows == list(measure(gen.program, width, range(1 << width), machine))
+                assert check == LowerBoundCheck(gen.name, width)
+
+
 def test_measure_rows():
     rows = list(measure(wegner_program(3).program, 3, [0b101, 0b000]))
     assert rows == [(0b101, 2, 2, 4, 14, HaltReason.OUT), (0, 0, 0, 0, 2, HaltReason.OUT)]

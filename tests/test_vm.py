@@ -234,8 +234,7 @@ def test_observer_cut_by_the_budget():
 @pytest.mark.parametrize("seed", [3, 14, 15])
 def test_fast_forward_matches_step_by_step(seed, machine):
     # conftest's stepper runs every step, with no cycle search; an observed
-    # run fast-forwards too, to the same result, but for where a stock
-    # unobserved run finds its repeat, as a jump may pass over it
+    # run fast-forwards too, to the same result
     machine = machine()
     rng = random.Random(seed)
     halts = set()
@@ -245,26 +244,22 @@ def test_fast_forward_matches_step_by_step(seed, machine):
         x = rng.randrange(1 << width)
         for budget in (1, 2, 3, 7, 512, 10_000):
             res = machine.run(program, x, width, budget)
-            assert res._replace(cycle=None) == record_run(program, x, width, budget, machine)[0], (
+            assert res == record_run(program, x, width, budget, machine)[0], (
                 program, width, x, budget)
-            observed = machine.run(program, x, width, budget, observer=lambda *a: None)
-            if type(machine) is Machine:
-                res, observed = res._replace(cycle=None), observed._replace(cycle=None)
-            assert res == observed
+            assert res == machine.run(program, x, width, budget, observer=lambda *a: None)
             halts.add(res.halt_reason)
     assert halts == set(HaltReason)
 
 
 @pytest.mark.parametrize("machine", [Machine, NonWrappingIncMachine, ComplementMovMachine])
-def test_the_cycle_is_exact(machine):
-    # in an observed run or on a broken machine, the state after `saved` steps
-    # comes back `period` steps later, and not before; an observer is shown
-    # each state up to and including that repeat.  A stock unobserved run may
-    # jump past that repeat, so any repeat it reports is a true one, found
-    # later or not at all, and the rest of its result is the observed run's
+def test_the_observer_is_shown_states_up_to_the_first_repeat(machine):
+    # an observer is shown each state up to and including the first repeat the
+    # machine finds, at a total T: the state saved at the last power of two
+    # below T, and not one between them, comes back there.  The unobserved
+    # run, which may jump, has the observed run's result
     machine = machine()
     rng = random.Random(8)
-    found = halted = moved = 0
+    found = halted = 0
     for _ in range(300):
         program = random_program(rng, max_len=rng.choice((4, 24)))
         width = rng.randint(1, 12)
@@ -277,56 +272,52 @@ def test_the_cycle_is_exact(machine):
         def state(t):  # (pc, registers) after t steps: the pc is the next one executed
             return states[t + 1][1], states[t][2]
 
-        if type(machine) is not Machine:
-            assert unobserved == res
-        else:
-            assert unobserved._replace(cycle=None) == res._replace(cycle=None)
-            if unobserved.cycle is not None:
-                saved, period = unobserved.cycle
-                assert saved + period < budget and state(saved + period) == state(saved)
-            moved += unobserved.cycle != res.cycle
-        if res.cycle is None:
+        assert unobserved == res
+        if len(shown) == len(states):
             assert shown == states
             halted += res.halt_reason is not HaltReason.BUDGET_EXHAUSTED
             continue
         found += 1
-        saved, period = res.cycle
-        assert res.halt_reason is HaltReason.BUDGET_EXHAUSTED and saved + period < budget
-        assert state(saved + period) == state(saved)
-        assert all(state(t) != state(saved) for t in range(saved + 1, saved + period))
-        assert shown == states[:saved + period + 1]
+        total = len(shown) - 1
+        saved = 1 << (total - 1).bit_length() - 1
+        assert res.halt_reason is HaltReason.BUDGET_EXHAUSTED and total < budget
+        assert state(total) == state(saved)
+        assert all(state(t) != state(saved) for t in range(saved + 1, total))
+        assert shown == states[:total + 1]
     assert found >= 50 and halted >= 50
-    # the stock machine's unobserved runs jump past some repeats (4 of them
-    # here, one found again later); no other run does
-    assert (moved >= 3) if type(machine) is Machine else (moved == 0)
 
 
 # B // 3 whole periods of INC, DEC, JMP, then the first B % 3 steps of one more;
-# the state after 4 steps, saved at a power of two, is the first to come back
+# the state after 4 steps, saved at a power of two, is the first to come back,
+# so an observer is shown 4 + 3 + 1 states
 @pytest.mark.parametrize("budget", [10**12 - 1, 10**12, 10**12 + 1])
 def test_fast_forward_exact_counts(budget):
-    res = execute(parse_program("L0: INC a\nDEC a\nJMP L0"), 5, 8, budget)
+    program = parse_program("L0: INC a\nDEC a\nJMP L0")
+    res, shown = observed_run(program, 5, 8, budget)
     assert res == ExecResult(None, budget, 2 * (budget // 3) + min(budget % 3, 2),
-                             HaltReason.BUDGET_EXHAUSTED, cycle=(4, 3))
+                             HaltReason.BUDGET_EXHAUSTED)
+    assert len(shown) == 8 and execute(program, 5, 8, budget) == res
 
 
 def test_fast_forward_after_a_prefix_and_a_long_period():
-    # one INC b before a loop without INC/DEC
-    res = execute(parse_program("INC b\nL1: ZERO a\nJMP L1"), 0, 4, 10**12 + 1)
-    assert res == ExecResult(None, 10**12 + 1, 1, HaltReason.BUDGET_EXHAUSTED, cycle=(4, 2))
+    # one INC b before a loop without INC/DEC: the state saved at 4 comes back
+    # 2 steps later
+    program = parse_program("INC b\nL1: ZERO a\nJMP L1")
+    res, shown = observed_run(program, 0, 4, 10**12 + 1)
+    assert res == ExecResult(None, 10**12 + 1, 1, HaltReason.BUDGET_EXHAUSTED)
+    assert len(shown) == 4 + 2 + 1 and execute(program, 0, 4, 10**12 + 1) == res
     # a wraps after 2**10 INCs: a period of 2,048 steps, half of them INC, found
-    # from the first save past it by an observed run; unobserved, the counter
-    # jumps past that repeat and finds none
+    # from the first save past it, 4,096, by an observed run; unobserved, the
+    # counter jumps to the same result
     program = parse_program("L0: INC a\nJMP L0")
-    res = Machine().run(program, 0, 10, 10**12 + 1, observer=lambda *a: None)
-    assert res == ExecResult(None, 10**12 + 1, 10**12 // 2 + 1, HaltReason.BUDGET_EXHAUSTED,
-                             cycle=(4096, 2048))
-    assert execute(program, 0, 10, 10**12 + 1) == res._replace(cycle=None)
+    res, shown = observed_run(program, 0, 10, 10**12 + 1)
+    assert res == ExecResult(None, 10**12 + 1, 10**12 // 2 + 1, HaltReason.BUDGET_EXHAUSTED)
+    assert len(shown) == 4096 + 2048 + 1 and execute(program, 0, 10, 10**12 + 1) == res
 
 
 def test_fast_forward_after_the_observer_detaches():
     # the search runs from the first state, whether or not an observer is
-    # attached: one that detaches itself early leaves the cycle as it is
+    # attached: one that detaches itself early leaves the result as it is
     program = parse_program("L0: INC a\nDEC a\nJMP L0")
     seen = []
     res = Machine().run(program, 5, 8, 10**12,
@@ -337,7 +328,7 @@ def test_fast_forward_after_the_observer_detaches():
     seen.clear()
     assert Machine().run(program, 5, 8, 10**12,
                          observer=lambda i, pc, regs: seen.append(pc)) == res
-    assert seen == [None, 0, 1, 2, 0, 1, 2, 0] and res.cycle == (4, 3)
+    assert seen == [None, 0, 1, 2, 0, 1, 2, 0]
 
 
 # ------------------------------------------------ affine jumps vs steps
@@ -362,8 +353,7 @@ def jumps(monkeypatch):
 
 def test_jumps_match_step_by_step(jumps):
     # every result is that of the run stepped one instruction at a time
-    # (conftest's stepper) and of an observed run, which never jumps, but for
-    # where the repeat is found, as a jump may pass over it
+    # (conftest's stepper) and of an observed run, which never jumps
     rng = random.Random(29)
     for _ in range(1000):
         program = random_program(rng, max_len=rng.choice((4, 8, 24)))
@@ -371,10 +361,8 @@ def test_jumps_match_step_by_step(jumps):
         x = rng.getrandbits(width)
         budget = rng.choice((1, 2, 7, 60, 512, 2048, 20_000, 20_000, 20_000))
         res = Machine().run(program, x, width, budget)
-        assert res._replace(cycle=None) == record_run(program, x, width, budget)[0], (
-            program, width, x, budget)
-        assert res._replace(cycle=None) == Machine().run(
-            program, x, width, budget, observer=lambda *a: None)._replace(cycle=None)
+        assert res == record_run(program, x, width, budget)[0], (program, width, x, budget)
+        assert res == Machine().run(program, x, width, budget, observer=lambda *a: None)
     assert sum(jumped is not None for _, _, jumped in jumps) >= 40
 
 
@@ -407,12 +395,12 @@ def test_jumps_in_closed_form(text, width, x, want, jumps):
 def test_a_jump_runs_past_a_true_repeat(jumps):
     # a width-4 counter repeats every 32 steps, which an observed run finds at
     # 64 + 32; unobserved, the jump tried at step 6 proves the pass of 2 steps
-    # and covers every pass that fits in the budget, so it finds no repeat
+    # and covers every pass that fits in the budget, past that repeat
     program = parse_program("L0: INC a\nJMP L0")
     res = execute(program, 0, 4, 10**12)
     assert res == ExecResult(None, 10**12, 10**12 // 2, HaltReason.BUDGET_EXHAUSTED)
-    observed = Machine().run(program, 0, 4, 10**12, observer=lambda *a: None)
-    assert observed == res._replace(cycle=(64, 32))
+    observed, shown = observed_run(program, 0, 4, 10**12)
+    assert observed == res and len(shown) == 64 + 32 + 1
     passes = (10**12 - 6) // 2
     assert [(q, most, proof[:2]) for q, most, proof in jumps] == [(2, passes, (passes, 1))]
 
@@ -421,29 +409,31 @@ def test_a_jump_resets_brents_save(jumps):
     # the jump tried at step 7, the first visit to the pc saved at step 4,
     # covers 997 passes of 3 steps, up to the one whose BNZ falls through; the
     # search saves afresh one step after it, at 2,999, and finds the JMP's
-    # repeat at the first mark past the loop, 5,998, where an observed run,
-    # which never jumps, finds it at 4,096
+    # repeat at the next save, 5,998, with no second proof; an observed run,
+    # which never jumps, finds it at 4,096 + 1.  Without a repeat found, no run
+    # could reach this budget in a test
     program = parse_program("MOV c x\nL0: INC a\nDEC c\nBNZ c L0\nL4: JMP L4")
-    res = execute(program, 1000, 16, 10**6)
-    assert res == ExecResult(None, 10**6, 2000, HaltReason.BUDGET_EXHAUSTED, (5998, 1))
-    observed = Machine().run(program, 1000, 16, 10**6, observer=lambda *a: None)
-    assert observed == res._replace(cycle=(4096, 1))
+    res = execute(program, 1000, 16, 10**12)
+    assert res == ExecResult(None, 10**12, 2000, HaltReason.BUDGET_EXHAUSTED)
+    observed, shown = observed_run(program, 1000, 16, 10**12)
+    assert observed == res and len(shown) == 4096 + 1 + 1
     assert [(q, proof[:2]) for q, _, proof in jumps] == [(3, (997, 2))]
 
 
 def test_a_branch_on_zero_flips_at_the_first_pass(jumps):
     # c is 0 at the jump's first pass and moves off it, so its BZ flips at
     # pass 1 and the jump tried there covers no pass; the two arms have the
-    # same length and effect at different pcs, so only Brent's saved pc would
-    # show a jump that ran one pass too far
+    # same length and effect at different pcs, so a jump that ran one pass
+    # too far would leave the result as it is, and only the proofs show it
     program = parse_program("\n".join([
         "MOV c x", "ZERO z", "ZERO z", "L0: INC c", "BZ c LA", "INC a", "INC a", "INC a",
         "JMP L0", "LA: INC a", "INC a", "INC a", "JMP L0"]))
     res = execute(program, 0, 2, 100)
-    assert res == Machine().run(program, 0, 2, 100, observer=lambda *a: None)
-    assert res == ExecResult(None, 100, 65, HaltReason.BUDGET_EXHAUSTED, cycle=(32, 24))
-    assert res._replace(cycle=None) == record_run(program, 0, 2, 100)[0]
-    assert jumps
+    observed, shown = observed_run(program, 0, 2, 100)
+    assert res == observed and len(shown) == 32 + 24 + 1
+    assert res == ExecResult(None, 100, 65, HaltReason.BUDGET_EXHAUSTED)
+    assert res == record_run(program, 0, 2, 100)[0]
+    assert jumps == [(6, 14, None), (6, 13, None), (6, 10, None)]
 
 
 @pytest.mark.parametrize("machine", [NonWrappingIncMachine, ComplementMovMachine])
